@@ -187,7 +187,7 @@ fn create(cli: &Cli) {
     });
     let plan = cli
         .intervals
-        .then(|| SamplingPlan::for_experiment_checkpointed(&cli.exp));
+        .then(|| SamplingPlan::for_experiment(&cli.exp));
     let exp = cli.exp;
     let regs = cli.regs;
     // --shared: create the *family* (canonical-NRR) artefacts the sampled

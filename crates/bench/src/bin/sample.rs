@@ -1,41 +1,27 @@
 //! Sampled-simulation accuracy report: estimates the quick table2
 //! workload (all nine benchmarks under conventional and VP write-back
 //! renaming, or an explicit `--workload` list that may include assembled
-//! programs like `asm:matmul`) from detailed intervals and compares
-//! against the uninterrupted full-run reference.
+//! programs like `asm:matmul`) by checkpoint-seeded sampling — each
+//! detailed window restores the exact machine state from an interval
+//! checkpoint, the estimator behind `--sampled` experiment runs — and
+//! compares against the uninterrupted full-run reference.
 //!
 //! ```text
 //! cargo run --release -p vpr-bench --bin sample -- \
-//!     [--json PATH] [--max-error PCT] [--checkpointed] [--checkpoint-dir DIR] \
-//!     [--workload NAME[,NAME..]] \
-//!     [--intervals N] [--interval-warmup N] [--interval-measure N] \
+//!     [--json PATH] [--max-error PCT] [--checkpoint-dir DIR] \
+//!     [--workload NAME[,NAME..]] [--intervals N] [--interval-measure N] \
 //!     [--warmup N] [--measure N] [--seed N] [--miss-penalty N] [--jobs N]
 //! ```
 //!
-//! Two estimators can be evaluated:
-//!
-//! * default — **functionally-seeded** sampling (functional warm-up →
-//!   detailed warm-up → measure, ≤ 25 % detailed): cheap enough to run
-//!   cold, worst per-config error ≈ 4 % at the quick scale;
-//! * `--checkpointed` — **checkpoint-seeded** sampling (each window
-//!   restores the exact machine state from an interval checkpoint): the
-//!   estimator behind `--sampled` experiment runs, worst per-config error
-//!   ≤ 2 % at the quick scale. With `--checkpoint-dir` the interval
-//!   checkpoints are loaded from/persisted to disk.
-//!
-//! `--max-error PCT` turns the run into a gate: exits non-zero when any
-//! configuration's sampled IPC deviates from the full run by more than
-//! `PCT` percent — the CI sampling-accuracy smoke steps.
+//! With `--checkpoint-dir` the interval checkpoints are loaded from (and
+//! persisted to) disk. `--max-error PCT` turns the run into a gate: exits
+//! non-zero when any configuration's sampled IPC deviates from the full
+//! run by more than `PCT` percent — the CI sampling-accuracy smoke step.
 
-use vpr_bench::sampling::{
-    accuracy_to_json, evaluate_sampling_with_profile, profile_region, SamplingAccuracy,
-    SamplingPlan,
-};
+use vpr_bench::sampling::{accuracy_to_json, SamplingAccuracy, SamplingPlan};
 use vpr_bench::sweep::{run_sweep_metrics, SweepContext, SweepPoint};
 use vpr_bench::workloads::{Workload, TABLE2_SCHEMES};
-use vpr_bench::{
-    take_flag, take_flag_value, take_workloads, write_json_artifact, ExperimentConfig, Table,
-};
+use vpr_bench::{take_flag_value, take_workloads, write_json_artifact, ExperimentConfig, Table};
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -48,7 +34,6 @@ fn main() {
             std::process::exit(2);
         })
     });
-    let checkpointed = take_flag(&mut args, "--checkpointed");
     let workloads = take_workloads(&mut args).unwrap_or_else(Workload::synthetic);
     let checkpoint_dir: Option<std::path::PathBuf> =
         take_flag_value(&mut args, "--checkpoint-dir").map(Into::into);
@@ -61,10 +46,6 @@ fn main() {
         })
     };
     let intervals = parse_num("--intervals", take_flag_value(&mut args, "--intervals"));
-    let iwarm = parse_num(
-        "--interval-warmup",
-        take_flag_value(&mut args, "--interval-warmup"),
-    );
     let imeasure = parse_num(
         "--interval-measure",
         take_flag_value(&mut args, "--interval-measure"),
@@ -77,16 +58,9 @@ fn main() {
         eprintln!("{e}");
         std::process::exit(2);
     }
-    let mut plan = if checkpointed {
-        SamplingPlan::for_experiment_checkpointed(&exp)
-    } else {
-        SamplingPlan::for_experiment(&exp)
-    };
+    let mut plan = SamplingPlan::for_experiment(&exp);
     if let Some(n) = intervals {
         plan.intervals = n as usize;
-    }
-    if let Some(w) = iwarm {
-        plan.detailed_warmup = w;
     }
     if let Some(m) = imeasure {
         plan.detailed_measure = m;
@@ -96,11 +70,7 @@ fn main() {
         std::process::exit(2);
     }
 
-    let rows = if checkpointed {
-        evaluate_checkpointed(&workloads, &exp, &plan, checkpoint_dir.as_deref())
-    } else {
-        evaluate_functional(&workloads, &exp, &plan)
-    };
+    let rows = evaluate(&workloads, &exp, &plan, checkpoint_dir.as_deref());
 
     let mut table = Table::new(
         ["bench", "scheme", "full IPC", "sampled IPC", "err %"]
@@ -117,15 +87,10 @@ fn main() {
         ]);
     }
     println!(
-        "sampled simulation ({}): {} intervals x {} detailed commits \
+        "sampled simulation (checkpoint-seeded): {} intervals x {} detailed commits \
          ({:.1}% of the full run in detailed mode)",
-        if checkpointed {
-            "checkpoint-seeded"
-        } else {
-            "functionally-seeded"
-        },
         plan.intervals,
-        plan.detailed_per_interval(),
+        plan.detailed_measure,
         plan.detailed_fraction() * 100.0
     );
     print!("{table}");
@@ -146,38 +111,10 @@ fn main() {
     }
 }
 
-/// The functionally-seeded estimator, evaluated per configuration against
-/// its full-run reference.
-fn evaluate_functional(
-    workloads: &[Workload],
-    exp: &ExperimentConfig,
-    plan: &SamplingPlan,
-) -> Vec<SamplingAccuracy> {
-    let mut rows = Vec::new();
-    for &workload in workloads {
-        // The functional region profile is scheme-independent: one pass
-        // per workload, shared across the scheme sweep.
-        let profile_config = vpr_bench::checkpoints::sim_config(TABLE2_SCHEMES[0], 64, exp);
-        let profile = profile_region(
-            workload,
-            exp.seed,
-            plan.offset,
-            plan.region,
-            &profile_config,
-        );
-        for scheme in TABLE2_SCHEMES {
-            rows.push(evaluate_sampling_with_profile(
-                workload, scheme, 64, exp, plan, &profile,
-            ));
-        }
-    }
-    rows
-}
-
-/// The checkpoint-seeded estimator: exact and sampled table2-grid sweeps
-/// side by side (the sampled sweep loads/persists `.vprsnap` interval
-/// checkpoints when a directory is given).
-fn evaluate_checkpointed(
+/// Exact and sampled table2-grid sweeps side by side (the sampled sweep
+/// loads/persists `.vprsnap` interval checkpoints when a directory is
+/// given).
+fn evaluate(
     workloads: &[Workload],
     exp: &ExperimentConfig,
     plan: &SamplingPlan,
@@ -201,7 +138,6 @@ fn evaluate_checkpointed(
             sampled_ipc: s.ipc,
             full_miss_ratio: e.miss_ratio,
             sampled_miss_ratio: s.miss_ratio,
-            detailed_fraction: plan.detailed_fraction(),
         })
         .collect()
 }

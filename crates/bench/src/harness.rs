@@ -8,7 +8,7 @@
 //! [`write_throughput_json`] records the result as machine-readable
 //! `BENCH_throughput.json` so every PR leaves a perf trajectory.
 
-use crate::sweep::{run_sweep, SweepPoint};
+use crate::sweep::{json_escape, run_sweep_metrics, SweepContext, SweepPoint};
 use crate::workloads::Workload;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -244,7 +244,8 @@ pub struct ThroughputRun {
 pub struct SweepTiming {
     /// Worker threads the parallel sweep used.
     pub jobs: usize,
-    /// Wall-clock seconds for the whole grid under [`run_sweep`].
+    /// Wall-clock seconds for the whole grid under an exact
+    /// [`run_sweep_metrics`] sweep.
     pub wall_seconds: f64,
     /// Sum of the serial per-run host seconds (the best-of-N minima) —
     /// the wall-clock a one-worker sweep would need.
@@ -400,23 +401,9 @@ impl ThroughputReport {
             }
             s.push_str("  ]},\n");
         }
-        // Full JSON string escaping: notes are free-form user input and
-        // may contain newlines or other control characters.
-        let mut escaped = String::with_capacity(self.notes.len());
-        for c in self.notes.chars() {
-            match c {
-                '\\' => escaped.push_str("\\\\"),
-                '"' => escaped.push_str("\\\""),
-                '\n' => escaped.push_str("\\n"),
-                '\r' => escaped.push_str("\\r"),
-                '\t' => escaped.push_str("\\t"),
-                c if (c as u32) < 0x20 => {
-                    let _ = write!(escaped, "\\u{:04x}", c as u32);
-                }
-                c => escaped.push(c),
-            }
-        }
-        let _ = writeln!(s, "  \"notes\": \"{escaped}\"");
+        // Notes are free-form user input and may contain newlines or
+        // other control characters.
+        let _ = writeln!(s, "  \"notes\": \"{}\"", json_escape(&self.notes));
         s.push_str("}\n");
         s
     }
@@ -495,9 +482,9 @@ pub fn measure_throughput(exp: &ExperimentConfig, runs_per_config: usize) -> Thr
     }
     let points = throughput_points();
     let wall = Instant::now();
-    let sweep_stats = run_sweep(&points, exp);
+    let sweep = run_sweep_metrics(&points, exp, &SweepContext::exact());
     let wall_seconds = wall.elapsed().as_secs_f64().max(1e-9);
-    debug_assert_eq!(sweep_stats.len(), runs.len());
+    debug_assert_eq!(sweep.points.len(), runs.len());
     ThroughputReport {
         config: *exp,
         runs_per_config: runs_per_config.max(1),
@@ -513,8 +500,8 @@ pub fn measure_throughput(exp: &ExperimentConfig, runs_per_config: usize) -> Thr
     }
 }
 
-/// Runs the whole throughput grid once more in profile mode — every
-/// active cycle stepped through `Processor::step_profiled` — and returns
+/// Runs the whole throughput grid once more in profile mode
+/// ([`Processor::run_profiled`], every phase timed) — and returns
 /// the merged per-stage host-cost attribution (`throughput --profile`,
 /// schema v5's `profile` block).
 ///

@@ -44,15 +44,13 @@
 //!
 //! ## Sampled simulation and checkpoint artefacts
 //!
-//! The [`sampling`] module estimates arbitrarily long runs from detailed
-//! intervals, in two modes: functionally seeded (functional-warmup →
-//! detailed-interval → fast-forward, with regression/stratified
-//! estimators) and **checkpoint seeded** (each window restores the exact
-//! machine state from a `.vprsnap` interval checkpoint and a per-phase
-//! regression prices the gaps). The [`checkpoints`] module manages the
-//! artefacts: `--bin checkpoint` creates/inspects/verifies checkpoint
-//! directories, the experiment binaries consume them via
-//! `--checkpoint-dir`, and `--bin sample` reports both estimators'
+//! The [`sampling`] module estimates arbitrarily long runs from
+//! **checkpoint-seeded** detailed windows: each window restores the exact
+//! machine state from a `.vprsnap` interval checkpoint, and a per-phase
+//! regression prices the gaps between windows. The [`checkpoints`] module
+//! manages the artefacts: `--bin checkpoint` creates/inspects/verifies
+//! checkpoint directories, the experiment binaries consume them via
+//! `--checkpoint-dir`, and `--bin sample` reports the estimator's
 //! accuracy against full-run references. Every JSON artefact records a
 //! `sampling` provenance block, so sampled and exact results are never
 //! confusable. The formats live in `docs/snapshot-format.md`, the
@@ -72,10 +70,8 @@ pub mod workloads;
 
 pub use harness::{run_benchmark, run_benchmark_observed, ExperimentConfig};
 pub use jobs::{execute_job, JobOutput, JobSpec};
-pub use sampling::{
-    sample_benchmark, sample_from_checkpoints, CheckpointedReport, SamplingPlan, SamplingReport,
-};
-pub use sweep::{run_sweep, run_sweep_metrics, SweepContext, SweepPoint};
+pub use sampling::{sample_from_checkpoints, CheckpointedReport, SamplingPlan};
+pub use sweep::{run_sweep_metrics, SweepContext, SweepPoint};
 pub use table::Table;
 pub use workloads::{Workload, WorkloadStream};
 

@@ -3,11 +3,11 @@
 //! Every paper artefact is a sweep: the same simulator run over a grid of
 //! `(benchmark, scheme, register-file size)` points. The points are
 //! mutually independent and each simulation is deterministic, so
-//! [`run_sweep`] fans them out over [`vpr_core::par`]'s work-stealing
-//! pool and merges the [`SimStats`] back **in submission order** — the
-//! output is byte-identical to running the same points serially, for any
-//! worker count (`--jobs 1` included). The cycle-exact goldens and
-//! `tests/parallel_determinism.rs` pin this down.
+//! [`run_sweep_metrics`] fans them out over [`vpr_core::par`]'s
+//! work-stealing pool and merges the per-point results back **in
+//! submission order** — the output is byte-identical to running the same
+//! points serially, for any worker count (`--jobs 1` included). The
+//! cycle-exact goldens and `tests/parallel_determinism.rs` pin this down.
 //!
 //! The experiment functions in [`crate::experiments`] all route through
 //! here; pass `--jobs N` to any figure/table binary (0 = one worker per
@@ -19,7 +19,7 @@ use crate::checkpoints::{
 };
 use crate::sampling::{sample_from_checkpoints, SamplingPlan};
 use crate::workloads::scheme_label;
-use crate::{run_benchmark, ExperimentConfig};
+use crate::ExperimentConfig;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -50,16 +50,6 @@ impl SweepPoint {
             physical_regs: 64,
         }
     }
-}
-
-/// Runs every point of `points` under `exp` — one simulator per point,
-/// `exp.effective_jobs()` at a time — and returns their measurement-window
-/// statistics in `points` order.
-pub fn run_sweep(points: &[SweepPoint], exp: &ExperimentConfig) -> Vec<SimStats> {
-    let exp = *exp;
-    par::par_map(exp.effective_jobs(), points.to_vec(), move |_, p| {
-        run_benchmark(p.workload, p.scheme, p.physical_regs, &exp)
-    })
 }
 
 // ----------------------------------------------------------------------
@@ -127,7 +117,7 @@ impl SweepContext {
     pub fn effective_plan(&self, exp: &ExperimentConfig) -> Option<SamplingPlan> {
         self.is_sampled().then(|| {
             self.plan
-                .unwrap_or_else(|| SamplingPlan::for_experiment_checkpointed(exp))
+                .unwrap_or_else(|| SamplingPlan::for_experiment(exp))
         })
     }
 
@@ -307,12 +297,11 @@ impl SamplingProvenance {
                     s,
                     "{{\"mode\": \"sampled\", \"estimator\": \"{estimator}\", \
                      \"seeded_from\": \"{seeded_from}\", \"plan\": {{\"offset\": {}, \
-                     \"region\": {}, \"intervals\": {}, \"detailed_warmup\": {}, \
+                     \"region\": {}, \"intervals\": {}, \"detailed_warmup\": 0, \
                      \"detailed_measure\": {}, \"detailed_fraction\": {:.4}}}",
                     plan.offset,
                     plan.region,
                     plan.intervals,
-                    plan.detailed_warmup,
                     plan.detailed_measure,
                     plan.detailed_fraction()
                 );
@@ -889,11 +878,22 @@ mod tests {
                 physical_regs: 48,
             },
         ];
-        let parallel = run_sweep(&points, &exp);
+        let parallel = run_sweep_metrics(&points, &exp, &SweepContext::exact());
         let serial: Vec<_> = points
             .iter()
-            .map(|p| run_benchmark(p.workload, p.scheme, p.physical_regs, &exp))
+            .map(|p| {
+                PointMetrics::from_stats(&crate::run_benchmark(
+                    p.workload,
+                    p.scheme,
+                    p.physical_regs,
+                    &exp,
+                ))
+            })
             .collect();
-        assert_eq!(parallel, serial, "pool output must merge in point order");
+        assert_eq!(
+            parallel.points, serial,
+            "pool output must merge in point order"
+        );
+        assert!(parallel.failures.is_empty());
     }
 }

@@ -181,8 +181,8 @@ impl WorkloadStream {
         }
     }
 
-    /// Skips `n` instructions without yielding them (positioning for
-    /// sampled simulation).
+    /// Skips `n` instructions without yielding them (positioning without
+    /// simulation).
     pub fn fast_forward(&mut self, n: u64) {
         match self {
             WorkloadStream::Synthetic(t) => t.fast_forward(n),

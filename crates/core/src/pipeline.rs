@@ -56,6 +56,7 @@ use crate::config::{RenameScheme, SimConfig};
 use crate::event_queue::CalendarQueue;
 use crate::fu::FuPool;
 use crate::iq::{Iq, IqEntry};
+use crate::profile::{PhaseProbe, Stage, StageProfile};
 use crate::rename::{
     ConventionalRenamer, EarlyReleaseRenamer, PhysReg, RenamedDest, SrcState, VpRenamer,
 };
@@ -377,17 +378,13 @@ impl<S: InstStream, O: PipeObserver> Processor<S, O> {
     }
 
     /// [`Processor::run`] with per-phase host-cost attribution (see
-    /// [`crate::profile`]): architecturally identical — same commit
-    /// target, same statistics — but every active cycle steps through
-    /// [`Processor::step_profiled`], accumulating into `prof`.
-    pub fn run_profiled(
-        &mut self,
-        commits: u64,
-        prof: &mut crate::profile::StageProfile,
-    ) -> SimStats {
+    /// [`crate::profile`]): the same step loop with a [`StageProfile`]
+    /// probe instead of the disabled one — same commit target, same
+    /// statistics — accumulating into `prof`.
+    pub fn run_profiled(&mut self, commits: u64, prof: &mut StageProfile) -> SimStats {
         let target = self.raw.committed + commits;
         while self.raw.committed < target && !self.is_done() {
-            self.step_profiled(prof);
+            self.step_limited(u64::MAX, prof);
         }
         self.stats()
     }
@@ -398,7 +395,7 @@ impl<S: InstStream, O: PipeObserver> Processor<S, O> {
         while self.cycle < target && !self.is_done() {
             // Cap idle fast-forwarding at the target so the machine stops
             // on exactly the requested cycle, mid-idle-stretch included.
-            self.step_limited(target);
+            self.step_limited(target, &mut NoObs);
         }
         self.stats()
     }
@@ -522,35 +519,13 @@ impl<S: InstStream, O: PipeObserver> Processor<S, O> {
         }
     }
 
-    /// Replaces the branch predictor and data cache with externally
-    /// warmed instances — the sampling harness's *functional warm-up*
-    /// injection point: it replays the fast-forwarded instruction stream
-    /// through a predictor and a functional cache
-    /// ([`DataCache::warm_touch`]), then hands them to a fresh processor
-    /// so a detailed interval starts from warm state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the machine has already simulated a cycle, or if the
-    /// replacement components disagree with the configuration's geometry.
-    pub fn preheat(&mut self, bht: BranchHistoryTable, cache: DataCache) {
-        assert_eq!(
-            self.cycle, 0,
-            "preheat must happen before the first simulated cycle"
-        );
-        assert_eq!(bht.entries(), self.config.bht_entries, "BHT geometry");
-        assert_eq!(*cache.config(), self.config.cache, "cache geometry");
-        self.bht = bht;
-        self.cache = cache;
-    }
-
     /// Advances the machine by one *active* cycle. The next-event cycle
     /// governor first computes the earliest cycle at which *anything* can
     /// change (the governor, `governor_skip`); if that lies in the future,
     /// the cycle counter jumps straight to it (statistics included,
     /// bit-identically), so `cycle()` may advance by more than one.
     pub fn step(&mut self) {
-        self.step_limited(u64::MAX);
+        self.step_limited(u64::MAX, &mut NoObs);
     }
 
     /// Advances the machine by exactly one cycle, running every pipeline
@@ -560,14 +535,17 @@ impl<S: InstStream, O: PipeObserver> Processor<S, O> {
     /// this mode exists for that suite (and for debugging the skip
     /// machinery), not for speed.
     pub fn step_single_cycle(&mut self) {
-        self.run_phases();
+        self.run_phases(&mut NoObs);
     }
 
     /// [`Processor::step`] with the governor's jump capped at `max_cycle`
     /// (used by [`Processor::run_cycles`] to stop exactly on a cycle
-    /// budget).
-    fn step_limited(&mut self, max_cycle: u64) {
+    /// budget), every phase bracketed by `probe`.
+    fn step_limited<P: PhaseProbe>(&mut self, max_cycle: u64, probe: &mut P) {
+        let mark = probe.begin();
+        let cycle_before = P::count(|| self.cycle);
         self.governor_skip(max_cycle);
+        probe.end(Stage::Governor, mark, self.cycle - cycle_before);
         if self.cycle >= max_cycle {
             // The jump was capped by the cycle budget: the machine now
             // stands *at* the budget boundary mid-idle-stretch, with the
@@ -575,18 +553,27 @@ impl<S: InstStream, O: PipeObserver> Processor<S, O> {
             // phases here would simulate one cycle past the budget.
             return;
         }
-        self.run_phases();
+        self.run_phases(probe);
     }
 
-    /// One full cycle of pipeline phases at the current cycle.
-    fn run_phases(&mut self) {
+    /// One full cycle of pipeline phases at the current cycle. `probe`
+    /// sees each phase with its event count (see [`crate::profile`]); the
+    /// counters are only read when `P::ENABLED`, so the disabled probe
+    /// leaves exactly the bare phase sequence.
+    fn run_phases<P: PhaseProbe>(&mut self, probe: &mut P) {
         let now = self.cycle;
         self.wb_ports_used = [0, 0];
+
+        let mark = probe.begin();
+        let committed_before = P::count(|| self.raw.committed);
         self.commit_phase(now);
+        probe.end(Stage::Commit, mark, self.raw.committed - committed_before);
+
         // Committed stores drain right after commit so they claim cache
         // ports ahead of demand loads: the commit path must always make
         // progress, or re-executing loads could starve it (livelock).
-        let drained_before = if O::ENABLED {
+        let mark = probe.begin();
+        let drained_before = if O::ENABLED || P::ENABLED {
             self.store_buffer.drained()
         } else {
             0
@@ -598,11 +585,44 @@ impl<S: InstStream, O: PipeObserver> Processor<S, O> {
                 self.store_buffer.len(),
             );
         }
+        probe.end(
+            Stage::StoreDrain,
+            mark,
+            self.store_buffer.drained() - drained_before,
+        );
+
+        let mark = probe.begin();
+        let retry_candidates = P::count(|| self.cache_retry.len() as u64);
         self.mem_retry_phase(now);
-        self.event_phase(now);
+        probe.end(Stage::MemRetry, mark, retry_candidates);
+
+        let mark = probe.begin();
+        let drained = self.event_phase(now);
+        probe.end(Stage::Events, mark, drained as u64);
+
+        let mark = probe.begin();
+        let executions_before = P::count(|| self.raw.executions);
         self.issue_phase(now);
+        probe.end(Stage::Issue, mark, self.raw.executions - executions_before);
+
+        let mark = probe.begin();
+        let seq_before = P::count(|| self.next_seq);
         self.rename_phase(now);
+        probe.end(
+            Stage::Rename,
+            mark,
+            self.next_seq.saturating_sub(seq_before),
+        );
+
+        let mark = probe.begin();
+        let fetched_before = P::count(|| self.fetch_buffer.len() as u64);
         self.fetch_phase(now);
+        probe.end(
+            Stage::Fetch,
+            mark,
+            (self.fetch_buffer.len() as u64).saturating_sub(fetched_before),
+        );
+
         if O::ENABLED {
             // Change-driven occupancy sampling: every *active* cycle is
             // sampled; the governor reports skipped quiescent stretches
@@ -615,110 +635,8 @@ impl<S: InstStream, O: PipeObserver> Processor<S, O> {
                 self.cache.inflight_fills(),
             );
         }
+        probe.end_step();
         self.cycle = now + 1;
-        assert!(
-            self.rob.is_empty() || now - self.last_commit_cycle < 100_000,
-            "no commit for 100000 cycles at cycle {now}: head={:?} scheme={:?}",
-            self.rob
-                .head_hot()
-                .map(|h| (self.rob.head_seq(), h.op, h.completed(), h.mem_phase)),
-            self.config.scheme,
-        );
-    }
-
-    /// [`Processor::step`] with per-phase host-cost attribution: every
-    /// phase is wrapped in a wall-clock measurement and an event count,
-    /// accumulated into `prof`. Architectural behaviour is bit-identical
-    /// to [`Processor::step`] — the phases run in the same order on the
-    /// same state; only the timing reads are added (pinned by
-    /// `crates/bench/tests/profile_smoke.rs`).
-    ///
-    /// KEEP IN SYNC with `Processor::step_limited` / `run_phases`: a
-    /// phase added there must be wrapped here, or its cost silently lands
-    /// in the neighbouring stage's attribution.
-    pub fn step_profiled(&mut self, prof: &mut crate::profile::StageProfile) {
-        use crate::profile::Stage;
-        use std::time::Instant;
-
-        let t = Instant::now();
-        let cycle_before = self.cycle;
-        self.governor_skip(u64::MAX);
-        prof.record(Stage::Governor, t.elapsed(), self.cycle - cycle_before);
-
-        let now = self.cycle;
-        self.wb_ports_used = [0, 0];
-
-        let t = Instant::now();
-        let committed_before = self.raw.committed;
-        self.commit_phase(now);
-        prof.record(
-            Stage::Commit,
-            t.elapsed(),
-            self.raw.committed - committed_before,
-        );
-
-        let t = Instant::now();
-        let drained_before = self.store_buffer.drained();
-        self.store_buffer.tick(now, &mut self.cache);
-        if O::ENABLED {
-            self.obs.on_store_drain(
-                self.store_buffer.drained() - drained_before,
-                self.store_buffer.len(),
-            );
-        }
-        prof.record(
-            Stage::StoreDrain,
-            t.elapsed(),
-            self.store_buffer.drained() - drained_before,
-        );
-
-        let t = Instant::now();
-        let retry_candidates = self.cache_retry.len() as u64;
-        self.mem_retry_phase(now);
-        prof.record(Stage::MemRetry, t.elapsed(), retry_candidates);
-
-        let t = Instant::now();
-        let drained = self.event_phase(now);
-        prof.record(Stage::Events, t.elapsed(), drained as u64);
-
-        let t = Instant::now();
-        let executions_before = self.raw.executions;
-        self.issue_phase(now);
-        prof.record(
-            Stage::Issue,
-            t.elapsed(),
-            self.raw.executions - executions_before,
-        );
-
-        let t = Instant::now();
-        let seq_before = self.next_seq;
-        self.rename_phase(now);
-        prof.record(
-            Stage::Rename,
-            t.elapsed(),
-            self.next_seq.saturating_sub(seq_before),
-        );
-
-        let t = Instant::now();
-        let fetched_before = self.fetch_buffer.len();
-        self.fetch_phase(now);
-        prof.record(
-            Stage::Fetch,
-            t.elapsed(),
-            (self.fetch_buffer.len().saturating_sub(fetched_before)) as u64,
-        );
-
-        if O::ENABLED {
-            self.obs.on_occupancy(
-                self.rob.len(),
-                self.iq.len(),
-                self.events.len(),
-                self.store_buffer.len(),
-                self.cache.inflight_fills(),
-            );
-        }
-        self.cycle = now + 1;
-        prof.steps += 1;
         assert!(
             self.rob.is_empty() || now - self.last_commit_cycle < 100_000,
             "no commit for 100000 cycles at cycle {now}: head={:?} scheme={:?}",

@@ -1,11 +1,15 @@
 //! Per-subsystem host-cost attribution for the simulator kernel.
 //!
-//! The throughput harness's `--profile` mode steps the machine through
-//! [`Processor::step_profiled`](crate::Processor::step_profiled), which
-//! wraps every pipeline phase in a host-time measurement and counts the
-//! simulation events each phase processed. The result answers *where the
-//! host cycles go* — which is what gates data-layout work like the
-//! hot/cold reorder-buffer split: a layout regression shows up as one
+//! The step loop (`Processor::step_limited` / `run_phases`) is generic
+//! over a `PhaseProbe` that brackets every pipeline phase.
+//! [`Processor::step`](crate::Processor::step) passes the disabled probe
+//! ([`NoObs`]), whose `ENABLED = false` compiles every probe site out;
+//! [`Processor::run_profiled`](crate::Processor::run_profiled) passes a
+//! [`StageProfile`], which times each phase and counts the simulation
+//! events it processed. There is one step loop, so the profile always
+//! covers exactly the phases a plain run executes. The result answers
+//! *where the host cycles go* — which is what gates data-layout work like
+//! the hot/cold reorder-buffer split: a layout regression shows up as one
 //! stage's ns/event drifting, long before the aggregate sim-MIPS figure
 //! moves outside shared-host noise.
 //!
@@ -16,6 +20,9 @@
 //! against their own history, not for deriving absolute sim-MIPS. The
 //! event counts, by contrast, are exact and deterministic (they come
 //! from the same architectural counters the goldens pin).
+
+use std::time::Instant;
+use vpr_obs::NoObs;
 
 /// One pipeline phase of [`Processor::step`](crate::Processor::step), in
 /// execution order.
@@ -84,8 +91,8 @@ pub struct StageRec {
     pub events: u64,
 }
 
-/// A per-stage host-cost profile accumulated over many
-/// [`Processor::step_profiled`](crate::Processor::step_profiled) calls.
+/// A per-stage host-cost profile accumulated over many active cycles of
+/// [`Processor::run_profiled`](crate::Processor::run_profiled).
 #[derive(Debug, Clone, Default)]
 pub struct StageProfile {
     recs: [StageRec; 8],
@@ -130,6 +137,69 @@ impl StageProfile {
             a.events += b.events;
         }
         self.steps += other.steps;
+    }
+}
+
+/// Per-phase hooks of the step loop: `begin` before a phase runs, `end`
+/// after it with the events it processed, `end_step` once per active
+/// cycle. With `ENABLED = false` the loop skips the event-counter reads
+/// ([`PhaseProbe::count`]) and the calls inline to nothing.
+pub(crate) trait PhaseProbe {
+    /// Whether the step loop needs to feed this probe at all.
+    const ENABLED: bool;
+    /// What `begin` hands to the matching `end` (a start time, or nothing).
+    type Mark;
+    /// Called before a phase runs.
+    fn begin(&self) -> Self::Mark;
+    /// Called after `stage` ran, with the events it processed.
+    fn end(&mut self, stage: Stage, mark: Self::Mark, events: u64);
+    /// Called once after every active cycle's phases.
+    fn end_step(&mut self);
+
+    /// Reads a phase's event counter, only when the probe is enabled.
+    #[inline(always)]
+    fn count(read: impl FnOnce() -> u64) -> u64 {
+        if Self::ENABLED {
+            read()
+        } else {
+            0
+        }
+    }
+}
+
+/// The disabled probe: what [`Processor::step`](crate::Processor::step)
+/// runs with.
+impl PhaseProbe for NoObs {
+    const ENABLED: bool = false;
+    type Mark = ();
+
+    #[inline(always)]
+    fn begin(&self) {}
+
+    #[inline(always)]
+    fn end(&mut self, _: Stage, _: (), _: u64) {}
+
+    #[inline(always)]
+    fn end_step(&mut self) {}
+}
+
+impl PhaseProbe for StageProfile {
+    const ENABLED: bool = true;
+    type Mark = Instant;
+
+    #[inline]
+    fn begin(&self) -> Instant {
+        Instant::now()
+    }
+
+    #[inline]
+    fn end(&mut self, stage: Stage, mark: Instant, events: u64) {
+        self.record(stage, mark.elapsed(), events);
+    }
+
+    #[inline]
+    fn end_step(&mut self) {
+        self.steps += 1;
     }
 }
 

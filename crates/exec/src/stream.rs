@@ -68,7 +68,7 @@ impl ExecStream {
 
     /// Skips `n` instructions without yielding them. Equivalent to — and
     /// tested against — calling `next` `n` times and discarding the
-    /// results; used by functional warming in sampled simulation.
+    /// results.
     pub fn fast_forward(&mut self, n: u64) {
         for _ in 0..n {
             if self.next().is_none() {

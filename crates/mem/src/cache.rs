@@ -404,11 +404,11 @@ impl DataCache {
 
     /// Functionally touches `addr`: installs (or re-marks) the line as if
     /// every timing effect had already resolved — no ports, MSHRs, bus,
-    /// statistics or clock involved. This is the *functional warm-up*
-    /// primitive of the sampling harness: replaying the skipped
-    /// instruction stream through it approximates the residency/dirty
-    /// state a detailed simulation would have reached, so a detailed
-    /// interval can start from a warm cache instead of a cold one.
+    /// statistics or clock involved. This is the functional cache model of
+    /// the sampling harness: replaying a span of the instruction stream
+    /// through it (with [`DataCache::would_hit`] before each touch) counts
+    /// the span's functional misses, a covariate of the sampled-IPC
+    /// estimator.
     pub fn warm_touch(&mut self, addr: u64, is_store: bool) {
         let line_addr = self.line_addr(addr);
         let idx = self.set_index(line_addr);

@@ -92,9 +92,8 @@ impl TraceGen {
     }
 
     /// Fast-forwards the generator by `n` instructions without yielding
-    /// them — the cheap positioning primitive of the sampling harness
-    /// (generation is a few nanoseconds per instruction; no simulation
-    /// state is touched). After `fast_forward(n)`, the next instruction is
+    /// them — a cheap positioning primitive (generation is a few
+    /// nanoseconds per instruction; no simulation state is touched). After `fast_forward(n)`, the next instruction is
     /// exactly the one a peer generator would produce after `n` calls to
     /// `next`. (Named to avoid colliding with the by-value
     /// [`Iterator::skip`] adapter, which would win method resolution.)

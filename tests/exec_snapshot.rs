@@ -8,8 +8,7 @@
 //!   follow-up snapshot bytes;
 //! * `Resumable` fast-forward vs replay: skipping `n` instructions with
 //!   [`ExecStream::fast_forward`] must be indistinguishable — including
-//!   in serialized state — from consuming them one by one, the property
-//!   functional warming in sampled simulation relies on.
+//!   in serialized state — from consuming them one by one.
 
 use proptest::prelude::*;
 use std::sync::Arc;
