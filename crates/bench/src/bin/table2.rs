@@ -18,8 +18,9 @@
 //! detailed windows instead of simulating it full-length; with
 //! `--checkpoint-dir` the interval checkpoints are loaded from (or, when
 //! absent, deposited into) a `.vprsnap` directory so the warm serial pass
-//! is paid once and shared across runs. The JSON artefact records the
-//! mode in its `sampling` block either way.
+//! is paid once and shared across runs. Without `--sampled`, the
+//! directory does the same for each point's warm checkpoint. The JSON
+//! artefact records the mode in its `sampling` block either way.
 //!
 //! `--check-exact PCT` (sampled mode) also runs the exact table and exits
 //! non-zero if any configuration's sampled IPC deviates by more than

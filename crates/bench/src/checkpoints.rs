@@ -16,6 +16,11 @@
 //! the configuration *about to run* and rejects any mismatch — stale
 //! artefacts fail loudly at load, never silently skew an experiment.
 //!
+//! This module stores and validates artefacts; it runs no measurement.
+//! Exact points restore (or deposit) their warm checkpoint through the
+//! one job executor, [`crate::jobs::execute_job`], and sampled sweeps
+//! seed their windows through [`crate::sampling`].
+//!
 //! The `checkpoint` binary is the user-facing face of this module:
 //! `checkpoint create` populates a directory, `checkpoint inspect` lists
 //! it, `checkpoint verify` re-validates every artefact (optionally
@@ -24,10 +29,10 @@
 
 use crate::sampling::SamplingPlan;
 use crate::workloads::scheme_label;
-use crate::workloads::{Workload, WorkloadStream};
+use crate::workloads::Workload;
 use crate::ExperimentConfig;
 use std::path::{Path, PathBuf};
-use vpr_core::{Processor, RenameScheme, SimConfig, SimStats};
+use vpr_core::{Processor, RenameScheme, SimConfig};
 use vpr_snap::manifest::{CheckpointKey, Manifest, ManifestEntry, ManifestError};
 use vpr_snap::{Snap as _, Snapshot};
 
@@ -575,36 +580,15 @@ impl CheckpointStore {
         }
     }
 
-    /// Loads the full set of interval checkpoints for a sampling plan, in
-    /// interval order. `None` (with a reason) when any is missing or
-    /// stale — callers then fall back to generating the serial pass.
-    pub fn load_interval_set(
-        &self,
-        workload: impl Into<Workload>,
-        scheme: RenameScheme,
-        physical_regs: usize,
-        exp: &ExperimentConfig,
-        plan: &SamplingPlan,
-    ) -> Result<Vec<(u64, Snapshot)>, CheckpointLoadError> {
-        let config = sim_config(scheme, physical_regs, exp);
-        self.load_interval_set_for(
-            workload.into(),
-            &config,
-            scheme_label(scheme),
-            physical_regs,
-            exp,
-            plan,
-        )
-    }
-
     /// Loads the full set of **group** (shared, canonical-configuration)
-    /// interval checkpoints for `scheme`'s sharing family — what a
-    /// sampled NRR sweep restores and re-targets. Falls back exactly like
-    /// [`CheckpointStore::load_interval_set`].
+    /// interval checkpoints for `scheme`'s sharing family, in interval
+    /// order — what a sampled sweep restores and re-targets.
     ///
     /// # Errors
     ///
-    /// See [`CheckpointStore::load_interval_set`].
+    /// The first checkpoint that is missing, stale or corrupt (see
+    /// [`CheckpointStore::load`]); callers then fall back to generating
+    /// the serial pass.
     pub fn load_group_interval_set(
         &self,
         workload: impl Into<Workload>,
@@ -613,41 +597,24 @@ impl CheckpointStore {
         exp: &ExperimentConfig,
         plan: &SamplingPlan,
     ) -> Result<Vec<(u64, Snapshot)>, CheckpointLoadError> {
+        let workload = workload.into();
         let config = group_config(scheme, physical_regs, exp);
-        self.load_interval_set_for(
-            workload.into(),
-            &config,
-            group_scheme_label(scheme, physical_regs, exp),
-            physical_regs,
-            exp,
-            plan,
-        )
-    }
-
-    fn load_interval_set_for(
-        &self,
-        workload: Workload,
-        config: &SimConfig,
-        label: String,
-        physical_regs: usize,
-        exp: &ExperimentConfig,
-        plan: &SamplingPlan,
-    ) -> Result<Vec<(u64, Snapshot)>, CheckpointLoadError> {
-        let hash = config_hash(workload, config, exp.seed);
-        let mut out = Vec::with_capacity(plan.intervals);
-        for start in plan.starts() {
-            let key = checkpoint_key_labelled(
-                workload,
-                label.clone(),
-                physical_regs,
-                exp,
-                KIND_INTERVAL,
-                start,
-            );
-            let (_, snapshot) = self.load(&key, hash)?;
-            out.push((start, snapshot));
-        }
-        Ok(out)
+        let hash = config_hash(workload, &config, exp.seed);
+        let label = group_scheme_label(scheme, physical_regs, exp);
+        plan.starts()
+            .into_iter()
+            .map(|start| {
+                let key = checkpoint_key_labelled(
+                    workload,
+                    label.clone(),
+                    physical_regs,
+                    exp,
+                    KIND_INTERVAL,
+                    start,
+                );
+                Ok((start, self.load(&key, hash)?.1))
+            })
+            .collect()
     }
 }
 
@@ -722,115 +689,13 @@ pub enum CheckpointOutcome {
     NoStore,
 }
 
-/// Runs one exact measurement for a sweep point, restoring the warm
-/// checkpoint from `store` when a valid one exists (skipping the warm-up
-/// simulation) and simulating the warm-up otherwise. Restored
-/// continuations are bit-identical to uninterrupted runs, so the result
-/// does not depend on which path was taken.
-pub fn run_benchmark_checkpointed(
-    workload: impl Into<Workload>,
-    scheme: RenameScheme,
-    physical_regs: usize,
-    exp: &ExperimentConfig,
-    store: Option<&CheckpointStore>,
-) -> SimStats {
-    let workload = workload.into();
-    let (stats, note) =
-        run_benchmark_checkpointed_noted(workload, scheme, physical_regs, exp, store);
-    if let Some(note) = note {
-        eprintln!(
-            "note: simulating warm-up for {}/{}: {note}",
-            workload.name(),
-            scheme_label(scheme)
-        );
-    }
-    stats
-}
-
-/// [`run_benchmark_checkpointed`], but degradation is **reported, not
-/// printed**: when the checkpoint path had to be abandoned for a reason
-/// worth surfacing (stale entry, corrupt-and-quarantined artefact, a
-/// snapshot that refused to restore), the note says why, and the stats
-/// come from the bit-identical exact fallback. An absent checkpoint is
-/// normal (the directory is merely unpopulated for this point) and
-/// produces no note.
-pub fn run_benchmark_checkpointed_noted(
-    workload: impl Into<Workload>,
-    scheme: RenameScheme,
-    physical_regs: usize,
-    exp: &ExperimentConfig,
-    store: Option<&CheckpointStore>,
-) -> (SimStats, Option<String>) {
-    let (stats, note, vpr_core::NoObs, _) = run_benchmark_checkpointed_obs(
-        workload,
-        scheme,
-        physical_regs,
-        exp,
-        store,
-        vpr_core::NoObs,
-    );
-    (stats, note)
-}
-
-/// [`run_benchmark_checkpointed_noted`] with a lifecycle observer and an
-/// explicit [`CheckpointOutcome`] — the sweep engine's workhorse. The
-/// observer is reset at the measurement-window boundary on *both* paths
-/// (restored and simulated warm-up), so its metrics cover exactly the
-/// measured window either way, and `SimStats`/metrics stay independent of
-/// whether the checkpoint was hit. `O = NoObs` monomorphises the
-/// instrumentation away entirely.
-///
-/// The observer must be `Clone` because a restore that fails after
-/// validation consumes its argument; the pre-measurement observer is
-/// cheap (typically freshly constructed) so the clone is free in
-/// practice.
-pub fn run_benchmark_checkpointed_obs<O: vpr_core::PipeObserver + Clone>(
-    workload: impl Into<Workload>,
-    scheme: RenameScheme,
-    physical_regs: usize,
-    exp: &ExperimentConfig,
-    store: Option<&CheckpointStore>,
-    obs: O,
-) -> (SimStats, Option<String>, O, CheckpointOutcome) {
-    let workload = workload.into();
-    let mut note = None;
-    let mut outcome = CheckpointOutcome::NoStore;
-    if let Some(store) = store {
-        outcome = CheckpointOutcome::Miss;
-        let config = sim_config(scheme, physical_regs, exp);
-        let hash = config_hash(workload, &config, exp.seed);
-        let key = checkpoint_key(workload, scheme, physical_regs, exp, KIND_WARM, exp.warmup);
-        match store.load(&key, hash) {
-            Ok((entry, snapshot)) => {
-                let fresh = workload.stream(exp.seed);
-                match Processor::<WorkloadStream, O>::restore_with(&snapshot, fresh, obs.clone()) {
-                    Ok(mut cpu) => {
-                        cpu.reset_window();
-                        cpu.observer_mut().reset();
-                        let stats = cpu.run(exp.measure);
-                        return (
-                            stats,
-                            None,
-                            cpu.into_observer(),
-                            CheckpointOutcome::Hit(entry.file),
-                        );
-                    }
-                    // A snapshot that validates but refuses to restore
-                    // (shape mismatch) is as good as stale: fall back.
-                    Err(e) => note = Some(format!("restore failed: {e}")),
-                }
-            }
-            Err(CheckpointLoadError::Manifest(ManifestError::NotFound(_))) => {}
-            Err(e) => note = Some(e.to_string()),
-        }
-    }
-    let (stats, obs) = crate::run_benchmark_observed(workload, scheme, physical_regs, exp, obs);
-    (stats, note, obs, outcome)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jobs::run_job;
+    use crate::sweep::SweepPoint;
+    use std::sync::Mutex;
+    use vpr_core::NoObs;
     use vpr_trace::{Benchmark, TraceBuilder, TraceGen};
 
     fn quick() -> ExperimentConfig {
@@ -961,20 +826,21 @@ mod tests {
         assert!(quarantined.exists());
         assert!(!file.exists(), "corrupt file moved aside");
 
-        // Re-plant the corrupt artefact: the sweep path must quarantine
-        // it itself, degrade to the exact run with a note, and stay
+        // Re-plant the corrupt artefact: the job path must quarantine it
+        // itself, degrade to the exact run with a note, and stay
         // bit-identical to never having had a checkpoint directory.
         std::fs::write(&file, &bytes).unwrap();
-        let (stats, note) = run_benchmark_checkpointed_noted(
-            Benchmark::Swim,
-            RenameScheme::Conventional,
-            64,
-            &exp,
-            Some(&reopened),
+        let run = run_job(
+            &SweepPoint::at64(Benchmark::Swim, RenameScheme::Conventional).job(&exp),
+            Some(&Mutex::new(reopened)),
+            NoObs,
         );
-        assert!(note.expect("degradation surfaced").contains("corrupt"));
+        assert!(run
+            .load_note
+            .expect("degradation surfaced")
+            .contains("corrupt"));
         let reference = crate::run_benchmark(Benchmark::Swim, RenameScheme::Conventional, 64, &exp);
-        assert_eq!(stats, reference);
+        assert_eq!(run.stats, reference);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1006,16 +872,14 @@ mod tests {
         let exp = quick();
         let dir = std::env::temp_dir().join("vpr-bench-ckpt-fallback-test");
         let _ = std::fs::remove_dir_all(&dir);
-        let store = CheckpointStore::open(&dir).unwrap();
-        let with = run_benchmark_checkpointed(
-            Benchmark::Swim,
-            RenameScheme::Conventional,
-            64,
-            &exp,
+        let store = Mutex::new(CheckpointStore::open(&dir).unwrap());
+        let with = run_job(
+            &SweepPoint::at64(Benchmark::Swim, RenameScheme::Conventional).job(&exp),
             Some(&store),
+            NoObs,
         );
         let without = crate::run_benchmark(Benchmark::Swim, RenameScheme::Conventional, 64, &exp);
-        assert_eq!(with, without);
+        assert_eq!(with.stats, without);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

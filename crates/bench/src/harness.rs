@@ -12,9 +12,7 @@ use crate::sweep::{json_escape, run_sweep_metrics, SweepContext, SweepPoint};
 use crate::workloads::Workload;
 use std::fmt::Write as _;
 use std::time::Instant;
-use vpr_core::{
-    harmonic_mean, par, Processor, RenameScheme, SimConfig, SimStats, Stage, StageProfile,
-};
+use vpr_core::{harmonic_mean, par, Processor, RenameScheme, SimStats, Stage, StageProfile};
 use vpr_trace::TraceBuilder;
 
 /// How much to simulate and with which trace seed.
@@ -121,15 +119,7 @@ pub fn run_benchmark(
     physical_regs: usize,
     exp: &ExperimentConfig,
 ) -> SimStats {
-    let workload = workload.into();
-    let config = SimConfig::builder()
-        .scheme(scheme)
-        .physical_regs(physical_regs)
-        .miss_penalty(exp.miss_penalty)
-        .build();
-    let mut cpu = Processor::new(config, workload.stream(exp.seed));
-    cpu.warm_up(exp.warmup);
-    cpu.run(exp.measure)
+    run_benchmark_observed(workload, scheme, physical_regs, exp, vpr_core::NoObs).0
 }
 
 /// [`run_benchmark`] with a lifecycle observer attached, returning both
@@ -138,8 +128,8 @@ pub fn run_benchmark(
 /// The observer is reset at the measurement-window boundary, so its
 /// metrics cover *exactly* the measured instructions — the same window
 /// [`SimStats`] covers, and the same window a checkpoint-restored run
-/// measures. With [`vpr_core::NoObs`] this monomorphises back to
-/// [`run_benchmark`] exactly (zero-overhead contract, see
+/// measures. [`run_benchmark`] is this with [`vpr_core::NoObs`], which
+/// monomorphises every hook away (zero-overhead contract, see
 /// `docs/observability.md`).
 pub fn run_benchmark_observed<O: vpr_core::PipeObserver>(
     workload: impl Into<Workload>,
@@ -149,11 +139,7 @@ pub fn run_benchmark_observed<O: vpr_core::PipeObserver>(
     obs: O,
 ) -> (SimStats, O) {
     let workload = workload.into();
-    let config = SimConfig::builder()
-        .scheme(scheme)
-        .physical_regs(physical_regs)
-        .miss_penalty(exp.miss_penalty)
-        .build();
+    let config = crate::checkpoints::sim_config(scheme, physical_regs, exp);
     let mut cpu = Processor::with_observer(config, workload.stream(exp.seed), obs);
     cpu.warm_up(exp.warmup);
     cpu.observer_mut().reset();
@@ -423,11 +409,7 @@ pub fn time_one_best(
     let mut best: Option<ThroughputRun> = None;
     for _ in 0..repeats.max(1) {
         let start = Instant::now();
-        let config = SimConfig::builder()
-            .scheme(scheme)
-            .physical_regs(64)
-            .miss_penalty(exp.miss_penalty)
-            .build();
+        let config = crate::checkpoints::sim_config(scheme, 64, exp);
         let mut cpu = Processor::new(config, workload.stream(exp.seed));
         cpu.warm_up(exp.warmup);
         let stats = cpu.run(exp.measure);
@@ -514,11 +496,7 @@ pub fn profile_throughput(exp: &ExperimentConfig) -> StageProfile {
     let mut total = StageProfile::new();
     for benchmark in THROUGHPUT_BENCHMARKS {
         for scheme in THROUGHPUT_SCHEMES {
-            let config = SimConfig::builder()
-                .scheme(scheme)
-                .physical_regs(64)
-                .miss_penalty(exp.miss_penalty)
-                .build();
+            let config = crate::checkpoints::sim_config(scheme, 64, exp);
             let trace = TraceBuilder::new(benchmark).seed(exp.seed).build();
             let mut cpu = Processor::new(config, trace);
             let mut prof = StageProfile::new();

@@ -1,26 +1,24 @@
-//! A reusable single-job execution API, extracted from the sweep engine
-//! for the `vpr-serve` daemon.
+//! The one job executor: [`execute_job`] (and its observer-carrying form,
+//! [`execute_job_observed`]) is the only code that runs an exact sweep
+//! point. The `vpr-serve` daemon calls it once per queued job and the
+//! batch sweep ([`crate::sweep`]) runs each point through its
+//! crate-private core, which keeps the full counters and tells load
+//! faults from a failed deposit; so the daemon's results are
+//! bit-identical to the batch tables by construction. A [`JobSpec`] names
+//! the point and round-trips through the workspace's line-JSON wire
+//! format.
 //!
-//! The batch sweep ([`crate::sweep`]) executes a whole grid in one
-//! process invocation; the service executes the *same* work one job at a
-//! time, across daemon restarts, with concurrent tenants sharing a warm
-//! checkpoint store. This module is the common denominator: a
-//! [`JobSpec`] that round-trips through the workspace's line-JSON wire
-//! format, and [`execute_job`], which produces metrics **bit-identical**
-//! to the batch path for the same spec — the property every service
-//! robustness test pins.
+//! ### Warm checkpoints
 //!
-//! ### Warm-pass dedup
-//!
-//! `execute_job` with a store restores the point's warm checkpoint when
-//! present and otherwise *deposits* one as a side effect of running (the
-//! batch miss path computes without depositing). That deposit is what
-//! makes cross-tenant dedup work: the first job of a (workload, seed,
-//! scheme, warm-up) coordinate pays the warm pass, every later job — from
-//! any client — restores it. Restored continuations are bit-identical to
-//! uninterrupted runs (the `vpr-snap` contract), so dedup never changes a
-//! result, only its cost. The store mutex is held only around manifest
-//! lookups and artefact writes, never across a simulation.
+//! With a store, a job restores the point's warm checkpoint when present
+//! and otherwise *deposits* one as a side effect of running: the first job
+//! of a (workload, seed, scheme, warm-up) coordinate pays the warm pass,
+//! and every later job — a later batch sweep over the same directory, or
+//! another daemon tenant — restores it. Restored continuations are
+//! bit-identical to uninterrupted runs (the `vpr-snap` contract), so the
+//! store changes a job's cost, never its result. The store mutex is held
+//! only around manifest lookups, artefact loads and writes, never across
+//! a simulation.
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -31,8 +29,9 @@ use crate::checkpoints::{
 use crate::sweep::{json_escape, json_num, PointMetrics};
 use crate::workloads::{parse_scheme, scheme_label, Workload, WorkloadStream};
 use crate::ExperimentConfig;
-use vpr_core::{Processor, RenameScheme};
-use vpr_snap::manifest::JsonValue;
+use vpr_core::{NoObs, PipeObserver, Processor, RenameScheme, SimStats};
+use vpr_snap::manifest::{JsonValue, ManifestError};
+use vpr_snap::Snapshot;
 
 /// One unit of service work: a single sweep point plus the experiment
 /// parameters it runs under. Two specs with equal fields produce
@@ -51,9 +50,8 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
-    /// The job's stable label — same shape as the sweep engine's point
-    /// label (`swim/vp-wb-nrr32@64r`), used for fault-injection matching
-    /// and failure reports.
+    /// The job's stable label (`swim/vp-wb-nrr32@64r`), used for
+    /// fault-injection matching, failure reports and run telemetry.
     pub fn label(&self) -> String {
         format!(
             "{}/{}@{}r",
@@ -225,31 +223,87 @@ impl JobOutput {
     }
 }
 
+/// Locks the shared checkpoint store, recovering from poisoning: every
+/// mutation under the lock is a whole-file write plus a manifest upsert,
+/// so a job that panicked holding it left the store consistent.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Executes one job, bit-identical to the batch path for the same spec.
-///
-/// Without a store this is exactly [`crate::run_benchmark`]. With a
-/// store, the job restores its warm checkpoint when one is present and
-/// valid, and otherwise runs its warm pass through the checkpointing
-/// path and **deposits** the artefact for later tenants; either way the
-/// measurement window is the one the uninterrupted run would produce.
-/// Store trouble (corrupt artefact, failed write) degrades to a note —
-/// it never changes the metrics and never fails the job.
+/// Executes one job; [`execute_job_observed`] without an observer.
 pub fn execute_job(spec: &JobSpec, store: Option<&Mutex<CheckpointStore>>) -> JobOutput {
+    execute_job_observed(spec, store, NoObs).0
+}
+
+/// Executes one job with a lifecycle observer and returns the observer it
+/// fed.
+///
+/// Without a store this is exactly [`crate::run_benchmark_observed`].
+/// With a store, the job restores its warm checkpoint when one is present
+/// and valid, and otherwise runs its warm pass through the checkpointing
+/// path and **deposits** the artefact for later jobs; either way the
+/// measurement window is the one the uninterrupted run would produce.
+/// The observer is reset at the measurement-window boundary on every
+/// path, so its metrics cover exactly the measured window too.
+///
+/// Only an absent checkpoint is silent. Every other store fault — a
+/// stale or corrupt (quarantined) artefact, a snapshot that refuses to
+/// restore, a failed deposit — adds to the output's note (several are
+/// joined by `"; "`) and never changes the metrics or fails the job.
+/// `O: Clone` because a failed restore consumes its observer.
+pub fn execute_job_observed<O: PipeObserver + Clone>(
+    spec: &JobSpec,
+    store: Option<&Mutex<CheckpointStore>>,
+    obs: O,
+) -> (JobOutput, O) {
+    let run = run_job(spec, store, obs);
+    let notes: Vec<String> = run.load_note.into_iter().chain(run.persist_note).collect();
+    let output = JobOutput {
+        metrics: PointMetrics::from_stats(&run.stats),
+        outcome: run.outcome,
+        note: (!notes.is_empty()).then(|| notes.join("; ")),
+    };
+    (output, run.obs)
+}
+
+/// One executed job before [`execute_job_observed`] folds it into a
+/// [`JobOutput`]: the window's full counters and fed observer, where the
+/// warm state came from, and the store faults kept apart by kind — load
+/// faults (stale, corrupt or unrestorable checkpoints, joined by `"; "` in
+/// the order met) and a failed deposit — so the batch sweep reports each
+/// under its own stage.
+pub(crate) struct JobRun<O> {
+    pub(crate) stats: SimStats,
+    pub(crate) obs: O,
+    pub(crate) outcome: CheckpointOutcome,
+    pub(crate) load_note: Option<String>,
+    pub(crate) persist_note: Option<String>,
+}
+
+/// The executor itself; see [`execute_job_observed`].
+pub(crate) fn run_job<O: PipeObserver + Clone>(
+    spec: &JobSpec,
+    store: Option<&Mutex<CheckpointStore>>,
+    obs: O,
+) -> JobRun<O> {
+    let uninterrupted = |obs: O| {
+        crate::run_benchmark_observed(
+            spec.workload,
+            spec.scheme,
+            spec.physical_regs,
+            &spec.exp,
+            obs,
+        )
+    };
+    let done = |(stats, obs): (SimStats, O), outcome, notes: Vec<String>, persist_note| JobRun {
+        stats,
+        obs,
+        outcome,
+        load_note: (!notes.is_empty()).then(|| notes.join("; ")),
+        persist_note,
+    };
     let Some(store) = store else {
-        let stats = crate::run_benchmark(spec.workload, spec.scheme, spec.physical_regs, &spec.exp);
-        return JobOutput {
-            metrics: PointMetrics {
-                ipc: stats.ipc(),
-                miss_ratio: stats.cache.miss_ratio(),
-                executions_per_commit: stats.executions_per_commit(),
-            },
-            outcome: CheckpointOutcome::NoStore,
-            note: None,
-        };
+        return done(uninterrupted(obs), CheckpointOutcome::NoStore, vec![], None);
     };
 
     let config = sim_config(spec.scheme, spec.physical_regs, &spec.exp);
@@ -262,32 +316,17 @@ pub fn execute_job(spec: &JobSpec, store: Option<&Mutex<CheckpointStore>>) -> Jo
         KIND_WARM,
         spec.exp.warmup,
     );
-    let mut note = None;
+    let mut notes = Vec::new();
 
-    // Manifest lookup under the lock; simulation never is.
+    // Manifest lookup and artefact load under the lock; simulation never is.
     let loaded = lock(store).load(&key, hash);
     match loaded {
-        Ok((entry, snapshot)) => {
-            let fresh = spec.workload.stream(spec.exp.seed);
-            match Processor::<WorkloadStream>::restore(&snapshot, fresh) {
-                Ok(mut cpu) => {
-                    cpu.reset_window();
-                    let stats = cpu.run(spec.exp.measure);
-                    return JobOutput {
-                        metrics: PointMetrics {
-                            ipc: stats.ipc(),
-                            miss_ratio: stats.cache.miss_ratio(),
-                            executions_per_commit: stats.executions_per_commit(),
-                        },
-                        outcome: CheckpointOutcome::Hit(entry.file),
-                        note: None,
-                    };
-                }
-                Err(e) => note = Some(format!("restore failed: {e}")),
-            }
-        }
-        Err(CheckpointLoadError::Manifest(_)) => {}
-        Err(e) => note = Some(e.to_string()),
+        Ok((entry, snapshot)) => match measure_restored(spec, &snapshot, obs.clone()) {
+            Ok(measured) => return done(measured, CheckpointOutcome::Hit(entry.file), notes, None),
+            Err(e) => notes.push(format!("restore failed: {e}")),
+        },
+        Err(CheckpointLoadError::Manifest(ManifestError::NotFound(_))) => {}
+        Err(e) => notes.push(e.to_string()),
     }
 
     // Warm-pass path: run the warm-up through the checkpointing pass,
@@ -304,34 +343,33 @@ pub fn execute_job(spec: &JobSpec, store: Option<&Mutex<CheckpointStore>>) -> Jo
         .iter()
         .find(|g| g.key.kind == KIND_WARM)
         .expect("warm pass always yields a warm checkpoint");
-    let fresh = spec.workload.stream(spec.exp.seed);
-    let stats = match Processor::<WorkloadStream>::restore(&warm.snapshot, fresh) {
-        Ok(mut cpu) => {
-            cpu.reset_window();
-            cpu.run(spec.exp.measure)
-        }
+    let measured = measure_restored(spec, &warm.snapshot, obs.clone()).unwrap_or_else(|e| {
         // A snapshot this process just took failing to restore is a bug,
         // but degrade rather than wedge: pay the full uninterrupted run.
-        Err(e) => {
-            note = Some(format!("fresh warm snapshot failed to restore: {e}"));
-            crate::run_benchmark(spec.workload, spec.scheme, spec.physical_regs, &spec.exp)
-        }
-    };
-    {
-        let mut guard = lock(store);
-        if let Err(e) = guard.save_all(&generated).and_then(|()| guard.flush()) {
-            note = Some(format!("checkpoint persist failed: {e}"));
-        }
-    }
-    JobOutput {
-        metrics: PointMetrics {
-            ipc: stats.ipc(),
-            miss_ratio: stats.cache.miss_ratio(),
-            executions_per_commit: stats.executions_per_commit(),
-        },
-        outcome: CheckpointOutcome::Miss,
-        note,
-    }
+        notes.push(format!("fresh warm snapshot failed to restore: {e}"));
+        uninterrupted(obs)
+    });
+    let mut guard = lock(store);
+    let saved = guard.save_all(&generated).and_then(|()| guard.flush());
+    let persist_note = saved
+        .err()
+        .map(|e| format!("checkpoint persist failed: {e}"));
+    done(measured, CheckpointOutcome::Miss, notes, persist_note)
+}
+
+/// Restores `snapshot` onto a fresh stream of the job's workload and
+/// measures the job's window, with `obs` reset at the window boundary.
+fn measure_restored<O: PipeObserver>(
+    spec: &JobSpec,
+    snapshot: &Snapshot,
+    obs: O,
+) -> Result<(SimStats, O), vpr_snap::SnapError> {
+    let fresh = spec.workload.stream(spec.exp.seed);
+    let mut cpu = Processor::<WorkloadStream, O>::restore_with(snapshot, fresh, obs)?;
+    cpu.reset_window();
+    cpu.observer_mut().reset();
+    let stats = cpu.run(spec.exp.measure);
+    Ok((stats, cpu.into_observer()))
 }
 
 #[cfg(test)]

@@ -9,26 +9,33 @@
 //! points serially, for any worker count (`--jobs 1` included). The
 //! cycle-exact goldens and `tests/parallel_determinism.rs` pin this down.
 //!
+//! An exact sweep runs each point through the one job executor,
+//! [`crate::jobs::execute_job_observed`] — the code the `vpr-serve` daemon
+//! runs its jobs through. A sampled sweep runs one warm pass per sharing
+//! group, then the checkpoint-seeded windows of every point. Every stage
+//! goes through one stage runner: panic isolation with one retry, the
+//! fault-injection hook, and the `failures` block and run telemetry.
+//!
 //! The experiment functions in [`crate::experiments`] all route through
 //! here; pass `--jobs N` to any figure/table binary (0 = one worker per
 //! host core, the default) to control the pool.
 
 use crate::checkpoints::{
-    generate_group_checkpoints, group_scheme_label, record_usage, run_benchmark_checkpointed_obs,
-    CheckpointLoadError, CheckpointOutcome, CheckpointStore, KIND_INTERVAL,
+    generate_group_checkpoints, group_scheme_label, record_usage, CheckpointLoadError,
+    CheckpointOutcome, CheckpointStore, GeneratedCheckpoint, KIND_INTERVAL,
 };
+use crate::jobs::{run_job, JobSpec};
 use crate::sampling::{sample_from_checkpoints, SamplingPlan};
-use crate::workloads::scheme_label;
+use crate::workloads::Workload;
 use crate::ExperimentConfig;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 use std::time::Instant;
 use vpr_core::par;
 use vpr_core::{RenameScheme, SimObserver, SimStats};
 use vpr_obs::{JobOutcome, JobTelemetry, Progress, RunTelemetry, SimMetrics};
 use vpr_snap::manifest::ManifestError;
-
-use crate::workloads::Workload;
 
 /// One point of a sweep grid: a full simulator configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,6 +55,16 @@ impl SweepPoint {
             workload: workload.into(),
             scheme,
             physical_regs: 64,
+        }
+    }
+
+    /// The job that measures this point under `exp`.
+    pub fn job(&self, exp: &ExperimentConfig) -> JobSpec {
+        JobSpec {
+            workload: self.workload,
+            scheme: self.scheme,
+            physical_regs: self.physical_regs,
+            exp: *exp,
         }
     }
 }
@@ -151,7 +168,8 @@ pub struct PointMetrics {
 }
 
 impl PointMetrics {
-    fn from_stats(stats: &SimStats) -> Self {
+    /// The metrics of an exact run's measurement window.
+    pub(crate) fn from_stats(stats: &SimStats) -> Self {
         Self {
             ipc: stats.ipc(),
             miss_ratio: stats.cache.miss_ratio(),
@@ -231,6 +249,18 @@ pub struct SweepFailure {
 }
 
 impl SweepFailure {
+    /// A fault the sweep degraded around on the first attempt, still
+    /// producing the exact result.
+    fn recovered(point: String, stage: &'static str, error: String) -> Self {
+        Self {
+            point,
+            stage,
+            error,
+            attempts: 1,
+            recovered: true,
+        }
+    }
+
     /// Renders one failure as a JSON object.
     pub fn to_json_value(&self) -> String {
         format!(
@@ -397,32 +427,119 @@ pub struct SweepMetrics {
 /// top of the same [`vpr_core::par::RetryPolicy`] machinery.
 const SWEEP_RETRIES: vpr_core::par::RetryPolicy = vpr_core::par::RetryPolicy::immediate(1);
 
-/// The stable label of one sweep point in failure reports and fault-
-/// injection job matching.
-pub fn point_label(p: &SweepPoint) -> String {
-    format!(
-        "{}/{}@{}r",
-        p.workload.name(),
-        scheme_label(p.scheme),
-        p.physical_regs
-    )
+/// What one stage job hands back to [`Stages::run`]: its product, the
+/// degradations it recovered around (each a recovered failure under the
+/// paired stage name), and its telemetry outcome class.
+struct StageDone<T> {
+    value: T,
+    notes: Vec<(&'static str, String)>,
+    outcome: JobOutcome,
 }
 
-/// Folds one job's recovered panics into the failure list.
-fn record_recovered(
-    failures: &mut Vec<SweepFailure>,
-    label: &str,
-    stage: &'static str,
-    job: &[par::JobFailure],
-) {
-    for jf in job {
-        failures.push(SweepFailure {
-            point: label.to_string(),
-            stage,
-            error: jf.message.clone(),
-            attempts: jf.attempts,
-            recovered: true,
-        });
+/// Why a stage job did not run: the job it depends on failed for good in
+/// the named stage.
+type Blocked = (&'static str, par::JobFailure);
+
+/// The bookkeeping every sweep stage shares: the sweep's start (queue
+/// waits are measured from it), and the `failures` block and run
+/// telemetry (which holds the pool size) the stages fill in, in
+/// submission order.
+struct Stages {
+    start: Instant,
+    failures: Vec<SweepFailure>,
+    telemetry: RunTelemetry,
+}
+
+impl Stages {
+    /// Runs one stage: `job(i)` for every label `i`, fanned out over the
+    /// pool with panic isolation and [`SWEEP_RETRIES`], each job first
+    /// passing the fault-injection hook under its label. Results come
+    /// back in submission order, and each folds into the shared record:
+    /// recovered panics and the job's notes become recovered failures, a
+    /// finished job adds its telemetry, and a job that failed for good —
+    /// or was [`Blocked`] — adds a `recovered: false` failure and comes
+    /// back as `Err`, for which the caller substitutes its placeholder.
+    fn run<T: Send>(
+        &mut self,
+        stage: &'static str,
+        labels: Vec<String>,
+        job: impl Fn(usize) -> Result<StageDone<T>, Blocked> + Sync,
+    ) -> Vec<Result<T, par::JobFailure>> {
+        let start = self.start;
+        let results = par::par_try_map(
+            self.telemetry.jobs,
+            SWEEP_RETRIES,
+            labels.iter().collect(),
+            |i, label: &&String| {
+                let queue_wait_s = start.elapsed().as_secs_f64();
+                let started = Instant::now();
+                vpr_snap::faults::maybe_panic_job(label);
+                job(i).map(|done| (done, queue_wait_s, started.elapsed().as_secs_f64()))
+            },
+        );
+        let mut out = Vec::with_capacity(labels.len());
+        for (label, job) in labels.into_iter().zip(results) {
+            for jf in &job.recovered {
+                self.failures.push(SweepFailure {
+                    point: label.clone(),
+                    stage,
+                    error: jf.message.clone(),
+                    attempts: jf.attempts,
+                    recovered: true,
+                });
+            }
+            let recovered = job.recovered.len() as u64;
+            let (failed_stage, failure) = match job.result {
+                Ok(Ok((done, queue_wait_s, wall_s))) => {
+                    for (note_stage, note) in done.notes {
+                        self.failures.push(SweepFailure::recovered(
+                            label.clone(),
+                            note_stage,
+                            note,
+                        ));
+                    }
+                    self.telemetry.push(JobTelemetry {
+                        label,
+                        stage,
+                        queue_wait_s,
+                        wall_s,
+                        outcome: done.outcome,
+                        recovered,
+                    });
+                    out.push(Ok(done.value));
+                    continue;
+                }
+                Ok(Err(blocked)) => blocked,
+                Err(jf) => (stage, jf),
+            };
+            self.telemetry.fault_recoveries += recovered;
+            self.failures.push(SweepFailure {
+                point: label,
+                stage: failed_stage,
+                error: failure.message.clone(),
+                attempts: failure.attempts,
+                recovered: false,
+            });
+            out.push(Err(failure));
+        }
+        out
+    }
+
+    /// Closes the sweep: stamps its wall time and assembles the result.
+    fn finish(
+        mut self,
+        points: Vec<PointMetrics>,
+        provenance: SamplingProvenance,
+        metrics: MetricsBlock,
+    ) -> SweepMetrics {
+        self.telemetry.wall_s = self.start.elapsed().as_secs_f64();
+        SweepMetrics {
+            points,
+            provenance,
+            failures: self.failures,
+            metrics,
+            telemetry: self.telemetry,
+        }
     }
 }
 
@@ -441,416 +558,266 @@ pub fn run_sweep_metrics(
     exp: &ExperimentConfig,
     ctx: &SweepContext,
 ) -> SweepMetrics {
-    let mut failures: Vec<SweepFailure> = Vec::new();
-    let store = match &ctx.checkpoint_dir {
-        Some(dir) => {
-            let (store, note) = CheckpointStore::open_resilient(dir);
-            if let Some(note) = note {
-                failures.push(SweepFailure {
-                    point: dir.display().to_string(),
-                    stage: "store-open",
-                    error: note,
-                    attempts: 1,
-                    recovered: true,
-                });
-            }
-            Some(store)
+    let mut failures = Vec::new();
+    let store = ctx.checkpoint_dir.as_ref().map(|dir| {
+        let (store, note) = CheckpointStore::open_resilient(dir);
+        if let Some(note) = note {
+            failures.push(SweepFailure::recovered(
+                dir.display().to_string(),
+                "store-open",
+                note,
+            ));
         }
-        None => None,
+        store
+    });
+    let stages = Stages {
+        start: Instant::now(),
+        failures,
+        telemetry: RunTelemetry::new(exp.effective_jobs()),
     };
-    let sweep_start = Instant::now();
     let progress = Progress::new(points.len(), Progress::stderr_is_tty());
-    let progress_ref = &progress;
-    let mut telemetry = RunTelemetry::new(exp.effective_jobs());
+    let specs: Vec<JobSpec> = points.iter().map(|p| p.job(exp)).collect();
     match ctx.mode {
-        SweepMode::Exact => {
-            let exp_copy = *exp;
-            let store_ref = store.as_ref();
-            let results = par::par_try_map(
-                exp.effective_jobs(),
-                SWEEP_RETRIES,
-                points.to_vec(),
-                |_, p| {
-                    let queue_wait_s = sweep_start.elapsed().as_secs_f64();
-                    let started = Instant::now();
-                    let label = point_label(p);
-                    vpr_snap::faults::maybe_panic_job(&label);
-                    let (stats, note, obs, outcome) = run_benchmark_checkpointed_obs(
-                        p.workload,
-                        p.scheme,
-                        p.physical_regs,
-                        &exp_copy,
-                        store_ref,
-                        SimObserver::new(),
-                    );
-                    progress_ref.point_done();
-                    (
-                        PointMetrics::from_stats(&stats),
-                        note,
-                        Box::new(obs.metrics),
+        SweepMode::Exact => run_exact(stages, &specs, ctx, store, &progress),
+        SweepMode::Sampled => run_sampled(stages, &specs, exp, ctx, store, &progress),
+    }
+}
+
+/// The exact stage: every point is one run of the job executor
+/// ([`crate::jobs::execute_job_observed`]) with a metrics observer,
+/// sharing the sweep's checkpoint store behind the mutex the executor
+/// locks around lookups, loads and deposits. Load faults are reported
+/// under `checkpoint-load`, a failed deposit under `persist`.
+fn run_exact(
+    mut stages: Stages,
+    specs: &[JobSpec],
+    ctx: &SweepContext,
+    store: Option<CheckpointStore>,
+    progress: &Progress,
+) -> SweepMetrics {
+    let store = store.map(Mutex::new);
+    let store = store.as_ref();
+    let labels = specs.iter().map(JobSpec::label).collect();
+    let results = stages.run("simulate", labels, |i| {
+        let run = run_job(&specs[i], store, SimObserver::new());
+        progress.point_done();
+        let (outcome, restored) = match run.outcome {
+            CheckpointOutcome::Hit(file) => (JobOutcome::CacheHit, Some(file)),
+            CheckpointOutcome::Miss => (JobOutcome::CacheMiss, None),
+            CheckpointOutcome::NoStore => (JobOutcome::NoStore, None),
+        };
+        let load_note = run.load_note.map(|note| ("checkpoint-load", note));
+        let persist_note = run.persist_note.map(|note| ("persist", note));
+        Ok(StageDone {
+            // Boxed: the metrics are a few KiB, and each result slot of
+            // the pool (and of the stage's output) would hold them inline.
+            value: (
+                PointMetrics::from_stats(&run.stats),
+                Box::new(run.obs.metrics),
+                restored,
+            ),
+            notes: load_note.into_iter().chain(persist_note).collect(),
+            outcome,
+        })
+    });
+    let mut agg = SimMetrics::default();
+    let mut used_files = Vec::new();
+    let out = results
+        .into_iter()
+        .map(|r| match r {
+            Ok((metrics, sim_metrics, restored)) => {
+                agg.merge(*sim_metrics);
+                used_files.extend(restored);
+                metrics
+            }
+            Err(_) => PointMetrics::failed(),
+        })
+        .collect();
+    // Fold this sweep's restores into the store's reuse ledger
+    // (telemetry only — failures to write never affect results).
+    if let Some(dir) = &ctx.checkpoint_dir {
+        let _ = record_usage(dir, &used_files);
+    }
+    let metrics = MetricsBlock::Exact(Box::new(agg));
+    stages.finish(out, SamplingProvenance::Exact, metrics)
+}
+
+/// One sharing group's interval checkpoints, loaded from the store or
+/// produced by the group's warm pass; `generated` holds what the pass
+/// produced for persisting and is empty exactly when the set was loaded.
+struct GroupPass {
+    set: Vec<(u64, vpr_snap::Snapshot)>,
+    generated: Vec<GeneratedCheckpoint>,
+}
+
+/// The sampled stages: one warm pass per sharing group, then every point
+/// estimated from its group's interval checkpoints; freshly generated
+/// checkpoints are persisted to the store afterwards. The stages only
+/// read the store, so they share it without a lock.
+fn run_sampled(
+    mut stages: Stages,
+    specs: &[JobSpec],
+    exp: &ExperimentConfig,
+    ctx: &SweepContext,
+    store: Option<CheckpointStore>,
+    progress: &Progress,
+) -> SweepMetrics {
+    let plan = ctx.effective_plan(exp).expect("sampled mode has a plan");
+    // One warm serial pass per *sharing group* — (workload, scheme
+    // family, register-file size) — not per point: every NRR value of a
+    // virtual-physical family restores the same canonical interval
+    // checkpoints and re-prices only the NRR-dependent state
+    // (`Processor::retarget_nrr`), so an NRR sweep pays one pass per
+    // (benchmark, seed, family) instead of one per NRR value. Groups are
+    // the daemon's single-flight groups ([`JobSpec::group_key`]), whose
+    // family label already folds the NRR values together; each is
+    // represented by its first point.
+    let mut groups: Vec<&JobSpec> = Vec::new();
+    let group_of: Vec<usize> = specs
+        .iter()
+        .map(|s| {
+            let key = s.group_key();
+            groups
+                .iter()
+                .position(|g| g.group_key() == key)
+                .unwrap_or_else(|| {
+                    groups.push(s);
+                    groups.len() - 1
+                })
+        })
+        .collect();
+    let group_labels = groups
+        .iter()
+        .map(|g| {
+            let family = group_scheme_label(g.scheme, g.physical_regs, exp);
+            format!("group:{}/{family}@{}r", g.workload.name(), g.physical_regs)
+        })
+        .collect();
+
+    // Stage 1: load (or generate) each group's interval set. A corrupt
+    // on-disk set has already been quarantined by the loader; the
+    // degradation note is surfaced and the group regenerates from its
+    // warm pass — bit-identical, because the on-disk artefacts were
+    // produced by the very same pass.
+    let sets = stages.run("warm-pass", group_labels, |gi| {
+        let g = groups[gi];
+        let mut notes = Vec::new();
+        if let Some(s) = &store {
+            match s.load_group_interval_set(g.workload, g.scheme, g.physical_regs, exp, &plan) {
+                Ok(set) => {
+                    let value = GroupPass {
+                        set,
+                        generated: Vec::new(),
+                    };
+                    let outcome = JobOutcome::CacheHit;
+                    return Ok(StageDone {
+                        value,
+                        notes,
                         outcome,
-                        queue_wait_s,
-                        started.elapsed().as_secs_f64(),
-                    )
-                },
-            );
-            let mut out = Vec::with_capacity(points.len());
-            let mut agg = SimMetrics::default();
-            let mut used_files: Vec<String> = Vec::new();
-            for (p, job) in points.iter().zip(results) {
-                let label = point_label(p);
-                record_recovered(&mut failures, &label, "simulate", &job.recovered);
-                let recovered_n = job.recovered.len() as u64;
-                match job.result {
-                    Ok((metrics, note, sim_metrics, outcome, queue_wait_s, wall_s)) => {
-                        if let Some(note) = note {
-                            failures.push(SweepFailure {
-                                point: label.clone(),
-                                stage: "checkpoint-load",
-                                error: note,
-                                attempts: 1,
-                                recovered: true,
-                            });
-                        }
-                        let job_outcome = match outcome {
-                            CheckpointOutcome::Hit(file) => {
-                                used_files.push(file);
-                                JobOutcome::CacheHit
-                            }
-                            CheckpointOutcome::Miss => JobOutcome::CacheMiss,
-                            CheckpointOutcome::NoStore => JobOutcome::NoStore,
-                        };
-                        telemetry.push(JobTelemetry {
-                            label,
-                            stage: "simulate",
-                            queue_wait_s,
-                            wall_s,
-                            outcome: job_outcome,
-                            recovered: recovered_n,
-                        });
-                        agg.merge(*sim_metrics);
-                        out.push(metrics);
-                    }
-                    Err(jf) => {
-                        telemetry.fault_recoveries += recovered_n;
-                        failures.push(SweepFailure {
-                            point: label,
-                            stage: "simulate",
-                            error: jf.message,
-                            attempts: jf.attempts,
-                            recovered: false,
-                        });
-                        out.push(PointMetrics::failed());
-                    }
+                    });
                 }
-            }
-            // Fold this sweep's restores into the store's reuse ledger
-            // (telemetry only — failures to write never affect results).
-            if let Some(store) = &store {
-                let _ = record_usage(&store.dir, &used_files);
-            }
-            telemetry.wall_s = sweep_start.elapsed().as_secs_f64();
-            SweepMetrics {
-                points: out,
-                provenance: SamplingProvenance::Exact,
-                failures,
-                metrics: MetricsBlock::Exact(Box::new(agg)),
-                telemetry,
+                // An unpopulated directory is the normal cold start, not a
+                // fault.
+                Err(CheckpointLoadError::Manifest(ManifestError::NotFound(_))) => {}
+                Err(e) => notes.push(("checkpoint-load", e.to_string())),
             }
         }
-        SweepMode::Sampled => {
-            let plan = ctx.effective_plan(exp).expect("sampled mode has a plan");
-            let exp_copy = *exp;
-            let store_ref = store.as_ref();
-            // One warm serial pass per *sharing group* — (workload,
-            // scheme family, register-file size) — not per point: every
-            // NRR value of a virtual-physical family restores the same
-            // canonical interval checkpoints and re-prices only the
-            // NRR-dependent state (`Processor::retarget_nrr`), so an NRR
-            // sweep pays one pass per (benchmark, seed, family) instead
-            // of one per NRR value. Groups are keyed by the group scheme
-            // label, which already folds the family together.
-            let mut groups: Vec<SweepPoint> = Vec::new();
-            let group_of: Vec<usize> = points
-                .iter()
-                .map(|p| {
-                    let key = (
-                        p.workload,
-                        group_scheme_label(p.scheme, p.physical_regs, &exp_copy),
-                        p.physical_regs,
-                    );
-                    let found = groups.iter().position(|g| {
-                        (
-                            g.workload,
-                            group_scheme_label(g.scheme, g.physical_regs, &exp_copy),
-                            g.physical_regs,
-                        ) == key
-                    });
-                    found.unwrap_or_else(|| {
-                        groups.push(*p);
-                        groups.len() - 1
-                    })
-                })
-                .collect();
-            let group_label = |g: &SweepPoint| {
-                format!(
-                    "group:{}/{}@{}r",
-                    g.workload.name(),
-                    group_scheme_label(g.scheme, g.physical_regs, &exp_copy),
-                    g.physical_regs
-                )
-            };
-            // Stage 1: load (or generate) each group's interval set. A
-            // corrupt on-disk set has already been quarantined by the
-            // loader; the degradation note is surfaced and the group
-            // regenerates from its warm pass — bit-identical, because the
-            // on-disk artefacts were produced by the very same pass.
-            struct GroupPass {
-                set: Vec<(u64, vpr_snap::Snapshot)>,
-                from_disk: bool,
-                generated: Vec<crate::checkpoints::GeneratedCheckpoint>,
-                note: Option<String>,
-                queue_wait_s: f64,
-                wall_s: f64,
+        let generated =
+            generate_group_checkpoints(g.workload, g.scheme, g.physical_regs, exp, Some(&plan));
+        let set = generated
+            .iter()
+            .filter(|c| c.key.kind == KIND_INTERVAL)
+            .map(|c| (c.key.target, c.snapshot.clone()))
+            .collect();
+        Ok(StageDone {
+            value: GroupPass { set, generated },
+            notes,
+            outcome: match store {
+                Some(_) => JobOutcome::CacheMiss,
+                None => JobOutcome::NoStore,
+            },
+        })
+    });
+    // A group that fails for good is reported by each of its points.
+    stages.failures.retain(|f| f.recovered);
+
+    // Stage 2: measure every point against its group's set; each point's
+    // windows run serially inside it (jobs = 1) so the pool is not nested.
+    // Points whose group pass failed are blocked without simulating. The
+    // first point of each group "owns" the stage-1 pass (already counted
+    // there); every further point reuses the shared artefact — the
+    // cross-NRR reuse the telemetry counts.
+    let shared = |i: usize| group_of[..i].contains(&group_of[i]);
+    let results = stages.run("sample", specs.iter().map(JobSpec::label).collect(), |i| {
+        let pass = sets[group_of[i]]
+            .as_ref()
+            .map_err(|f| ("warm-pass", f.clone()))?;
+        let s = &specs[i];
+        let report = sample_from_checkpoints(
+            s.workload,
+            s.scheme,
+            s.physical_regs,
+            exp,
+            &plan,
+            &pass.set,
+            1,
+        );
+        progress.point_done();
+        Ok(StageDone {
+            value: PointMetrics {
+                ipc: report.ipc(),
+                miss_ratio: report.miss_ratio(),
+                executions_per_commit: report.executions_per_commit(),
+            },
+            notes: Vec::new(),
+            outcome: if shared(i) {
+                JobOutcome::SharedReuse
+            } else {
+                JobOutcome::NoStore
+            },
+        })
+    });
+    let out = results
+        .into_iter()
+        .map(|r| r.unwrap_or_else(|_| PointMetrics::failed()))
+        .collect();
+
+    let all_from_disk = sets
+        .iter()
+        .all(|r| matches!(r, Ok(pass) if pass.generated.is_empty()));
+    // Persist freshly generated checkpoints so the next sampled run reuses
+    // the serial passes just paid for. Write failures never affect results
+    // — record and continue.
+    if let Some(mut store) = store {
+        let dir = store.dir.display().to_string();
+        let mut failed = |error| {
+            let failure = SweepFailure::recovered(dir.clone(), "persist", error);
+            stages.failures.push(failure);
+        };
+        let mut dirty = false;
+        for pass in sets.iter().flatten().filter(|p| !p.generated.is_empty()) {
+            match store.save_all(&pass.generated) {
+                Ok(()) => dirty = true,
+                Err(e) => failed(format!("cannot write checkpoints: {e}")),
             }
-            let group_points = groups.clone();
-            let sets: Vec<par::JobResult<GroupPass>> =
-                par::par_try_map(exp.effective_jobs(), SWEEP_RETRIES, groups, |_, g| {
-                    let queue_wait_s = sweep_start.elapsed().as_secs_f64();
-                    let started = Instant::now();
-                    let label = group_label(g);
-                    vpr_snap::faults::maybe_panic_job(&label);
-                    let (loaded, note) = match store_ref {
-                        None => (None, None),
-                        Some(s) => match s.load_group_interval_set(
-                            g.workload,
-                            g.scheme,
-                            g.physical_regs,
-                            &exp_copy,
-                            &plan,
-                        ) {
-                            Ok(set) => (Some(set), None),
-                            // An unpopulated directory is the normal cold
-                            // start, not a fault.
-                            Err(CheckpointLoadError::Manifest(ManifestError::NotFound(_))) => {
-                                (None, None)
-                            }
-                            Err(e) => (None, Some(e.to_string())),
-                        },
-                    };
-                    let (set, from_disk, generated) = match loaded {
-                        Some(set) => (set, true, Vec::new()),
-                        None => {
-                            let generated = generate_group_checkpoints(
-                                g.workload,
-                                g.scheme,
-                                g.physical_regs,
-                                &exp_copy,
-                                Some(&plan),
-                            );
-                            let set = generated
-                                .iter()
-                                .filter(|g| g.key.kind == KIND_INTERVAL)
-                                .map(|g| (g.key.target, g.snapshot.clone()))
-                                .collect();
-                            (set, false, generated)
-                        }
-                    };
-                    GroupPass {
-                        set,
-                        from_disk,
-                        generated,
-                        note,
-                        queue_wait_s,
-                        wall_s: started.elapsed().as_secs_f64(),
-                    }
-                });
-            for (g, job) in group_points.iter().zip(&sets) {
-                let label = group_label(g);
-                record_recovered(&mut failures, &label, "warm-pass", &job.recovered);
-                let recovered_n = job.recovered.len() as u64;
-                match &job.result {
-                    Ok(pass) => {
-                        if let Some(note) = &pass.note {
-                            failures.push(SweepFailure {
-                                point: label.clone(),
-                                stage: "checkpoint-load",
-                                error: note.clone(),
-                                attempts: 1,
-                                recovered: true,
-                            });
-                        }
-                        telemetry.push(JobTelemetry {
-                            label,
-                            stage: "warm-pass",
-                            queue_wait_s: pass.queue_wait_s,
-                            wall_s: pass.wall_s,
-                            outcome: if store_ref.is_none() {
-                                JobOutcome::NoStore
-                            } else if pass.from_disk {
-                                JobOutcome::CacheHit
-                            } else {
-                                JobOutcome::CacheMiss
-                            },
-                            recovered: recovered_n,
-                        });
-                    }
-                    Err(_) => telemetry.fault_recoveries += recovered_n,
-                }
-            }
-            // Stage 2: measure every point against its group's set; each
-            // point's windows run serially inside it (jobs = 1) so the
-            // pool is not nested. Points whose group pass failed get the
-            // failed placeholder without simulating.
-            let sets_ref = &sets;
-            let group_of_ref = &group_of;
-            let outcomes = par::par_try_map(
-                exp.effective_jobs(),
-                SWEEP_RETRIES,
-                points.to_vec(),
-                move |i, p| {
-                    let queue_wait_s = sweep_start.elapsed().as_secs_f64();
-                    let started = Instant::now();
-                    let label = point_label(p);
-                    vpr_snap::faults::maybe_panic_job(&label);
-                    let Ok(pass) = &sets_ref[group_of_ref[i]].result else {
-                        return (
-                            PointMetrics::failed(),
-                            queue_wait_s,
-                            started.elapsed().as_secs_f64(),
-                        );
-                    };
-                    let report = sample_from_checkpoints(
-                        p.workload,
-                        p.scheme,
-                        p.physical_regs,
-                        &exp_copy,
-                        &plan,
-                        &pass.set,
-                        1,
-                    );
-                    progress_ref.point_done();
-                    (
-                        PointMetrics {
-                            ipc: report.ipc(),
-                            miss_ratio: report.miss_ratio(),
-                            executions_per_commit: report.executions_per_commit(),
-                        },
-                        queue_wait_s,
-                        started.elapsed().as_secs_f64(),
-                    )
-                },
-            );
-            let mut out = Vec::with_capacity(points.len());
-            let mut group_seen = vec![false; group_points.len()];
-            for (i, (p, job)) in points.iter().zip(outcomes).enumerate() {
-                let label = point_label(p);
-                record_recovered(&mut failures, &label, "sample", &job.recovered);
-                let recovered_n = job.recovered.len() as u64;
-                // The first point of each group "owns" the stage-1 pass
-                // (already counted there); every further point reuses the
-                // shared artefact — the cross-NRR reuse the telemetry
-                // counts.
-                let shared = std::mem::replace(&mut group_seen[group_of_ref[i]], true);
-                match (&sets_ref[group_of_ref[i]].result, job.result) {
-                    // The group's warm pass failed permanently: this
-                    // point never simulated.
-                    (Err(group_failure), _) => {
-                        telemetry.fault_recoveries += recovered_n;
-                        failures.push(SweepFailure {
-                            point: label,
-                            stage: "warm-pass",
-                            error: group_failure.message.clone(),
-                            attempts: group_failure.attempts,
-                            recovered: false,
-                        });
-                        out.push(PointMetrics::failed());
-                    }
-                    (Ok(_), Ok((metrics, queue_wait_s, wall_s))) => {
-                        telemetry.push(JobTelemetry {
-                            label,
-                            stage: "sample",
-                            queue_wait_s,
-                            wall_s,
-                            outcome: if shared {
-                                JobOutcome::SharedReuse
-                            } else {
-                                JobOutcome::NoStore
-                            },
-                            recovered: recovered_n,
-                        });
-                        out.push(metrics);
-                    }
-                    (Ok(_), Err(jf)) => {
-                        telemetry.fault_recoveries += recovered_n;
-                        failures.push(SweepFailure {
-                            point: label,
-                            stage: "sample",
-                            error: jf.message,
-                            attempts: jf.attempts,
-                            recovered: false,
-                        });
-                        out.push(PointMetrics::failed());
-                    }
-                }
-            }
-            let all_from_disk = sets
-                .iter()
-                .all(|job| matches!(&job.result, Ok(pass) if pass.from_disk));
-            // Persist freshly generated checkpoints so the next sampled
-            // run reuses the serial passes just paid for. Write failures
-            // never affect results — record and continue.
-            if let Some(mut store) = store {
-                let mut dirty = false;
-                for job in &sets {
-                    let Ok(pass) = &job.result else {
-                        continue;
-                    };
-                    if !pass.generated.is_empty() {
-                        if let Err(e) = store.save_all(&pass.generated) {
-                            failures.push(SweepFailure {
-                                point: store.dir.display().to_string(),
-                                stage: "persist",
-                                error: format!("cannot write checkpoints: {e}"),
-                                attempts: 1,
-                                recovered: true,
-                            });
-                        } else {
-                            dirty = true;
-                        }
-                    }
-                }
-                if dirty {
-                    if let Err(e) = store.flush() {
-                        failures.push(SweepFailure {
-                            point: store.dir.display().to_string(),
-                            stage: "persist",
-                            error: format!("cannot write manifest: {e}"),
-                            attempts: 1,
-                            recovered: true,
-                        });
-                    }
-                }
-            }
-            telemetry.wall_s = sweep_start.elapsed().as_secs_f64();
-            SweepMetrics {
-                points: out,
-                provenance: SamplingProvenance::Sampled {
-                    plan,
-                    estimator: "per-phase-regression",
-                    seeded_from: if all_from_disk {
-                        "checkpoint-dir"
-                    } else {
-                        "warm-pass"
-                    },
-                    checkpoint_dir: ctx.checkpoint_dir.as_ref().map(|d| d.display().to_string()),
-                },
-                failures,
-                metrics: MetricsBlock::SampledUnavailable,
-                telemetry,
+        }
+        if dirty {
+            if let Err(e) = store.flush() {
+                failed(format!("cannot write manifest: {e}"));
             }
         }
     }
+    let provenance = SamplingProvenance::Sampled {
+        plan,
+        estimator: "per-phase-regression",
+        seeded_from: if all_from_disk {
+            "checkpoint-dir"
+        } else {
+            "warm-pass"
+        },
+        checkpoint_dir: ctx.checkpoint_dir.as_ref().map(|d| d.display().to_string()),
+    };
+    stages.finish(out, provenance, MetricsBlock::SampledUnavailable)
 }
 
 #[cfg(test)]

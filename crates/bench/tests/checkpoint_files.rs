@@ -15,6 +15,10 @@
 //! 3. `sampled_sweep_is_deterministic_and_reuses_disk_checkpoints` pins
 //!    the `--sampled` path: metrics are byte-identical across worker
 //!    counts and across the warm-pass vs checkpoint-dir seeding paths.
+//! 4. `exact_sweep_deposits_then_restores_warm_checkpoints` pins the exact
+//!    path through a directory: a cold sweep deposits every point's warm
+//!    checkpoint, a warm sweep restores them all, and both match the
+//!    storeless sweep bit for bit, `metrics` block included.
 
 use std::path::PathBuf;
 use vpr_bench::checkpoints::{
@@ -197,4 +201,82 @@ fn sampled_sweep_is_deterministic_and_reuses_disk_checkpoints() {
         assert_eq!(a.ipc.to_bits(), b.ipc.to_bits(), "warm-pass == disk-seeded");
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An exact sweep over a checkpoint directory misses and deposits on the
+/// cold run and restores every point on the warm one; the point metrics
+/// and the `metrics` block (observer reset on the restore path included)
+/// equal the sweep with no directory, for one worker and for three.
+#[test]
+fn exact_sweep_deposits_then_restores_warm_checkpoints() {
+    let points = [
+        SweepPoint::at64(Benchmark::Swim, RenameScheme::Conventional),
+        SweepPoint::at64(Benchmark::Go, RenameScheme::ConventionalEarlyRelease),
+        SweepPoint::at64(
+            Benchmark::Swim,
+            RenameScheme::VirtualPhysicalIssue { nrr: 16 },
+        ),
+        SweepPoint {
+            workload: Benchmark::Go.into(),
+            scheme: RenameScheme::VirtualPhysicalWriteback { nrr: 16 },
+            physical_regs: 48,
+        },
+    ];
+    let n = points.len() as u64;
+    for jobs in [1, 3] {
+        let exp = ExperimentConfig {
+            warmup: 400,
+            measure: 3_000,
+            jobs,
+            ..ExperimentConfig::quick()
+        };
+        let plain = run_sweep_metrics(&points, &exp, &SweepContext::exact());
+        let dir = temp_dir(&format!("exact-jobs{jobs}"));
+        let ctx = SweepContext::new(false, Some(&dir));
+
+        let cold = run_sweep_metrics(&points, &exp, &ctx);
+        assert_eq!(
+            (
+                cold.telemetry.checkpoint_misses,
+                cold.telemetry.checkpoint_hits
+            ),
+            (n, 0),
+            "--jobs {jobs}: the cold sweep misses every point"
+        );
+        let deposited = CheckpointStore::open(&dir).unwrap().manifest.entries;
+        assert_eq!(
+            deposited.len(),
+            points.len(),
+            "one warm checkpoint per point"
+        );
+        assert!(deposited.iter().all(|e| e.key.kind == KIND_WARM));
+
+        let warm = run_sweep_metrics(&points, &exp, &ctx);
+        assert_eq!(
+            (
+                warm.telemetry.checkpoint_misses,
+                warm.telemetry.checkpoint_hits
+            ),
+            (0, n),
+            "--jobs {jobs}: the warm sweep restores every point"
+        );
+
+        for (run, tag) in [(&cold, "cold"), (&warm, "warm")] {
+            assert!(run.failures.is_empty(), "{tag}: {:?}", run.failures);
+            for (i, (a, b)) in run.points.iter().zip(&plain.points).enumerate() {
+                assert_eq!(a.ipc.to_bits(), b.ipc.to_bits(), "{tag} point {i} ipc");
+                assert_eq!(a.miss_ratio.to_bits(), b.miss_ratio.to_bits());
+                assert_eq!(
+                    a.executions_per_commit.to_bits(),
+                    b.executions_per_commit.to_bits()
+                );
+            }
+            assert_eq!(
+                run.metrics.to_json_value(),
+                plain.metrics.to_json_value(),
+                "--jobs {jobs} {tag}: metrics block"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

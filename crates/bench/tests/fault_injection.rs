@@ -154,3 +154,43 @@ fn injected_job_panic_is_retried_and_reported() {
         panics[0].point
     );
 }
+
+/// An exact sweep whose checkpoint deposit fails reports it under the
+/// same `persist` stage a sampled sweep uses, on the point that paid the
+/// warm pass, and not as a load fault; the metrics are untouched.
+#[test]
+fn failed_exact_deposit_is_reported_under_persist() {
+    let _guard = faults::exclusive();
+    let (points, exp) = grid();
+    let clean = run_sweep_metrics(&points, &exp, &SweepContext::exact());
+
+    let dir = temp_dir("exact-persist");
+    faults::arm(FaultPlan::new(
+        vpr_snap::faults::FaultKind::IoError,
+        vpr_snap::faults::FaultOp::Write,
+        dir.display().to_string(),
+    ));
+    let faulted = run_sweep_metrics(&points, &exp, &SweepContext::new(false, Some(&dir)));
+    faults::disarm().expect("the deposit's write fault fired");
+
+    assert_bits_equal(&faulted, &clean, "after a failed deposit");
+    let stages: Vec<_> = faulted
+        .failures
+        .iter()
+        .map(|f| (f.point.clone(), f.stage, f.recovered))
+        .collect();
+    assert_eq!(
+        stages,
+        [(points[0].job(&exp).label(), "persist", true)],
+        "failures: {:?}",
+        faulted.failures
+    );
+    assert!(
+        faulted.failures[0]
+            .error
+            .starts_with("checkpoint persist failed"),
+        "{}",
+        faulted.failures[0].error
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
