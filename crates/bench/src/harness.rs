@@ -16,7 +16,7 @@ use vpr_core::{harmonic_mean, par, Processor, RenameScheme, SimStats, Stage, Sta
 use vpr_trace::TraceBuilder;
 
 /// How much to simulate and with which trace seed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ExperimentConfig {
     /// Committed instructions to skip before measuring (the paper skips
     /// 100 M; the synthetic models reach steady state much sooner).
@@ -63,6 +63,17 @@ impl ExperimentConfig {
             par::default_jobs()
         } else {
             self.jobs
+        }
+    }
+
+    /// The parameters that decide a job's result, as run telemetry
+    /// records them (everything but the host-side `jobs`).
+    pub fn job_config(&self) -> vpr_obs::JobConfig {
+        vpr_obs::JobConfig {
+            warmup: self.warmup,
+            measure: self.measure,
+            seed: self.seed,
+            miss_penalty: self.miss_penalty,
         }
     }
 

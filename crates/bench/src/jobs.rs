@@ -37,7 +37,7 @@ use vpr_snap::Snapshot;
 /// parameters it runs under. Two specs with equal fields produce
 /// byte-identical results — the service's dedup and replay machinery
 /// depends on nothing else.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct JobSpec {
     /// The workload (synthetic benchmark or assembled program).
     pub workload: Workload,
@@ -226,7 +226,7 @@ impl JobOutput {
 /// Locks the shared checkpoint store, recovering from poisoning: every
 /// mutation under the lock is a whole-file write plus a manifest upsert,
 /// so a job that panicked holding it left the store consistent.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 

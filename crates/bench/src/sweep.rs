@@ -24,17 +24,18 @@ use crate::checkpoints::{
     generate_group_checkpoints, group_scheme_label, record_usage, CheckpointLoadError,
     CheckpointOutcome, CheckpointStore, GeneratedCheckpoint, KIND_INTERVAL,
 };
-use crate::jobs::{run_job, JobSpec};
+use crate::jobs::{lock, run_job, JobSpec};
 use crate::sampling::{sample_from_checkpoints, SamplingPlan};
 use crate::workloads::Workload;
 use crate::ExperimentConfig;
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use vpr_core::par;
 use vpr_core::{RenameScheme, SimObserver, SimStats};
-use vpr_obs::{JobOutcome, JobTelemetry, Progress, RunTelemetry, SimMetrics};
+use vpr_obs::{JobConfig, JobOutcome, JobTelemetry, Progress, RunTelemetry, SimMetrics};
 use vpr_snap::manifest::ManifestError;
 
 /// One point of a sweep grid: a full simulator configuration.
@@ -91,7 +92,15 @@ pub enum SweepMode {
     Sampled,
 }
 
-/// Where a sweep looks for (and deposits) `.vprsnap` checkpoints.
+/// Where a sweep looks for (and deposits) `.vprsnap` checkpoints, and
+/// what exact results its earlier sweeps already computed.
+///
+/// Exact sweeps run through one context share a memo: a point whose
+/// [`JobSpec`] (minus the pool size) an earlier sweep of the context
+/// computed cleanly is answered from the memo instead of simulated
+/// again, with the same bits and the same `metrics` contribution. A
+/// fresh context starts empty; a clone shares its memo. Sampled sweeps
+/// never consult it.
 #[derive(Debug, Clone, Default)]
 pub struct SweepContext {
     /// The sweep mode.
@@ -101,6 +110,39 @@ pub struct SweepContext {
     /// Sampling plan override for sampled sweeps; `None` derives the
     /// checkpoint-seeded plan from the experiment configuration.
     pub plan: Option<SamplingPlan>,
+    memo: Memo,
+}
+
+/// One clean exact result kept for reuse: the point's metrics and its
+/// measurement-window [`SimMetrics`], packed ([`SimMetrics::pack`]) to
+/// about a sixth of their size.
+struct MemoEntry {
+    point: PointMetrics,
+    metrics: Box<[u8]>,
+}
+
+/// The exact points a context has computed, keyed by [`memo_key`]. Only
+/// the sweep's calling thread writes it, after its stage has run, so the
+/// memo's heap is the caller's, not the workers'.
+#[derive(Clone, Default)]
+struct Memo(Arc<Mutex<HashMap<JobSpec, MemoEntry>>>);
+
+impl std::fmt::Debug for Memo {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Memo").finish_non_exhaustive()
+    }
+}
+
+/// The memo key of a job: its spec with the pool size zeroed, since the
+/// number of workers never changes a result.
+fn memo_key(spec: &JobSpec) -> JobSpec {
+    JobSpec {
+        exp: ExperimentConfig {
+            jobs: 0,
+            ..spec.exp
+        },
+        ..spec.clone()
+    }
 }
 
 impl SweepContext {
@@ -120,6 +162,7 @@ impl SweepContext {
             },
             checkpoint_dir: dir.map(Path::to_path_buf),
             plan: None,
+            memo: Memo::default(),
         }
     }
 
@@ -446,6 +489,7 @@ type Blocked = (&'static str, par::JobFailure);
 /// submission order.
 struct Stages {
     start: Instant,
+    config: JobConfig,
     failures: Vec<SweepFailure>,
     telemetry: RunTelemetry,
 }
@@ -500,6 +544,7 @@ impl Stages {
                     }
                     self.telemetry.push(JobTelemetry {
                         label,
+                        config: self.config,
                         stage,
                         queue_wait_s,
                         wall_s,
@@ -572,6 +617,7 @@ pub fn run_sweep_metrics(
     });
     let stages = Stages {
         start: Instant::now(),
+        config: exp.job_config(),
         failures,
         telemetry: RunTelemetry::new(exp.effective_jobs()),
     };
@@ -583,11 +629,28 @@ pub fn run_sweep_metrics(
     }
 }
 
+/// What one exact job hands to the merge loop when it simulated (a memo
+/// hit hands `None`): the point's metrics, its window's [`SimMetrics`]
+/// (boxed: about a KiB that each result slot of the pool would otherwise
+/// hold inline), the checkpoint it restored, and whether it ran clean —
+/// no load fault, no failed deposit — and so may be memoised.
+struct Simulated {
+    point: PointMetrics,
+    metrics: Box<SimMetrics>,
+    restored: Option<String>,
+    clean: bool,
+}
+
 /// The exact stage: every point is one run of the job executor
 /// ([`crate::jobs::execute_job_observed`]) with a metrics observer,
 /// sharing the sweep's checkpoint store behind the mutex the executor
 /// locks around lookups, loads and deposits. Load faults are reported
 /// under `checkpoint-load`, a failed deposit under `persist`.
+///
+/// A point the context's memo already holds is still a job of the stage
+/// (fault hook, retry and telemetry alike) but does not simulate: the
+/// merge loop takes its result from the memo, and memoises every clean
+/// simulated point for the context's later sweeps.
 fn run_exact(
     mut stages: Stages,
     specs: &[JobSpec],
@@ -597,8 +660,23 @@ fn run_exact(
 ) -> SweepMetrics {
     let store = store.map(Mutex::new);
     let store = store.as_ref();
+    let memoised: Vec<bool> = {
+        let memo = lock(&ctx.memo.0);
+        specs
+            .iter()
+            .map(|s| memo.contains_key(&memo_key(s)))
+            .collect()
+    };
     let labels = specs.iter().map(JobSpec::label).collect();
     let results = stages.run("simulate", labels, |i| {
+        if memoised[i] {
+            progress.point_done();
+            return Ok(StageDone {
+                value: None,
+                notes: Vec::new(),
+                outcome: JobOutcome::Memo,
+            });
+        }
         let run = run_job(&specs[i], store, SimObserver::new());
         progress.point_done();
         let (outcome, restored) = match run.outcome {
@@ -608,31 +686,46 @@ fn run_exact(
         };
         let load_note = run.load_note.map(|note| ("checkpoint-load", note));
         let persist_note = run.persist_note.map(|note| ("persist", note));
+        let notes: Vec<_> = load_note.into_iter().chain(persist_note).collect();
         Ok(StageDone {
-            // Boxed: the metrics are a few KiB, and each result slot of
-            // the pool (and of the stage's output) would hold them inline.
-            value: (
-                PointMetrics::from_stats(&run.stats),
-                Box::new(run.obs.metrics),
+            value: Some(Simulated {
+                point: PointMetrics::from_stats(&run.stats),
+                metrics: Box::new(run.obs.metrics),
                 restored,
-            ),
-            notes: load_note.into_iter().chain(persist_note).collect(),
+                clean: notes.is_empty(),
+            }),
+            notes,
             outcome,
         })
     });
+    let mut memo = lock(&ctx.memo.0);
     let mut agg = SimMetrics::default();
     let mut used_files = Vec::new();
-    let out = results
-        .into_iter()
-        .map(|r| match r {
-            Ok((metrics, sim_metrics, restored)) => {
-                agg.merge(*sim_metrics);
-                used_files.extend(restored);
-                metrics
+    let out = specs
+        .iter()
+        .zip(results)
+        .map(|(spec, r)| match r {
+            Ok(Some(run)) => {
+                if run.clean {
+                    let entry = MemoEntry {
+                        point: run.point,
+                        metrics: run.metrics.pack(),
+                    };
+                    memo.insert(memo_key(spec), entry);
+                }
+                agg.merge(*run.metrics);
+                used_files.extend(run.restored);
+                run.point
+            }
+            Ok(None) => {
+                let entry = &memo[&memo_key(spec)];
+                agg.merge(SimMetrics::unpack(&entry.metrics));
+                entry.point
             }
             Err(_) => PointMetrics::failed(),
         })
         .collect();
+    drop(memo);
     // Fold this sweep's restores into the store's reuse ledger
     // (telemetry only — failures to write never affect results).
     if let Some(dir) = &ctx.checkpoint_dir {

@@ -232,9 +232,10 @@ fn exact_sweep_deposits_then_restores_warm_checkpoints() {
         };
         let plain = run_sweep_metrics(&points, &exp, &SweepContext::exact());
         let dir = temp_dir(&format!("exact-jobs{jobs}"));
-        let ctx = SweepContext::new(false, Some(&dir));
 
-        let cold = run_sweep_metrics(&points, &exp, &ctx);
+        // A context per run: a shared one would answer the warm run from
+        // its memo instead of the store.
+        let cold = run_sweep_metrics(&points, &exp, &SweepContext::new(false, Some(&dir)));
         assert_eq!(
             (
                 cold.telemetry.checkpoint_misses,
@@ -251,7 +252,7 @@ fn exact_sweep_deposits_then_restores_warm_checkpoints() {
         );
         assert!(deposited.iter().all(|e| e.key.kind == KIND_WARM));
 
-        let warm = run_sweep_metrics(&points, &exp, &ctx);
+        let warm = run_sweep_metrics(&points, &exp, &SweepContext::new(false, Some(&dir)));
         assert_eq!(
             (
                 warm.telemetry.checkpoint_misses,
@@ -263,6 +264,7 @@ fn exact_sweep_deposits_then_restores_warm_checkpoints() {
 
         for (run, tag) in [(&cold, "cold"), (&warm, "warm")] {
             assert!(run.failures.is_empty(), "{tag}: {:?}", run.failures);
+            assert_eq!(run.telemetry.memo_hits, 0, "{tag}: simulated");
             for (i, (a, b)) in run.points.iter().zip(&plain.points).enumerate() {
                 assert_eq!(a.ipc.to_bits(), b.ipc.to_bits(), "{tag} point {i} ipc");
                 assert_eq!(a.miss_ratio.to_bits(), b.miss_ratio.to_bits());

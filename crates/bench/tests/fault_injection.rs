@@ -13,9 +13,11 @@
 
 use proptest::prelude::*;
 use std::path::PathBuf;
+use vpr_bench::checkpoints::CheckpointStore;
 use vpr_bench::sweep::{run_sweep_metrics, SweepContext, SweepMetrics, SweepPoint};
 use vpr_bench::ExperimentConfig;
 use vpr_core::RenameScheme;
+use vpr_obs::JobOutcome;
 use vpr_snap::faults::{self, FaultPlan};
 use vpr_trace::Benchmark;
 
@@ -192,5 +194,106 @@ fn failed_exact_deposit_is_reported_under_persist() {
         "{}",
         faulted.failures[0].error
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A job panic aimed at a memo hit — the second sweep's
+/// `swim/conventional@64r`, already computed by the first sweep of the
+/// same exact context — fires on that hit, is retried and reported, and
+/// leaves the points and the `metrics` block byte-identical.
+#[test]
+fn job_panic_on_a_memo_hit_is_retried_and_reported() {
+    let _guard = faults::exclusive();
+    let (points, exp) = grid();
+    let label = points[0].job(&exp).label();
+    let clean = run_sweep_metrics(&points, &exp, &SweepContext::exact());
+
+    let ctx = SweepContext::exact();
+    faults::arm(FaultPlan {
+        nth: 1, // the first sweep's job is match 0
+        ..FaultPlan::new(
+            vpr_snap::faults::FaultKind::JobPanic,
+            vpr_snap::faults::FaultOp::Job,
+            label.clone(),
+        )
+    });
+    let first = run_sweep_metrics(&points, &exp, &ctx);
+    let second = run_sweep_metrics(&points, &exp, &ctx);
+    let record = faults::disarm().expect("panic fault must fire");
+    assert_eq!(record.site, label);
+
+    assert!(first.failures.is_empty(), "{:?}", first.failures);
+    assert_eq!(first.telemetry.memo_hits, 0);
+    assert_eq!(second.telemetry.memo_hits, points.len() as u64);
+    for run in [&first, &second] {
+        assert_bits_equal(run, &clean, "around a panicked memo hit");
+        assert_eq!(run.metrics.to_json_value(), clean.metrics.to_json_value());
+    }
+    let failures: Vec<_> = second
+        .failures
+        .iter()
+        .map(|f| (f.point.clone(), f.stage, f.recovered, f.attempts))
+        .collect();
+    assert_eq!(failures, [(label.clone(), "simulate", true, 1)]);
+    assert!(second.failures[0].error.contains("job panic"));
+    let hit = &second.telemetry.points[0];
+    assert_eq!((hit.outcome, hit.recovered), (JobOutcome::Memo, 1));
+}
+
+/// On an exact context with a checkpoint directory, a point whose
+/// artefact was corrupted (a `checkpoint-load` note) is not memoised: its
+/// repeat in a later sweep of the context goes back to the store and
+/// restores the artefact the first sweep regenerated, while the clean
+/// point is a memo hit. Every result stays byte-identical.
+#[test]
+fn a_point_with_a_load_fault_is_not_memoised() {
+    let _guard = faults::exclusive();
+    let (points, exp) = grid();
+    let clean = run_sweep_metrics(&points, &exp, &SweepContext::exact());
+    let dir = temp_dir("memo-load-fault");
+    run_sweep_metrics(&points, &exp, &SweepContext::new(false, Some(&dir)));
+    let swim = CheckpointStore::open(&dir)
+        .unwrap()
+        .manifest
+        .entries
+        .into_iter()
+        .find(|e| e.key.benchmark == "swim")
+        .expect("the populating sweep deposited swim's warm checkpoint");
+
+    let ctx = SweepContext::new(false, Some(&dir));
+    faults::arm(FaultPlan::new(
+        vpr_snap::faults::FaultKind::BitFlip,
+        vpr_snap::faults::FaultOp::Read,
+        swim.file.clone(),
+    ));
+    let first = run_sweep_metrics(&points, &exp, &ctx);
+    faults::disarm().expect("the read fault fired");
+    let second = run_sweep_metrics(&points, &exp, &ctx);
+
+    let label = points[0].job(&exp).label();
+    let stages: Vec<_> = first
+        .failures
+        .iter()
+        .map(|f| (f.point.clone(), f.stage, f.recovered))
+        .collect();
+    assert_eq!(stages, [(label, "checkpoint-load", true)]);
+    let outcomes = |run: &SweepMetrics| -> Vec<JobOutcome> {
+        run.telemetry.points.iter().map(|p| p.outcome).collect()
+    };
+    assert_eq!(
+        outcomes(&first),
+        [JobOutcome::CacheMiss, JobOutcome::CacheHit],
+        "swim regenerates, go restores"
+    );
+    assert_eq!(
+        outcomes(&second),
+        [JobOutcome::CacheHit, JobOutcome::Memo],
+        "swim restores the regenerated artefact, go is memoised"
+    );
+    assert!(second.failures.is_empty(), "{:?}", second.failures);
+    for run in [&first, &second] {
+        assert_bits_equal(run, &clean, "around a corrupted artefact");
+        assert_eq!(run.metrics.to_json_value(), clean.metrics.to_json_value());
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

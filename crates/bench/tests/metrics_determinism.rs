@@ -44,13 +44,15 @@ fn metrics_block_is_byte_identical_across_jobs_1_2_8() {
             RenameScheme::VirtualPhysicalWriteback { nrr: 32 },
         ),
     ];
-    let ctx = SweepContext::default();
-    let serial = run_sweep_metrics(&points, &quick_exp(1), &ctx);
+    // A context per run: one shared context would answer the later runs
+    // from its memo instead of simulating them.
+    let serial = run_sweep_metrics(&points, &quick_exp(1), &SweepContext::default());
     assert!(
         serial.failures.is_empty(),
         "clean run expected: {:?}",
         serial.failures
     );
+    assert_eq!(serial.telemetry.memo_hits, 0);
     let want = rendered(&serial.metrics);
     assert!(
         want.0.starts_with("{\"mode\": \"exact\""),
@@ -58,7 +60,8 @@ fn metrics_block_is_byte_identical_across_jobs_1_2_8() {
         want.0
     );
     for jobs in [2, 8] {
-        let pooled = run_sweep_metrics(&points, &quick_exp(jobs), &ctx);
+        let pooled = run_sweep_metrics(&points, &quick_exp(jobs), &SweepContext::default());
+        assert_eq!(pooled.telemetry.memo_hits, 0, "--jobs {jobs} simulated");
         assert_eq!(
             rendered(&pooled.metrics),
             want,
@@ -102,9 +105,10 @@ proptest! {
             jobs,
             ..ExperimentConfig::default()
         };
-        let ctx = SweepContext::default();
-        let serial = run_sweep_metrics(&points, &exp(1), &ctx);
-        let pooled = run_sweep_metrics(&points, &exp(jobs), &ctx);
+        let serial = run_sweep_metrics(&points, &exp(1), &SweepContext::default());
+        let pooled = run_sweep_metrics(&points, &exp(jobs), &SweepContext::default());
+        prop_assert_eq!(serial.telemetry.memo_hits, 0);
+        prop_assert_eq!(pooled.telemetry.memo_hits, 0);
         prop_assert_eq!(
             rendered(&pooled.metrics),
             rendered(&serial.metrics),

@@ -10,7 +10,7 @@ use vpr_mem::CacheConfig;
 /// virtual-physical variants delay allocation to the issue or the
 /// write-back stage, tracking dependences through storage-free
 /// virtual-physical tags in the meantime.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RenameScheme {
     /// Allocate the destination physical register at decode (baseline,
     /// paper §2: MIPS R10000 / DEC 21264 style map table + free list).

@@ -224,11 +224,12 @@ where
     };
 
     std::thread::scope(|scope| {
+        let mut handles = Vec::with_capacity(workers);
         for w in 0..workers {
             let queues = &queues;
             let run_job = &run_job;
             let stop = &stop;
-            scope.spawn(move || loop {
+            handles.push(scope.spawn(move || loop {
                 if stop.load(Ordering::SeqCst) {
                     break;
                 }
@@ -252,7 +253,18 @@ where
                     Some(idx) => run_job(idx),
                     None => break,
                 }
-            });
+            }));
+        }
+        // Join each worker explicitly: the scope alone only waits for the
+        // closures to return, not for the threads to exit, so a pool
+        // started right after this one (a short sweep's successor) could
+        // find their stacks and malloc arenas still held and map fresh
+        // ones. Jobs run under `catch_unwind`, so a worker panic is a bug
+        // in the pool itself.
+        for handle in handles {
+            if let Err(payload) = handle.join() {
+                resume_unwind(payload);
+            }
         }
     });
 

@@ -44,7 +44,7 @@ pub mod trace;
 pub use metrics::{Histogram, MetricValue, Registry, SimMetrics};
 pub use progress::Progress;
 pub use service::ServeMetrics;
-pub use telemetry::{JobOutcome, JobTelemetry, RunTelemetry};
+pub use telemetry::{JobConfig, JobOutcome, JobTelemetry, RunTelemetry};
 pub use trace::{PipelineTrace, TraceKind, TraceRec};
 
 /// Pipeline lifecycle observer, statically dispatched.

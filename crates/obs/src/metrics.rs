@@ -94,6 +94,14 @@ impl Histogram {
         }
     }
 
+    /// Visits every stored word in a fixed order ([`SimMetrics::pack`]).
+    fn for_each_word(&mut self, f: &mut impl FnMut(&mut u64)) {
+        self.buckets.iter_mut().for_each(&mut *f);
+        for w in [&mut self.count, &mut self.sum, &mut self.max] {
+            f(w);
+        }
+    }
+
     /// Element-wise merge of another histogram into this one.
     pub fn merge(&mut self, other: &Histogram) {
         for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
@@ -375,6 +383,111 @@ impl SimMetrics {
         self.sb_retry_storm.merge(&other.sb_retry_storm);
     }
 
+    /// Visits every stored word in a fixed order. The destructuring
+    /// names every field, so a new one cannot be left out of
+    /// [`SimMetrics::pack`].
+    fn for_each_word(&mut self, mut f: impl FnMut(&mut u64)) {
+        let SimMetrics {
+            fetched,
+            wrong_path_fetched,
+            renamed,
+            issued,
+            completed,
+            committed,
+            squashed,
+            reexec_register,
+            reexec_memory,
+            vp_alloc_issue,
+            vp_alloc_writeback,
+            vp_binds,
+            nrr_denials,
+            wb_port_stalls,
+            store_drained,
+            idle_skipped_cycles,
+            active_cycles,
+            storm_run,
+            rob_occupancy,
+            iq_occupancy,
+            eventq_depth,
+            sb_occupancy,
+            mshr_occupancy,
+            sb_retry_storm,
+        } = self;
+        let [int_denials, fp_denials] = nrr_denials;
+        for w in [
+            fetched,
+            wrong_path_fetched,
+            renamed,
+            issued,
+            completed,
+            committed,
+            squashed,
+            reexec_register,
+            reexec_memory,
+            vp_alloc_issue,
+            vp_alloc_writeback,
+            vp_binds,
+            int_denials,
+            fp_denials,
+            wb_port_stalls,
+            store_drained,
+            idle_skipped_cycles,
+            active_cycles,
+            storm_run,
+        ] {
+            f(w);
+        }
+        for h in [
+            rob_occupancy,
+            iq_occupancy,
+            eventq_depth,
+            sb_occupancy,
+            mshr_occupancy,
+            sb_retry_storm,
+        ] {
+            h.for_each_word(&mut f);
+        }
+    }
+
+    /// The block packed as LEB128 varints, one per word: about 200
+    /// bytes instead of the struct's ~1.1 KiB (most buckets are empty
+    /// and most counts small), for keeping many finished blocks.
+    /// [`SimMetrics::unpack`] restores it exactly.
+    pub fn pack(&self) -> Box<[u8]> {
+        let mut out = Vec::with_capacity(512);
+        self.clone().for_each_word(|w| {
+            let mut v = *w;
+            while v >= 0x80 {
+                out.push((v & 0x7f) as u8 | 0x80);
+                v >>= 7;
+            }
+            out.push(v as u8);
+        });
+        out.into_boxed_slice()
+    }
+
+    /// Restores a block from [`SimMetrics::pack`]'s bytes.
+    ///
+    /// # Panics
+    ///
+    /// If `bytes` ends mid-block (they did not come from `pack`).
+    pub fn unpack(bytes: &[u8]) -> SimMetrics {
+        let mut m = SimMetrics::default();
+        let mut bytes = bytes.iter();
+        m.for_each_word(|w| {
+            let mut shift = 0;
+            loop {
+                let b = *bytes.next().expect("packed metrics end mid-block");
+                *w |= u64::from(b & 0x7f) << shift;
+                if b < 0x80 {
+                    break;
+                }
+                shift += 7;
+            }
+        });
+        m
+    }
+
     /// Lays the block out into a named [`Registry`] in the catalogue
     /// order documented in `docs/observability.md`.
     pub fn export(&self) -> Registry {
@@ -583,6 +696,22 @@ mod tests {
         assert!(prom.contains("# TYPE vpr_fetched_total counter"));
         assert!(prom.contains("vpr_iq_occupancy_bucket{le=\"+Inf\"} 1"));
         assert!(prom.contains("vpr_iq_occupancy_count 1"));
+    }
+
+    #[test]
+    fn pack_round_trips_every_word() {
+        let mut m = SimMetrics::default();
+        let mut next = 0u64;
+        // Distinct values of every width, up to the full 64 bits.
+        m.for_each_word(|w| {
+            next += 1;
+            *w = u64::MAX >> (next % 64);
+        });
+        assert_eq!(next, 19 + 6 * (NBUCKETS as u64 + 3));
+        assert_eq!(SimMetrics::unpack(&m.pack()), m);
+        let empty = SimMetrics::default();
+        assert_eq!(empty.pack().len(), next as usize, "one byte per zero");
+        assert_eq!(SimMetrics::unpack(&empty.pack()), empty);
     }
 
     #[test]

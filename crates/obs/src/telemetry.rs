@@ -25,6 +25,9 @@ pub enum JobOutcome {
     SharedReuse,
     /// The sweep ran without a checkpoint store.
     NoStore,
+    /// An earlier sweep of the same context already computed this exact
+    /// point; its stored result was reused instead of simulating.
+    Memo,
 }
 
 impl JobOutcome {
@@ -34,8 +37,23 @@ impl JobOutcome {
             JobOutcome::CacheMiss => "miss",
             JobOutcome::SharedReuse => "shared-reuse",
             JobOutcome::NoStore => "no-store",
+            JobOutcome::Memo => "memo",
         }
     }
+}
+
+/// The experiment parameters a job ran under: with the label, the job's
+/// full identity (two jobs agreeing on both compute the same bits).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct JobConfig {
+    /// Committed instructions of warm-up.
+    pub warmup: u64,
+    /// Committed instructions measured.
+    pub measure: u64,
+    /// Trace-generator seed.
+    pub seed: u64,
+    /// L1 miss penalty in cycles.
+    pub miss_penalty: u64,
 }
 
 /// Telemetry for one sweep job (one configuration point or one group
@@ -44,6 +62,8 @@ impl JobOutcome {
 pub struct JobTelemetry {
     /// Human-readable point label (`bench/scheme@Nr`).
     pub label: String,
+    /// The experiment parameters the job ran under.
+    pub config: JobConfig,
     /// Pipeline stage the job ran (`simulate`, `warm-pass`, `sample`).
     pub stage: &'static str,
     /// Seconds between sweep submission and the job starting on a
@@ -71,6 +91,8 @@ pub struct RunTelemetry {
     pub checkpoint_misses: u64,
     /// Points served by an already-loaded shared group artefact.
     pub shared_reuse_hits: u64,
+    /// Points answered from the context's memo of exact results.
+    pub memo_hits: u64,
     /// Injected-fault recoveries across all jobs.
     pub fault_recoveries: u64,
     /// Per-job records, in submission order.
@@ -93,6 +115,7 @@ impl RunTelemetry {
             JobOutcome::CacheHit => self.checkpoint_hits += 1,
             JobOutcome::CacheMiss => self.checkpoint_misses += 1,
             JobOutcome::SharedReuse => self.shared_reuse_hits += 1,
+            JobOutcome::Memo => self.memo_hits += 1,
             JobOutcome::NoStore => {}
         }
         self.fault_recoveries += job.recovered;
@@ -123,6 +146,7 @@ impl RunTelemetry {
         self.checkpoint_hits += other.checkpoint_hits;
         self.checkpoint_misses += other.checkpoint_misses;
         self.shared_reuse_hits += other.shared_reuse_hits;
+        self.memo_hits += other.memo_hits;
         self.fault_recoveries += other.fault_recoveries;
         self.points.extend(other.points);
     }
@@ -144,14 +168,20 @@ impl RunTelemetry {
             "  \"checkpoint\": {{\"hits\": {}, \"misses\": {}, \"shared_reuse_hits\": {}}},",
             self.checkpoint_hits, self.checkpoint_misses, self.shared_reuse_hits
         );
+        let _ = writeln!(s, "  \"memo_hits\": {},", self.memo_hits);
         let _ = writeln!(s, "  \"fault_recoveries\": {},", self.fault_recoveries);
         let _ = writeln!(s, "  \"points\": [");
         for (i, p) in self.points.iter().enumerate() {
             let _ = write!(
                 s,
-                "    {{\"label\": \"{}\", \"stage\": \"{}\", \"queue_wait_s\": {}, \
+                "    {{\"label\": \"{}\", \"config\": {{\"warmup\": {}, \"measure\": {}, \
+                 \"seed\": {}, \"miss_penalty\": {}}}, \"stage\": \"{}\", \"queue_wait_s\": {}, \
                  \"wall_s\": {}, \"checkpoint\": \"{}\", \"recovered\": {}}}",
                 escape(&p.label),
+                p.config.warmup,
+                p.config.measure,
+                p.config.seed,
+                p.config.miss_penalty,
                 p.stage,
                 json_f64(p.queue_wait_s),
                 json_f64(p.wall_s),
@@ -192,6 +222,7 @@ mod tests {
     fn job(label: &str, outcome: JobOutcome, wall: f64) -> JobTelemetry {
         JobTelemetry {
             label: label.into(),
+            config: JobConfig::default(),
             stage: "simulate",
             queue_wait_s: 0.0,
             wall_s: wall,
@@ -223,6 +254,35 @@ mod tests {
         assert!(j.contains("\"schema\": \"vpr-run-telemetry/v1\""));
         assert!(j.contains("\"label\": \"swim/conventional@64r\""));
         assert!(j.contains("\"checkpoint\": \"no-store\""));
+    }
+
+    #[test]
+    fn memo_hits_are_counted_rendered_and_merged() {
+        let mut a = RunTelemetry::new(1);
+        a.push(JobTelemetry {
+            config: JobConfig {
+                warmup: 1_000,
+                measure: 10_000,
+                seed: 42,
+                miss_penalty: 20,
+            },
+            ..job("go/conventional@64r", JobOutcome::Memo, 0.0)
+        });
+        assert_eq!(a.memo_hits, 1);
+        let j = a.to_json();
+        assert!(j.contains("\"memo_hits\": 1,"), "{j}");
+        assert!(
+            j.contains(
+                "\"label\": \"go/conventional@64r\", \"config\": {\"warmup\": 1000, \
+                 \"measure\": 10000, \"seed\": 42, \"miss_penalty\": 20}"
+            ),
+            "{j}"
+        );
+        assert!(j.contains("\"checkpoint\": \"memo\""), "{j}");
+        let mut b = RunTelemetry::new(1);
+        b.push(job("swim/conventional@64r", JobOutcome::Memo, 0.0));
+        a.merge(b);
+        assert_eq!(a.memo_hits, 2);
     }
 
     #[test]

@@ -572,7 +572,7 @@ fn worker_loop(inner: &Arc<Inner>, _worker: usize) {
             .map_err(|payload| panic_text(payload.as_ref()))
         };
         match outcome {
-            Ok(output) => complete_job(inner, id, &label, output, attempt, queue_wait, begun),
+            Ok(output) => complete_job(inner, id, &spec, output, attempt, queue_wait, begun),
             Err(message) => retry_or_fail(inner, id, &label, &message, attempt),
         }
     }
@@ -647,7 +647,7 @@ fn run_in_child(inner: &Inner, spec: &JobSpec) -> Result<JobOutput, String> {
 fn complete_job(
     inner: &Arc<Inner>,
     id: u64,
-    label: &str,
+    spec: &JobSpec,
     output: JobOutput,
     attempt: u32,
     queue_wait: f64,
@@ -686,7 +686,8 @@ fn complete_job(
     };
     let mut telemetry = lock(&inner.telemetry);
     telemetry.push(JobTelemetry {
-        label: label.to_string(),
+        label: spec.label(),
+        config: spec.exp.job_config(),
         stage: "serve",
         queue_wait_s: queue_wait,
         wall_s: begun.elapsed().as_secs_f64(),
