@@ -51,7 +51,7 @@ use vpr_core::Stage;
 fn baseline_figures(path: &std::path::Path) -> Result<(f64, f64), String> {
     let what = path.display().to_string();
     let text = std::fs::read_to_string(path).map_err(|e| format!("{what}: {e}"))?;
-    let doc = vpr_snap::manifest::parse_json(&text).map_err(|e| format!("{what}: {e}"))?;
+    let doc = vpr_snap::json::parse(&text).map_err(|e| format!("{what}: {e}"))?;
     let root = doc
         .as_object()
         .ok_or_else(|| format!("{what}: not a JSON object"))?;

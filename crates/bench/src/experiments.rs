@@ -5,13 +5,14 @@
 //! corresponding table or figure.
 
 use crate::sweep::{
-    failures_json, json_num, run_sweep_metrics, MetricsBlock, SamplingProvenance, SweepContext,
-    SweepFailure, SweepPoint,
+    failures_json, run_sweep_metrics, MetricsBlock, SamplingProvenance, SweepContext, SweepFailure,
+    SweepPoint,
 };
 use crate::workloads::Workload;
 use crate::{ExperimentConfig, Table};
 use vpr_core::{harmonic_mean, RenameScheme};
 use vpr_obs::RunTelemetry;
+use vpr_snap::json;
 
 /// The NRR values swept in Figures 4 and 5.
 pub const NRR_SWEEP: [usize; 6] = [1, 4, 8, 16, 24, 32];
@@ -90,26 +91,23 @@ impl Table2 {
         let _ = writeln!(s, "  \"sampling\": {},", self.sampling.to_json_value());
         let _ = writeln!(s, "  \"failures\": {},", failures_json(&self.failures));
         let _ = writeln!(s, "  \"metrics\": {},", self.metrics.to_json_value());
-        s.push_str("  \"rows\": [\n");
-        for (i, r) in self.rows.iter().enumerate() {
-            let _ = write!(
-                s,
-                "    {{\"benchmark\": \"{}\", \"conv_ipc\": {}, \"vp_ipc\": {}, \"improvement_percent\": {}, \"vp_executions_per_commit\": {}}}",
-                r.workload.name(),
-                json_num(r.conv_ipc, 4),
-                json_num(r.vp_ipc, 4),
-                json_num(r.improvement_percent(), 2),
-                json_num(r.vp_executions_per_commit, 4)
-            );
-            s.push_str(if i + 1 < self.rows.len() { ",\n" } else { "\n" });
-        }
+        let rows = json::row_array(self.rows.iter().map(|r| {
+            format!(
+                "{{\"benchmark\": \"{}\", \"conv_ipc\": {}, \"vp_ipc\": {}, \"improvement_percent\": {}, \"vp_executions_per_commit\": {}}}",
+                json::escape(&r.workload.name()),
+                json::fixed(r.conv_ipc, 4),
+                json::fixed(r.vp_ipc, 4),
+                json::fixed(r.improvement_percent(), 2),
+                json::fixed(r.vp_executions_per_commit, 4)
+            )
+        }));
         let (c, v) = self.harmonic_means();
         let _ = writeln!(
             s,
-            "  ],\n  \"harmonic_mean_conv_ipc\": {},\n  \"harmonic_mean_vp_ipc\": {},\n  \"mean_improvement_percent\": {}",
-            json_num(c, 4),
-            json_num(v, 4),
-            json_num(self.mean_improvement_percent(), 2)
+            "  \"rows\": {rows},\n  \"harmonic_mean_conv_ipc\": {},\n  \"harmonic_mean_vp_ipc\": {},\n  \"mean_improvement_percent\": {}",
+            json::fixed(c, 4),
+            json::fixed(v, 4),
+            json::fixed(self.mean_improvement_percent(), 2)
         );
         s.push_str("}\n");
         s
@@ -267,7 +265,7 @@ impl NrrSweep {
         use std::fmt::Write as _;
         let join = |xs: &[f64]| {
             xs.iter()
-                .map(|x| json_num(*x, 4))
+                .map(|x| json::fixed(*x, 4))
                 .collect::<Vec<_>>()
                 .join(", ")
         };
@@ -283,20 +281,17 @@ impl NrrSweep {
             .collect::<Vec<_>>()
             .join(", ");
         let _ = writeln!(s, "  \"nrr\": [{nrrs}],");
-        s.push_str("  \"rows\": [\n");
-        for (i, r) in self.rows.iter().enumerate() {
-            let _ = write!(
-                s,
-                "    {{\"benchmark\": \"{}\", \"conv_ipc\": {}, \"speedups\": [{}]}}",
-                r.workload.name(),
-                json_num(r.conv_ipc, 4),
+        let rows = json::row_array(self.rows.iter().map(|r| {
+            format!(
+                "{{\"benchmark\": \"{}\", \"conv_ipc\": {}, \"speedups\": [{}]}}",
+                json::escape(&r.workload.name()),
+                json::fixed(r.conv_ipc, 4),
                 join(&r.speedups)
-            );
-            s.push_str(if i + 1 < self.rows.len() { ",\n" } else { "\n" });
-        }
+            )
+        }));
         let _ = writeln!(
             s,
-            "  ],\n  \"mean_speedups\": [{}]",
+            "  \"rows\": {rows},\n  \"mean_speedups\": [{}]",
             join(&self.mean_speedups())
         );
         s.push_str("}\n");
@@ -443,21 +438,18 @@ impl Fig6 {
         let _ = writeln!(s, "  \"sampling\": {},", self.sampling.to_json_value());
         let _ = writeln!(s, "  \"failures\": {},", failures_json(&self.failures));
         let _ = writeln!(s, "  \"metrics\": {},", self.metrics.to_json_value());
-        s.push_str("  \"rows\": [\n");
-        for (i, r) in self.rows.iter().enumerate() {
-            let _ = write!(
-                s,
-                "    {{\"benchmark\": \"{}\", \"writeback_speedup\": {}, \"issue_speedup\": {}}}",
-                r.workload.name(),
-                json_num(r.writeback_speedup, 4),
-                json_num(r.issue_speedup, 4)
-            );
-            s.push_str(if i + 1 < self.rows.len() { ",\n" } else { "\n" });
-        }
+        let rows = json::row_array(self.rows.iter().map(|r| {
+            format!(
+                "{{\"benchmark\": \"{}\", \"writeback_speedup\": {}, \"issue_speedup\": {}}}",
+                json::escape(&r.workload.name()),
+                json::fixed(r.writeback_speedup, 4),
+                json::fixed(r.issue_speedup, 4)
+            )
+        }));
         let _ = writeln!(
             s,
-            "  ],\n  \"writeback_win_rate\": {}",
-            json_num(self.writeback_win_rate(), 4)
+            "  \"rows\": {rows},\n  \"writeback_win_rate\": {}",
+            json::fixed(self.writeback_win_rate(), 4)
         );
         s.push_str("}\n");
         s
@@ -604,34 +596,34 @@ impl Fig7 {
             .collect::<Vec<_>>()
             .join(", ");
         let _ = writeln!(s, "  \"sweep\": [{sizes}],");
-        s.push_str("  \"rows\": [\n");
-        for (i, r) in self.rows.iter().enumerate() {
+        let rows = json::row_array(self.rows.iter().map(|r| {
             let ipcs = r
                 .ipcs
                 .iter()
                 .map(|(c, v)| {
                     format!(
                         "{{\"conv_ipc\": {}, \"vp_ipc\": {}}}",
-                        json_num(*c, 4),
-                        json_num(*v, 4)
+                        json::fixed(*c, 4),
+                        json::fixed(*v, 4)
                     )
                 })
                 .collect::<Vec<_>>()
                 .join(", ");
-            let _ = write!(
-                s,
-                "    {{\"benchmark\": \"{}\", \"ipcs\": [{ipcs}]}}",
-                r.workload.name()
-            );
-            s.push_str(if i + 1 < self.rows.len() { ",\n" } else { "\n" });
-        }
+            format!(
+                "{{\"benchmark\": \"{}\", \"ipcs\": [{ipcs}]}}",
+                json::escape(&r.workload.name())
+            )
+        }));
         let means = self
             .mean_improvements_percent()
             .iter()
-            .map(|x| json_num(*x, 2))
+            .map(|x| json::fixed(*x, 2))
             .collect::<Vec<_>>()
             .join(", ");
-        let _ = writeln!(s, "  ],\n  \"mean_improvements_percent\": [{means}]");
+        let _ = writeln!(
+            s,
+            "  \"rows\": {rows},\n  \"mean_improvements_percent\": [{means}]"
+        );
         s.push_str("}\n");
         s
     }
@@ -793,31 +785,27 @@ impl AsmEval {
         let _ = writeln!(s, "  \"sampling\": {},", self.sampling.to_json_value());
         let _ = writeln!(s, "  \"failures\": {},", failures_json(&self.failures));
         let _ = writeln!(s, "  \"metrics\": {},", self.metrics.to_json_value());
-        s.push_str("  \"rows\": [\n");
-        for (i, r) in self.rows.iter().enumerate() {
-            let _ = write!(
-                s,
-                "    {{\"workload\": \"{}\", \"is_asm\": {}, \"conv_ipc\": {}, \
+        let rows = json::row_array(self.rows.iter().map(|r| {
+            format!(
+                "{{\"workload\": \"{}\", \"is_asm\": {}, \"conv_ipc\": {}, \
                  \"early_ipc\": {}, \"vp_issue_ipc\": {}, \"vp_wb_ipc\": {}, \
                  \"vp_wb_speedup\": {}}}",
-                r.workload.name(),
+                json::escape(&r.workload.name()),
                 matches!(r.workload, Workload::Asm(_)),
-                json_num(r.conv_ipc, 4),
-                json_num(r.early_ipc, 4),
-                json_num(r.vp_issue_ipc, 4),
-                json_num(r.vp_wb_ipc, 4),
-                json_num(r.vp_wb_speedup(), 4)
-            );
-            s.push_str(if i + 1 < self.rows.len() { ",\n" } else { "\n" });
-        }
+                json::fixed(r.conv_ipc, 4),
+                json::fixed(r.early_ipc, 4),
+                json::fixed(r.vp_issue_ipc, 4),
+                json::fixed(r.vp_wb_ipc, 4),
+                json::fixed(r.vp_wb_speedup(), 4)
+            )
+        }));
         let (asm, synthetic) = self.group_speedups();
-        let opt = |v: Option<f64>| v.map_or("null".to_string(), |x| json_num(x, 4));
         let _ = writeln!(
             s,
-            "  ],\n  \"asm_harmonic_vp_wb_speedup\": {},\n  \
+            "  \"rows\": {rows},\n  \"asm_harmonic_vp_wb_speedup\": {},\n  \
              \"synthetic_harmonic_vp_wb_speedup\": {}",
-            opt(asm),
-            opt(synthetic)
+            json::fixed(asm.unwrap_or(f64::NAN), 4),
+            json::fixed(synthetic.unwrap_or(f64::NAN), 4)
         );
         s.push_str("}\n");
         s

@@ -8,11 +8,12 @@
 //! [`write_throughput_json`] records the result as machine-readable
 //! `BENCH_throughput.json` so every PR leaves a perf trajectory.
 
-use crate::sweep::{json_escape, run_sweep_metrics, SweepContext, SweepPoint};
+use crate::sweep::{run_sweep_metrics, SweepContext, SweepPoint};
 use crate::workloads::Workload;
 use std::fmt::Write as _;
 use std::time::Instant;
 use vpr_core::{harmonic_mean, par, Processor, RenameScheme, SimStats, Stage, StageProfile};
+use vpr_snap::json;
 use vpr_trace::TraceBuilder;
 
 /// How much to simulate and with which trace seed.
@@ -338,17 +339,19 @@ impl ThroughputReport {
             self.config.warmup, self.config.measure, self.config.seed, self.config.miss_penalty
         );
         let _ = writeln!(s, "  \"runs_per_config\": {},", self.runs_per_config);
-        s.push_str("  \"runs\": [\n");
-        for (i, r) in self.runs.iter().enumerate() {
-            let _ = write!(
-                s,
-                "    {{\"label\": \"{}\", \"committed\": {}, \"cycles\": {}, \
+        let runs = json::row_array(self.runs.iter().map(|r| {
+            format!(
+                "{{\"label\": \"{}\", \"committed\": {}, \"cycles\": {}, \
                  \"host_seconds\": {:.6}, \"sim_mips\": {:.3}, \"ipc\": {:.4}}}",
-                r.label, r.committed, r.cycles, r.host_seconds, r.sim_mips, r.ipc
-            );
-            s.push_str(if i + 1 < self.runs.len() { ",\n" } else { "\n" });
-        }
-        s.push_str("  ],\n");
+                json::escape(&r.label),
+                r.committed,
+                r.cycles,
+                r.host_seconds,
+                r.sim_mips,
+                r.ipc
+            )
+        }));
+        let _ = writeln!(s, "  \"runs\": {runs},");
         let _ = writeln!(
             s,
             "  \"harmonic_mean_sim_mips\": {:.3},",
@@ -375,32 +378,25 @@ impl ThroughputReport {
             self.go_sim_mips_per_host_mops()
         );
         if let Some(p) = &self.profile {
-            let _ = writeln!(
-                s,
-                "  \"profile\": {{\"steps\": {}, \"total_ns\": {}, \"stages\": [",
-                p.steps,
-                p.total_ns()
-            );
-            for (i, stage) in Stage::ALL.iter().enumerate() {
+            let stages = json::row_array(Stage::ALL.iter().map(|stage| {
                 let rec = p.stage(*stage);
-                let _ = write!(
-                    s,
-                    "    {{\"stage\": \"{}\", \"ns\": {}, \"events\": {}}}",
+                format!(
+                    "{{\"stage\": \"{}\", \"ns\": {}, \"events\": {}}}",
                     stage.name(),
                     rec.ns,
                     rec.events
-                );
-                s.push_str(if i + 1 < Stage::ALL.len() {
-                    ",\n"
-                } else {
-                    "\n"
-                });
-            }
-            s.push_str("  ]},\n");
+                )
+            }));
+            let _ = writeln!(
+                s,
+                "  \"profile\": {{\"steps\": {}, \"total_ns\": {}, \"stages\": {stages}}},",
+                p.steps,
+                p.total_ns()
+            );
         }
         // Notes are free-form user input and may contain newlines or
         // other control characters.
-        let _ = writeln!(s, "  \"notes\": \"{}\"", json_escape(&self.notes));
+        let _ = writeln!(s, "  \"notes\": \"{}\"", json::escape(&self.notes));
         s.push_str("}\n");
         s
     }

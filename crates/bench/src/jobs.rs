@@ -26,11 +26,12 @@ use crate::checkpoints::{
     checkpoint_key, config_hash, generate_checkpoints, group_scheme_label, sim_config,
     CheckpointLoadError, CheckpointOutcome, CheckpointStore, KIND_WARM,
 };
-use crate::sweep::{json_escape, json_num, PointMetrics};
+use crate::sweep::PointMetrics;
 use crate::workloads::{parse_scheme, scheme_label, Workload, WorkloadStream};
 use crate::ExperimentConfig;
 use vpr_core::{NoObs, PipeObserver, Processor, RenameScheme, SimStats};
-use vpr_snap::manifest::{JsonValue, ManifestError};
+use vpr_snap::json::{self, Value};
+use vpr_snap::manifest::ManifestError;
 use vpr_snap::Snapshot;
 
 /// One unit of service work: a single sweep point plus the experiment
@@ -84,8 +85,8 @@ impl JobSpec {
         format!(
             "{{\"workload\": \"{}\", \"scheme\": \"{}\", \"regs\": {}, \
              \"warmup\": {}, \"measure\": {}, \"seed\": {}, \"miss_penalty\": {}}}",
-            json_escape(&self.workload.name()),
-            json_escape(&scheme_label(self.scheme)),
+            json::escape(&self.workload.name()),
+            json::escape(&scheme_label(self.scheme)),
             self.physical_regs,
             self.exp.warmup,
             self.exp.measure,
@@ -99,7 +100,7 @@ impl JobSpec {
     /// # Errors
     ///
     /// Describes the missing or malformed field.
-    pub fn from_json(v: &JsonValue) -> Result<Self, String> {
+    pub fn from_json(v: &Value) -> Result<Self, String> {
         let obj = v.as_object().ok_or("job spec must be a JSON object")?;
         let field = |k: &str| obj.get(k).ok_or_else(|| format!("missing field `{k}`"));
         let num = |k: &str| -> Result<u64, String> {
@@ -148,22 +149,15 @@ pub struct JobOutput {
 
 impl JobOutput {
     /// Wire rendering: one JSON object carrying the metrics at full
-    /// round-trip precision (`{}` on an `f64` prints the shortest string
-    /// that parses back to the same bits — the byte-identity tests
+    /// round-trip precision ([`json::shortest`] prints the shortest
+    /// string that parses back to the same bits — the byte-identity tests
     /// compare through exactly this representation).
     pub fn to_json(&self) -> String {
-        let f = |v: f64| {
-            if v.is_finite() {
-                format!("{v}")
-            } else {
-                "null".to_string()
-            }
-        };
         let mut s = format!(
             "{{\"ipc\": {}, \"miss_ratio\": {}, \"executions_per_commit\": {}, \"warm\": \"{}\"",
-            f(self.metrics.ipc),
-            f(self.metrics.miss_ratio),
-            f(self.metrics.executions_per_commit),
+            json::shortest(self.metrics.ipc),
+            json::shortest(self.metrics.miss_ratio),
+            json::shortest(self.metrics.executions_per_commit),
             match &self.outcome {
                 CheckpointOutcome::Hit(_) => "hit",
                 CheckpointOutcome::Miss => "miss",
@@ -171,7 +165,7 @@ impl JobOutput {
             }
         );
         if let Some(note) = &self.note {
-            s.push_str(&format!(", \"note\": \"{}\"", json_escape(note)));
+            s.push_str(&format!(", \"note\": \"{}\"", json::escape(note)));
         }
         s.push('}');
         s
@@ -182,18 +176,18 @@ impl JobOutput {
     /// # Errors
     ///
     /// Describes the missing or malformed field.
-    pub fn from_json(v: &JsonValue) -> Result<Self, String> {
+    pub fn from_json(v: &Value) -> Result<Self, String> {
         let obj = v.as_object().ok_or("job output must be a JSON object")?;
         let num = |k: &str| -> Result<f64, String> {
             match obj.get(k) {
                 None => Err(format!("missing field `{k}`")),
-                Some(JsonValue::Null) => Ok(f64::NAN),
+                Some(Value::Null) => Ok(f64::NAN),
                 Some(v) => v
                     .as_f64()
                     .ok_or_else(|| format!("field `{k}` must be a number or null")),
             }
         };
-        let outcome = match obj.get("warm").and_then(JsonValue::as_str) {
+        let outcome = match obj.get("warm").and_then(Value::as_str) {
             Some("hit") => CheckpointOutcome::Hit(String::new()),
             Some("miss") => CheckpointOutcome::Miss,
             _ => CheckpointOutcome::NoStore,
@@ -205,10 +199,7 @@ impl JobOutput {
                 executions_per_commit: num("executions_per_commit")?,
             },
             outcome,
-            note: obj
-                .get("note")
-                .and_then(JsonValue::as_str)
-                .map(str::to_string),
+            note: obj.get("note").and_then(Value::as_str).map(str::to_string),
         })
     }
 
@@ -216,9 +207,9 @@ impl JobOutput {
     /// as `null`) — the representation CI compares against `table2.json`.
     pub fn table_cells(&self) -> (String, String, String) {
         (
-            json_num(self.metrics.ipc, 4),
-            json_num(self.metrics.miss_ratio, 4),
-            json_num(self.metrics.executions_per_commit, 4),
+            json::fixed(self.metrics.ipc, 4),
+            json::fixed(self.metrics.miss_ratio, 4),
+            json::fixed(self.metrics.executions_per_commit, 4),
         )
     }
 }
@@ -375,7 +366,6 @@ fn measure_restored<O: PipeObserver>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vpr_snap::manifest::parse_json;
     use vpr_trace::Benchmark;
 
     fn spec() -> JobSpec {
@@ -394,7 +384,7 @@ mod tests {
     #[test]
     fn spec_round_trips_through_json() {
         let s = spec();
-        let parsed = JobSpec::from_json(&parse_json(&s.to_json()).unwrap()).unwrap();
+        let parsed = JobSpec::from_json(&json::parse(&s.to_json()).unwrap()).unwrap();
         assert_eq!(parsed, s);
         assert_eq!(parsed.label(), "swim/vp-wb-nrr32@64r");
         // Asm workloads exercise the `:`-bearing name path.
@@ -402,7 +392,7 @@ mod tests {
             workload: Workload::parse("asm:matmul").unwrap(),
             ..s
         };
-        let parsed = JobSpec::from_json(&parse_json(&asm.to_json()).unwrap()).unwrap();
+        let parsed = JobSpec::from_json(&json::parse(&asm.to_json()).unwrap()).unwrap();
         assert_eq!(parsed, asm);
     }
 
@@ -417,7 +407,7 @@ mod tests {
              \"warmup\": 1, \"measure\": 1, \"seed\": 1, \"miss_penalty\": 1}",
         ] {
             assert!(
-                JobSpec::from_json(&parse_json(bad).unwrap()).is_err(),
+                JobSpec::from_json(&json::parse(bad).unwrap()).is_err(),
                 "{bad}"
             );
         }
@@ -434,7 +424,7 @@ mod tests {
             outcome: CheckpointOutcome::Miss,
             note: Some("checkpoint persist failed: disk full".into()),
         };
-        let parsed = JobOutput::from_json(&parse_json(&out.to_json()).unwrap()).unwrap();
+        let parsed = JobOutput::from_json(&json::parse(&out.to_json()).unwrap()).unwrap();
         assert_eq!(parsed.metrics.ipc.to_bits(), out.metrics.ipc.to_bits());
         assert_eq!(
             parsed.note.as_deref(),
@@ -446,7 +436,7 @@ mod tests {
             outcome: CheckpointOutcome::NoStore,
             note: None,
         };
-        let parsed = JobOutput::from_json(&parse_json(&failed.to_json()).unwrap()).unwrap();
+        let parsed = JobOutput::from_json(&json::parse(&failed.to_json()).unwrap()).unwrap();
         assert!(parsed.metrics.is_failed());
     }
 

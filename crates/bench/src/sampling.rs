@@ -43,6 +43,7 @@ use crate::harness::ExperimentConfig;
 use crate::workloads::{Workload, WorkloadStream};
 use std::fmt::Write as _;
 use vpr_core::{par, Processor, RenameScheme, SimConfig, SimStats};
+use vpr_snap::json;
 
 /// Shape of one sampled estimate: where the estimated region lies in the
 /// instruction stream and how much of it is simulated in detail.
@@ -101,6 +102,20 @@ impl SamplingPlan {
     /// Fraction of the full run (`offset + region`) simulated in detail.
     pub fn detailed_fraction(&self) -> f64 {
         (self.intervals as u64 * self.detailed_measure) as f64 / (self.offset + self.region) as f64
+    }
+
+    /// The plan as a JSON object: the `plan` field of a sampled sweep's
+    /// provenance block and of `sampling.json`.
+    pub fn to_json_value(&self) -> String {
+        format!(
+            "{{\"offset\": {}, \"region\": {}, \"intervals\": {}, \"detailed_warmup\": 0, \
+             \"detailed_measure\": {}, \"detailed_fraction\": {:.4}}}",
+            self.offset,
+            self.region,
+            self.intervals,
+            self.detailed_measure,
+            self.detailed_fraction()
+        )
     }
 
     /// Interval start positions (committed-instruction offsets into the
@@ -678,42 +693,34 @@ impl SamplingAccuracy {
 }
 
 /// Renders a set of accuracy rows as JSON (`vpr-bench-sampling/v1`),
-/// mirroring the other artefacts' hand-rolled style.
+/// mirroring the other artefacts' hand-rolled style; a failed point's
+/// NaN metrics render as `null`.
 pub fn accuracy_to_json(rows: &[SamplingAccuracy], plan: &SamplingPlan) -> String {
     let mut s = String::new();
     s.push_str("{\n  \"schema\": \"vpr-bench-sampling/v1\",\n");
-    let _ = writeln!(
-        s,
-        "  \"plan\": {{\"offset\": {}, \"region\": {}, \"intervals\": {}, \
-         \"detailed_warmup\": 0, \"detailed_measure\": {}, \"detailed_fraction\": {:.4}}},",
-        plan.offset,
-        plan.region,
-        plan.intervals,
-        plan.detailed_measure,
-        plan.detailed_fraction()
-    );
-    s.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{\"benchmark\": \"{}\", \"scheme\": \"{}\", \"full_ipc\": {:.4}, \
-             \"sampled_ipc\": {:.4}, \"ipc_error_percent\": {:.3}, \
-             \"full_miss_ratio\": {:.4}, \"sampled_miss_ratio\": {:.4}}}",
-            r.workload.name(),
-            crate::harness::scheme_label(r.scheme),
-            r.full_ipc,
-            r.sampled_ipc,
-            r.ipc_error_percent(),
-            r.full_miss_ratio,
-            r.sampled_miss_ratio
-        );
-        s.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
+    let _ = writeln!(s, "  \"plan\": {},", plan.to_json_value());
+    let rows_json = json::row_array(rows.iter().map(|r| {
+        format!(
+            "{{\"benchmark\": \"{}\", \"scheme\": \"{}\", \"full_ipc\": {}, \
+             \"sampled_ipc\": {}, \"ipc_error_percent\": {}, \
+             \"full_miss_ratio\": {}, \"sampled_miss_ratio\": {}}}",
+            json::escape(&r.workload.name()),
+            json::escape(&crate::harness::scheme_label(r.scheme)),
+            json::fixed(r.full_ipc, 4),
+            json::fixed(r.sampled_ipc, 4),
+            json::fixed(r.ipc_error_percent(), 3),
+            json::fixed(r.full_miss_ratio, 4),
+            json::fixed(r.sampled_miss_ratio, 4)
+        )
+    }));
     let worst = rows
         .iter()
         .map(|r| r.ipc_error_percent().abs())
         .fold(0.0f64, f64::max);
-    let _ = writeln!(s, "  ],\n  \"worst_ipc_error_percent\": {worst:.3}");
+    let _ = writeln!(
+        s,
+        "  \"rows\": {rows_json},\n  \"worst_ipc_error_percent\": {worst:.3}"
+    );
     s.push_str("}\n");
     s
 }

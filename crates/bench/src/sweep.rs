@@ -29,13 +29,13 @@ use crate::sampling::{sample_from_checkpoints, SamplingPlan};
 use crate::workloads::Workload;
 use crate::ExperimentConfig;
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use vpr_core::par;
 use vpr_core::{RenameScheme, SimObserver, SimStats};
 use vpr_obs::{JobConfig, JobOutcome, JobTelemetry, Progress, RunTelemetry, SimMetrics};
+use vpr_snap::json;
 use vpr_snap::manifest::ManifestError;
 
 /// One point of a sweep grid: a full simulator configuration.
@@ -238,37 +238,6 @@ impl PointMetrics {
     }
 }
 
-/// Escapes a string for embedding in a JSON string literal (the escapes
-/// this workspace's hand-rolled readers understand: `\"`, `\\`, `\n`,
-/// `\r`, `\t`, and `\uXXXX` for other control characters).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Renders a float for JSON: non-finite values (a failed point's NaN
-/// placeholder) become `null` — `NaN` is not valid JSON.
-pub fn json_num(v: f64, decimals: usize) -> String {
-    if v.is_finite() {
-        format!("{v:.decimals$}")
-    } else {
-        "null".to_string()
-    }
-}
-
 /// One fault a sweep survived (or degraded around): which point, at what
 /// stage, whether the result was still produced. Recorded into every
 /// experiment artefact's `failures` block so degradation is never
@@ -309,11 +278,11 @@ impl SweepFailure {
         format!(
             "{{\"point\": \"{}\", \"stage\": \"{}\", \"recovered\": {}, \
              \"attempts\": {}, \"error\": \"{}\"}}",
-            json_escape(&self.point),
+            json::escape(&self.point),
             self.stage,
             self.recovered,
             self.attempts,
-            json_escape(&self.error)
+            json::escape(&self.error)
         )
     }
 }
@@ -324,13 +293,7 @@ pub fn failures_json(failures: &[SweepFailure]) -> String {
     if failures.is_empty() {
         return "[]".to_string();
     }
-    let mut s = String::from("[\n");
-    for (i, f) in failures.iter().enumerate() {
-        let _ = write!(s, "    {}", f.to_json_value());
-        s.push_str(if i + 1 < failures.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  ]");
-    s
+    json::row_array(failures.iter().map(SweepFailure::to_json_value))
 }
 
 /// Provenance of a sweep's numbers, recorded into every JSON artefact so
@@ -365,27 +328,16 @@ impl SamplingProvenance {
                 seeded_from,
                 checkpoint_dir,
             } => {
-                let mut s = String::new();
-                let _ = write!(
-                    s,
+                // The directory is user input; escape it.
+                let dir = checkpoint_dir
+                    .as_ref()
+                    .map(|d| format!(", \"checkpoint_dir\": \"{}\"", json::escape(d)))
+                    .unwrap_or_default();
+                format!(
                     "{{\"mode\": \"sampled\", \"estimator\": \"{estimator}\", \
-                     \"seeded_from\": \"{seeded_from}\", \"plan\": {{\"offset\": {}, \
-                     \"region\": {}, \"intervals\": {}, \"detailed_warmup\": 0, \
-                     \"detailed_measure\": {}, \"detailed_fraction\": {:.4}}}",
-                    plan.offset,
-                    plan.region,
-                    plan.intervals,
-                    plan.detailed_measure,
-                    plan.detailed_fraction()
-                );
-                match checkpoint_dir {
-                    Some(dir) => {
-                        // The directory is user input; escape it.
-                        let _ = write!(s, ", \"checkpoint_dir\": \"{}\"}}", json_escape(dir));
-                    }
-                    None => s.push('}'),
-                }
-                s
+                     \"seeded_from\": \"{seeded_from}\", \"plan\": {}{dir}}}",
+                    plan.to_json_value()
+                )
             }
         }
     }

@@ -69,7 +69,7 @@ fn stage_attributions_sum_to_totals() {
 }
 
 /// The v5 report with a profile block must parse back through
-/// `vpr_snap::manifest::parse_json`, and the serialised stage rows must
+/// `vpr_snap::json::parse`, and the serialised stage rows must
 /// sum to the serialised total.
 #[test]
 fn v5_profile_block_round_trips_through_json() {
@@ -78,7 +78,7 @@ fn v5_profile_block_round_trips_through_json() {
     report.profile = Some(profile_throughput(&exp));
     let json = report.to_json();
 
-    let doc = vpr_snap::manifest::parse_json(&json).expect("v5 report parses");
+    let doc = vpr_snap::json::parse(&json).expect("v5 report parses");
     let root = doc.as_object().expect("object root");
     assert_eq!(
         root.get("schema").and_then(|v| v.as_str()),

@@ -1,6 +1,6 @@
 //! # vpr-obs — observability for the VPR simulator
 //!
-//! A dependency-free (std-only) telemetry layer with three pillars:
+//! A std-only telemetry layer with three pillars:
 //!
 //! * [`metrics`] — a metrics registry of counters, gauges and log-bucketed
 //!   histograms, fed change-driven (never per-quiescent-cycle) by the
@@ -28,9 +28,10 @@
 //! run is observed (pinned by the traced-vs-untraced identity test in the
 //! bench crate).
 //!
-//! This crate deliberately depends on nothing in the workspace so that
-//! every layer (frontend, mem, core, bench) can use it without cycles;
-//! ISA specifics (operation names) are passed in as plain data.
+//! This crate depends only on `vpr-snap` (itself dependency-free), for
+//! its JSON module, so that every layer (frontend, mem, core, bench) can
+//! use it without cycles; ISA specifics (operation names) are passed in
+//! as plain data.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -10,6 +10,7 @@
 //! addition in submission order).
 
 use std::fmt::Write as _;
+use vpr_snap::json;
 
 /// Number of histogram buckets: bucket 0 holds exact zeros, bucket `i`
 /// (1 ≤ i < 16) holds values in `[2^(i-1), 2^i)`, and the last bucket
@@ -120,7 +121,7 @@ impl Histogram {
             self.count,
             self.sum,
             self.max,
-            json_f64(self.mean())
+            json::float(self.mean())
         );
         let mut first = true;
         for (i, &n) in self.buckets.iter().enumerate() {
@@ -140,23 +141,6 @@ impl Histogram {
         }
         s.push_str("]}");
         s
-    }
-}
-
-/// Formats an `f64` for JSON (finite shortest-roundtrip; non-finite
-/// becomes `null`, matching the bench crate's convention).
-pub fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        let s = format!("{v}");
-        // Bare integers are valid JSON numbers, but keep a fractional
-        // marker so consumers see a float-typed field consistently.
-        if s.contains('.') || s.contains('e') || s.contains('E') {
-            s
-        } else {
-            format!("{s}.0")
-        }
-    } else {
-        "null".into()
     }
 }
 
@@ -221,7 +205,7 @@ impl Registry {
             }
             let rendered = match v {
                 MetricValue::Counter(c) => c.to_string(),
-                MetricValue::Gauge(g) => json_f64(*g),
+                MetricValue::Gauge(g) => json::float(*g),
                 MetricValue::Histogram(h) => h.to_json_value(),
             };
             let _ = write!(s, "\"{name}\": {rendered}");

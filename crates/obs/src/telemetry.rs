@@ -9,8 +9,8 @@
 //! data and is *not* expected to be byte-identical across runs, which is
 //! why it lives in its own file rather than inside the experiment JSON.
 
-use crate::metrics::json_f64;
 use std::fmt::Write as _;
+use vpr_snap::json;
 
 /// How a sweep job interacted with the checkpoint cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -156,12 +156,12 @@ impl RunTelemetry {
         let mut s = String::from("{\n");
         let _ = writeln!(s, "  \"schema\": \"vpr-run-telemetry/v1\",");
         let _ = writeln!(s, "  \"jobs\": {},", self.jobs);
-        let _ = writeln!(s, "  \"wall_s\": {},", json_f64(self.wall_s));
-        let _ = writeln!(s, "  \"busy_s\": {},", json_f64(self.busy_s()));
+        let _ = writeln!(s, "  \"wall_s\": {},", json::float(self.wall_s));
+        let _ = writeln!(s, "  \"busy_s\": {},", json::float(self.busy_s()));
         let _ = writeln!(
             s,
             "  \"worker_utilisation\": {},",
-            json_f64(self.worker_utilisation())
+            json::float(self.worker_utilisation())
         );
         let _ = writeln!(
             s,
@@ -170,49 +170,26 @@ impl RunTelemetry {
         );
         let _ = writeln!(s, "  \"memo_hits\": {},", self.memo_hits);
         let _ = writeln!(s, "  \"fault_recoveries\": {},", self.fault_recoveries);
-        let _ = writeln!(s, "  \"points\": [");
-        for (i, p) in self.points.iter().enumerate() {
-            let _ = write!(
-                s,
-                "    {{\"label\": \"{}\", \"config\": {{\"warmup\": {}, \"measure\": {}, \
+        let points = json::row_array(self.points.iter().map(|p| {
+            format!(
+                "{{\"label\": \"{}\", \"config\": {{\"warmup\": {}, \"measure\": {}, \
                  \"seed\": {}, \"miss_penalty\": {}}}, \"stage\": \"{}\", \"queue_wait_s\": {}, \
                  \"wall_s\": {}, \"checkpoint\": \"{}\", \"recovered\": {}}}",
-                escape(&p.label),
+                json::escape(&p.label),
                 p.config.warmup,
                 p.config.measure,
                 p.config.seed,
                 p.config.miss_penalty,
                 p.stage,
-                json_f64(p.queue_wait_s),
-                json_f64(p.wall_s),
+                json::float(p.queue_wait_s),
+                json::float(p.wall_s),
                 p.outcome.label(),
                 p.recovered
-            );
-            s.push_str(if i + 1 < self.points.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        s.push_str("  ]\n}\n");
+            )
+        }));
+        let _ = writeln!(s, "  \"points\": {points}\n}}");
         s
     }
-}
-
-/// Minimal JSON string escaping (labels are benign, but stay correct).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -17,6 +17,7 @@
 
 use std::collections::VecDeque;
 use std::io::{self, Write};
+use vpr_snap::json;
 
 /// Lifecycle event kinds, in pipeline order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -190,12 +191,15 @@ impl PipelineTrace {
                 s.push_str(&format!(
                     ", \"pc\": \"{:#x}\", \"op\": \"{}\", \"wp\": {}",
                     r.pc,
-                    self.op_name(r.op),
+                    json::escape(&self.op_name(r.op)),
                     r.flag
                 ));
             }
             TraceKind::Issue | TraceKind::Commit => {
-                s.push_str(&format!(", \"op\": \"{}\"", self.op_name(r.op)));
+                s.push_str(&format!(
+                    ", \"op\": \"{}\"",
+                    json::escape(&self.op_name(r.op))
+                ));
             }
             TraceKind::Reexec => {
                 s.push_str(&format!(
@@ -296,41 +300,23 @@ impl PipelineTrace {
     }
 }
 
-/// Checks one JSONL trace line for schema conformance: a flat JSON
-/// object with integer `"c"` and `"s"` fields and a known `"k"` kind.
-/// Returns a description of the first problem found, if any.
-///
-/// This is a purposely small structural validator (the crate has no JSON
-/// parser dependency); it accepts exactly the shape [`emit_jsonl`]
-/// produces.
-///
-/// [`emit_jsonl`]: PipelineTrace::emit_jsonl
+/// Checks one JSONL trace line for schema conformance: one JSON object
+/// (nothing after it) with integer `"c"` and `"s"` fields and a known
+/// `"k"` kind. Returns a description of the first problem found, if any.
 pub fn validate_jsonl_line(line: &str) -> Result<(), String> {
-    let t = line.trim();
-    if !t.starts_with('{') || !t.ends_with('}') {
-        return Err("line is not a JSON object".into());
+    let v = json::parse(line)?;
+    let obj = v.as_object().ok_or("line is not a JSON object")?;
+    for key in ["c", "s"] {
+        let field = obj.get(key).ok_or(format!("missing {key:?} field"))?;
+        if field.as_u64().is_none() {
+            return Err(format!("{key:?} is not an integer: {field}"));
+        }
     }
-    let field = |key: &str| -> Option<String> {
-        let pat = format!("\"{key}\": ");
-        let start = t.find(&pat)? + pat.len();
-        let rest = &t[start..];
-        let end = rest.find([',', '}'])?;
-        Some(rest[..end].trim().to_string())
-    };
-    let c = field("c").ok_or("missing \"c\" field")?;
-    if c.parse::<u64>().is_err() {
-        return Err(format!("\"c\" is not an integer: {c}"));
+    let k = obj.get("k").ok_or("missing \"k\" field")?;
+    match k.as_str() {
+        Some(k) if TraceKind::LABELS.contains(&k) => Ok(()),
+        _ => Err(format!("unknown kind {k}")),
     }
-    let s = field("s").ok_or("missing \"s\" field")?;
-    if s.parse::<u64>().is_err() {
-        return Err(format!("\"s\" is not an integer: {s}"));
-    }
-    let k = field("k").ok_or("missing \"k\" field")?;
-    let k = k.trim_matches('"');
-    if !TraceKind::LABELS.contains(&k) {
-        return Err(format!("unknown kind {k:?}"));
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -376,6 +362,17 @@ mod tests {
         assert!(text.contains("\"op\": \"load\""));
         assert!(text.contains("\"why\": \"reg\""));
         assert!(text.contains("\"at\": \"issue\""));
+        // Shapes a substring scan would accept: a malformed value after
+        // the required fields, content after the object, and a `"c"`
+        // that only appears inside a string value.
+        let first = text.lines().next().unwrap();
+        for bad in [
+            "{\"c\": 1, \"s\": 2, \"k\": \"fetch\", \"pc\": [}".to_string(),
+            format!("{first} trailing }}"),
+            "{\"s\": 2, \"k\": \"fetch\", \"pc\": \"\\\"c\": 7, \"}".to_string(),
+        ] {
+            assert!(validate_jsonl_line(&bad).is_err(), "{bad}");
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use vpr_bench::jobs::JobSpec;
-use vpr_snap::manifest::JsonValue;
+use vpr_snap::json::Value;
 
 use crate::protocol::{parse_response, poll_line, submit_line, PollResult};
 
@@ -51,7 +51,7 @@ impl Client {
     ///
     /// The server's error string, or the last transport error when the
     /// deadline passes without an answer.
-    pub fn request(&self, line: &str) -> Result<JsonValue, String> {
+    pub fn request(&self, line: &str) -> Result<Value, String> {
         let deadline = Instant::now() + self.timeout;
         loop {
             let last = match self.exchange_once(line) {
@@ -99,9 +99,9 @@ impl Client {
         let obj = v.as_object().ok_or("submit response must be an object")?;
         let ids = obj
             .get("ids")
-            .and_then(JsonValue::as_array)
+            .and_then(Value::as_array)
             .ok_or("submit response missing `ids`")?;
-        let ids: Option<Vec<u64>> = ids.iter().map(JsonValue::as_u64).collect();
+        let ids: Option<Vec<u64>> = ids.iter().map(Value::as_u64).collect();
         let ids = ids.ok_or("submit ids must be integers")?;
         if ids.len() != jobs.len() {
             return Err(format!(
@@ -122,7 +122,7 @@ impl Client {
         let v = self.request(&poll_line(ids))?;
         let obj = v.as_object().ok_or("poll response must be an object")?;
         obj.get("results")
-            .and_then(JsonValue::as_array)
+            .and_then(Value::as_array)
             .ok_or("poll response missing `results`")?
             .iter()
             .map(PollResult::from_json)
@@ -156,7 +156,8 @@ impl Client {
         }
     }
 
-    /// Fetches the service metrics: the JSON object and the Prometheus
+    /// Fetches the service metrics: the JSON object (byte-identical to
+    /// the daemon's `ServeMetrics::to_json_value`) and the Prometheus
     /// text exposition.
     ///
     /// # Errors
@@ -167,15 +168,14 @@ impl Client {
         let obj = v.as_object().ok_or("metrics response must be an object")?;
         let prom = obj
             .get("prometheus")
-            .and_then(JsonValue::as_str)
+            .and_then(Value::as_str)
             .ok_or("metrics response missing `prometheus`")?
             .to_string();
-        // Re-render the metrics object through the parsed value is
-        // lossy for this purpose; return the raw JSON sub-document by
-        // slicing is overkill — the Prometheus text is the contract.
+        // The daemon renders the object on one line with `json::float`
+        // gauges, so the parsed value re-renders to the daemon's bytes.
         let json = obj
             .get("metrics")
-            .map(render_value)
+            .map(ToString::to_string)
             .ok_or("metrics response missing `metrics`")?;
         Ok((json, prom))
     }
@@ -187,34 +187,5 @@ impl Client {
     /// Transport errors, verbatim.
     pub fn shutdown(&self) -> Result<(), String> {
         self.request("{\"op\": \"shutdown\"}").map(|_| ())
-    }
-}
-
-/// Re-renders a parsed JSON value (used for the metrics sub-document;
-/// numbers preserve their parsed forms).
-fn render_value(v: &JsonValue) -> String {
-    match v {
-        JsonValue::Null => "null".into(),
-        JsonValue::Bool(b) => b.to_string(),
-        JsonValue::Number(n) => n.to_string(),
-        JsonValue::Float(f) => format!("{f}"),
-        JsonValue::String(s) => format!("\"{}\"", vpr_bench::sweep::json_escape(s)),
-        JsonValue::Array(items) => {
-            let inner: Vec<String> = items.iter().map(render_value).collect();
-            format!("[{}]", inner.join(", "))
-        }
-        JsonValue::Object(fields) => {
-            let inner: Vec<String> = fields
-                .iter()
-                .map(|(k, v)| {
-                    format!(
-                        "\"{}\": {}",
-                        vpr_bench::sweep::json_escape(k),
-                        render_value(v)
-                    )
-                })
-                .collect();
-            format!("{{{}}}", inner.join(", "))
-        }
     }
 }

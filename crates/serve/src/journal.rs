@@ -33,9 +33,8 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use vpr_bench::jobs::{JobOutput, JobSpec};
-use vpr_bench::sweep::json_escape;
 use vpr_snap::faults;
-use vpr_snap::manifest::{parse_json, JsonValue};
+use vpr_snap::json::{self, Value};
 
 /// File name of the journal inside the daemon's working directory.
 pub const JOURNAL_FILE: &str = "jobs.wal";
@@ -93,7 +92,7 @@ impl Record {
             } => format!(
                 "{{\"rec\": \"failed\", \"id\": {id}, \"attempts\": {attempts}, \
                  \"error\": \"{}\"}}",
-                json_escape(error)
+                json::escape(error)
             ),
         }
     }
@@ -105,13 +104,13 @@ impl Record {
     /// Describes the malformed field; replay treats any error as the
     /// start of a torn tail.
     pub fn parse(line: &str) -> Result<Record, String> {
-        let v = parse_json(line).map_err(|e| e.to_string())?;
+        let v = json::parse(line).map_err(|e| e.to_string())?;
         let obj = v.as_object().ok_or("record must be a JSON object")?;
         let id = obj
             .get("id")
-            .and_then(JsonValue::as_u64)
+            .and_then(Value::as_u64)
             .ok_or("record needs a numeric `id`")?;
-        match obj.get("rec").and_then(JsonValue::as_str) {
+        match obj.get("rec").and_then(Value::as_str) {
             Some("job") => Ok(Record::Job {
                 id,
                 spec: JobSpec::from_json(obj.get("spec").ok_or("job record needs `spec`")?)?,
@@ -126,12 +125,12 @@ impl Record {
                 id,
                 error: obj
                     .get("error")
-                    .and_then(JsonValue::as_str)
+                    .and_then(Value::as_str)
                     .ok_or("failed record needs `error`")?
                     .to_string(),
                 attempts: obj
                     .get("attempts")
-                    .and_then(JsonValue::as_u64)
+                    .and_then(Value::as_u64)
                     .ok_or("failed record needs `attempts`")? as u32,
             }),
             other => Err(format!("unknown record type {other:?}")),
@@ -296,6 +295,8 @@ impl Journal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vpr_bench::checkpoints::CheckpointOutcome;
+    use vpr_bench::sweep::PointMetrics;
     use vpr_bench::ExperimentConfig;
     use vpr_core::RenameScheme;
     use vpr_snap::faults::{FaultKind, FaultOp, FaultPlan};
@@ -350,6 +351,33 @@ mod tests {
             // JobOutput carries f64s; compare through the line rendering,
             // which is the round-trip representation itself.
             assert_eq!(parsed.to_line(), line);
+        }
+    }
+
+    #[test]
+    fn non_ascii_and_escaped_text_round_trips() {
+        let text = "café → résumé: \"quoted\"\tC:\\tmp\nnext line";
+        let records = [
+            Record::Failed {
+                id: 5,
+                error: text.into(),
+                attempts: 2,
+            },
+            Record::Done {
+                id: 6,
+                output: JobOutput {
+                    metrics: PointMetrics {
+                        ipc: 1.25,
+                        miss_ratio: 0.0625,
+                        executions_per_commit: 1.0,
+                    },
+                    outcome: CheckpointOutcome::Miss,
+                    note: Some(text.into()),
+                },
+            },
+        ];
+        for r in &records {
+            assert_eq!(Record::parse(&r.to_line()).unwrap(), *r);
         }
     }
 

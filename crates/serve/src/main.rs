@@ -23,12 +23,11 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use vpr_bench::jobs::{execute_job, JobSpec};
-use vpr_bench::sweep::{json_escape, json_num};
 use vpr_bench::workloads::{parse_scheme, Workload};
 use vpr_bench::{take_flag, take_flag_value, write_json_artifact, ExperimentConfig};
 use vpr_core::par::RetryPolicy;
 use vpr_serve::{Client, ServeConfig, Server};
-use vpr_snap::manifest::{parse_json, JsonValue};
+use vpr_snap::json::{self, Value};
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -215,11 +214,11 @@ fn cmd_submit(mut args: Vec<String>) {
             failed += 1;
         }
         let mut row = format!(
-            "    {{\"id\": {}, \"workload\": \"{}\", \"scheme\": \"{}\", \"regs\": {}, \
+            "{{\"id\": {}, \"workload\": \"{}\", \"scheme\": \"{}\", \"regs\": {}, \
              \"state\": \"{}\", \"attempts\": {}",
             r.id,
-            json_escape(&spec.workload.name()),
-            json_escape(&vpr_bench::workloads::scheme_label(spec.scheme)),
+            json::escape(&spec.workload.name()),
+            json::escape(&vpr_bench::workloads::scheme_label(spec.scheme)),
             spec.physical_regs,
             r.state,
             r.attempts
@@ -228,14 +227,14 @@ fn cmd_submit(mut args: Vec<String>) {
             row.push_str(&format!(", \"output\": {}", output.to_json()));
         }
         if let Some(error) = &r.error {
-            row.push_str(&format!(", \"error\": \"{}\"", json_escape(error)));
+            row.push_str(&format!(", \"error\": \"{}\"", json::escape(error)));
         }
         row.push('}');
         rows.push(row);
     }
     let doc = format!(
-        "{{\n  \"schema\": \"vpr-serve-results/v1\",\n  \"regs\": {regs},\n  \"results\": [\n{}\n  ]\n}}\n",
-        rows.join(",\n")
+        "{{\n  \"schema\": \"vpr-serve-results/v1\",\n  \"regs\": {regs},\n  \"results\": {}\n}}\n",
+        json::row_array(rows)
     );
     match out {
         Some(path) => write_json_artifact(std::path::Path::new(&path), &doc),
@@ -270,12 +269,12 @@ fn cmd_check(mut args: Vec<String>) {
     let golden_path = required(&mut args, "--golden");
     reject_leftovers(&args);
 
-    let read = |p: &str| -> JsonValue {
+    let read = |p: &str| -> Value {
         let text = std::fs::read_to_string(p).unwrap_or_else(|e| {
             eprintln!("vpr-serve check: {p}: {e}");
             std::process::exit(1);
         });
-        parse_json(&text).unwrap_or_else(|e| {
+        json::parse(&text).unwrap_or_else(|e| {
             eprintln!("vpr-serve check: {p}: {e}");
             std::process::exit(1);
         })
@@ -288,24 +287,21 @@ fn cmd_check(mut args: Vec<String>) {
     for r in results
         .as_object()
         .and_then(|o| o.get("results"))
-        .and_then(JsonValue::as_array)
+        .and_then(Value::as_array)
         .unwrap_or_else(|| {
             eprintln!("vpr-serve check: results file has no `results` array");
             std::process::exit(1);
         })
     {
         let Some(obj) = r.as_object() else { continue };
-        let workload = obj
-            .get("workload")
-            .and_then(JsonValue::as_str)
-            .unwrap_or("");
-        let scheme = obj.get("scheme").and_then(JsonValue::as_str).unwrap_or("");
-        let output = obj.get("output").and_then(JsonValue::as_object);
+        let workload = obj.get("workload").and_then(Value::as_str).unwrap_or("");
+        let scheme = obj.get("scheme").and_then(Value::as_str).unwrap_or("");
+        let output = obj.get("output").and_then(Value::as_object);
         let num = |k: &str| -> f64 {
             output
                 .as_ref()
                 .and_then(|o| o.get(k))
-                .and_then(JsonValue::as_f64)
+                .and_then(Value::as_f64)
                 .unwrap_or(f64::NAN)
         };
         measured.push((
@@ -325,7 +321,7 @@ fn cmd_check(mut args: Vec<String>) {
     let rows = golden
         .as_object()
         .and_then(|o| o.get("rows"))
-        .and_then(JsonValue::as_array)
+        .and_then(Value::as_array)
         .unwrap_or_else(|| {
             eprintln!("vpr-serve check: golden file has no `rows` array");
             std::process::exit(1);
@@ -334,17 +330,14 @@ fn cmd_check(mut args: Vec<String>) {
     let mut compared = 0usize;
     for row in rows {
         let Some(obj) = row.as_object() else { continue };
-        let bench = obj
-            .get("benchmark")
-            .and_then(JsonValue::as_str)
-            .unwrap_or("");
-        let golden_num = |k: &str| obj.get(k).and_then(JsonValue::as_f64).unwrap_or(f64::NAN);
+        let bench = obj.get("benchmark").and_then(Value::as_str).unwrap_or("");
+        let golden_num = |k: &str| obj.get(k).and_then(Value::as_f64).unwrap_or(f64::NAN);
         let mut check = |what: &str, got: Option<f64>, want: f64| {
             compared += 1;
             let got_s = got
-                .map(|v| json_num(v, 4))
+                .map(|v| json::fixed(v, 4))
                 .unwrap_or_else(|| "absent".into());
-            let want_s = json_num(want, 4);
+            let want_s = json::fixed(want, 4);
             if got_s != want_s {
                 eprintln!("MISMATCH {bench} {what}: service {got_s} vs golden {want_s}");
                 mismatches += 1;
@@ -371,7 +364,7 @@ fn cmd_exec_job(mut args: Vec<String>) {
     let spec_json = required(&mut args, "--spec");
     let dir = take_flag_value(&mut args, "--dir");
     reject_leftovers(&args);
-    let spec = parse_json(&spec_json)
+    let spec = json::parse(&spec_json)
         .map_err(|e| e.to_string())
         .and_then(|v| JobSpec::from_json(&v))
         .unwrap_or_else(|e| {

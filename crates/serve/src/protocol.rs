@@ -1,9 +1,9 @@
 //! The line-delimited JSON wire protocol.
 //!
 //! One request per line, one response per line, over a Unix-domain
-//! socket. Both sides reuse the workspace's in-crate JSON machinery
-//! ([`vpr_snap::manifest::parse_json`] to read, hand-rolled writers to
-//! render), so the daemon stays dependency-free.
+//! socket. Both sides use the workspace's one JSON module,
+//! [`vpr_snap::json`] ([`json::parse`] to read, [`json::escape`] in the
+//! hand-rolled writers), so the daemon stays dependency-free.
 //!
 //! Requests:
 //!
@@ -21,8 +21,7 @@
 //! a poll result is bit-identical to what the executing worker computed.
 
 use vpr_bench::jobs::{JobOutput, JobSpec};
-use vpr_bench::sweep::json_escape;
-use vpr_snap::manifest::{parse_json, JsonValue};
+use vpr_snap::json::{self, Value};
 
 /// A parsed client request.
 #[derive(Debug, Clone, PartialEq)]
@@ -48,13 +47,13 @@ pub enum Request {
 /// Describes the malformed field; the server answers with an
 /// `"ok": false` response and keeps the connection.
 pub fn parse_request(line: &str) -> Result<Request, String> {
-    let v = parse_json(line).map_err(|e| e.to_string())?;
+    let v = json::parse(line).map_err(|e| e.to_string())?;
     let obj = v.as_object().ok_or("request must be a JSON object")?;
-    match obj.get("op").and_then(JsonValue::as_str) {
+    match obj.get("op").and_then(Value::as_str) {
         Some("submit") => {
             let jobs = obj
                 .get("jobs")
-                .and_then(JsonValue::as_array)
+                .and_then(Value::as_array)
                 .ok_or("submit needs a `jobs` array")?;
             if jobs.is_empty() {
                 return Err("submit needs at least one job".into());
@@ -67,7 +66,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         Some("poll") => {
             let ids = obj
                 .get("ids")
-                .and_then(JsonValue::as_array)
+                .and_then(Value::as_array)
                 .ok_or("poll needs an `ids` array")?;
             ids.iter()
                 .map(|v| v.as_u64().ok_or_else(|| "ids must be integers".to_string()))
@@ -95,7 +94,10 @@ pub fn poll_line(ids: &[u64]) -> String {
 
 /// Renders an error response line.
 pub fn error_line(message: &str) -> String {
-    format!("{{\"ok\": false, \"error\": \"{}\"}}", json_escape(message))
+    format!(
+        "{{\"ok\": false, \"error\": \"{}\"}}",
+        json::escape(message)
+    )
 }
 
 /// One job's state in a poll response.
@@ -127,7 +129,7 @@ impl PollResult {
             s.push_str(&format!(", \"output\": {}", out.to_json()));
         }
         if let Some(err) = &self.error {
-            s.push_str(&format!(", \"error\": \"{}\"", json_escape(err)));
+            s.push_str(&format!(", \"error\": \"{}\"", json::escape(err)));
         }
         s.push_str(&format!(", \"attempts\": {}}}", self.attempts));
         s
@@ -138,27 +140,24 @@ impl PollResult {
     /// # Errors
     ///
     /// Describes the malformed field.
-    pub fn from_json(v: &JsonValue) -> Result<Self, String> {
+    pub fn from_json(v: &Value) -> Result<Self, String> {
         let obj = v.as_object().ok_or("poll result must be an object")?;
         Ok(Self {
             id: obj
                 .get("id")
-                .and_then(JsonValue::as_u64)
+                .and_then(Value::as_u64)
                 .ok_or("poll result needs `id`")?,
             state: obj
                 .get("state")
-                .and_then(JsonValue::as_str)
+                .and_then(Value::as_str)
                 .ok_or("poll result needs `state`")?
                 .to_string(),
             output: match obj.get("output") {
                 Some(v) => Some(JobOutput::from_json(v)?),
                 None => None,
             },
-            error: obj
-                .get("error")
-                .and_then(JsonValue::as_str)
-                .map(str::to_string),
-            attempts: obj.get("attempts").and_then(JsonValue::as_u64).unwrap_or(0) as u32,
+            error: obj.get("error").and_then(Value::as_str).map(str::to_string),
+            attempts: obj.get("attempts").and_then(Value::as_u64).unwrap_or(0) as u32,
         })
     }
 }
@@ -169,14 +168,14 @@ impl PollResult {
 ///
 /// The server's error message on `"ok": false`, or a description of a
 /// malformed response.
-pub fn parse_response(line: &str) -> Result<JsonValue, String> {
-    let v = parse_json(line).map_err(|e| e.to_string())?;
+pub fn parse_response(line: &str) -> Result<Value, String> {
+    let v = json::parse(line).map_err(|e| e.to_string())?;
     let obj = v.as_object().ok_or("response must be a JSON object")?;
     match obj.get("ok") {
-        Some(JsonValue::Bool(true)) => Ok(v),
-        Some(JsonValue::Bool(false)) => Err(obj
+        Some(Value::Bool(true)) => Ok(v),
+        Some(Value::Bool(false)) => Err(obj
             .get("error")
-            .and_then(JsonValue::as_str)
+            .and_then(Value::as_str)
             .unwrap_or("unspecified server error")
             .to_string()),
         _ => Err("response missing `ok`".into()),
@@ -254,7 +253,7 @@ mod tests {
             error: Some("job 12 failed after 4 attempts: injected".into()),
             attempts: 4,
         };
-        let parsed = PollResult::from_json(&parse_json(&r.to_json()).unwrap()).unwrap();
+        let parsed = PollResult::from_json(&json::parse(&r.to_json()).unwrap()).unwrap();
         assert_eq!(parsed.id, 12);
         assert!(parsed.is_terminal());
         assert!(parsed.output.unwrap().metrics.is_failed());

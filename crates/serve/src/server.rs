@@ -502,7 +502,7 @@ fn handle_request(inner: &Arc<Inner>, req: Request) -> String {
             format!(
                 "{{\"ok\": true, \"metrics\": {}, \"prometheus\": \"{}\"}}",
                 m.to_json_value(),
-                vpr_bench::sweep::json_escape(&m.to_prometheus())
+                vpr_snap::json::escape(&m.to_prometheus())
             )
         }
         Request::Shutdown => {
@@ -623,7 +623,7 @@ fn run_in_child(inner: &Inner, spec: &JobSpec) -> Result<JobOutput, String> {
                     return Err(format!("exec-job exited with {status}"));
                 }
                 let line = out.lines().last().ok_or("exec-job produced no output")?;
-                let v = vpr_snap::manifest::parse_json(line)
+                let v = vpr_snap::json::parse(line)
                     .map_err(|e| format!("exec-job output unparseable: {e}"))?;
                 return JobOutput::from_json(&v);
             }

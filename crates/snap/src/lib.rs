@@ -53,6 +53,12 @@
 //! are rejected at load rather than silently reused. The full format is
 //! documented in `docs/snapshot-format.md`.
 //!
+//! ## JSON
+//!
+//! The manifest is JSON, like every other artefact of the workspace, and
+//! [`json`] is the workspace's one JSON module: the parser every reader
+//! calls and the escaper and number renderings every writer uses.
+//!
 //! ## Traits
 //!
 //! * [`Snap`] — fixed-layout save/load for a state type.
@@ -65,6 +71,7 @@
 #![warn(missing_docs)]
 
 pub mod faults;
+pub mod json;
 pub mod manifest;
 
 use std::collections::VecDeque;

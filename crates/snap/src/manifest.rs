@@ -17,11 +17,11 @@
 //! versa) is caught before a restore is attempted.
 //!
 //! The JSON schema (`vpr-snap-checkpoints/v1`) is hand-rolled like every
-//! other artefact in this workspace (the build environment has no serde);
-//! a minimal parser for exactly that subset of JSON lives here too.
+//! other artefact in this workspace, through [`crate::json`].
 //!
 //! [`Snapshot`]: crate::Snapshot
 
+use crate::json::{self, Value};
 use crate::FORMAT_VERSION;
 use std::fmt;
 use std::path::Path;
@@ -204,42 +204,31 @@ impl Manifest {
 
     /// Renders the manifest as `vpr-snap-checkpoints/v1` JSON.
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::new();
-        let _ = writeln!(s, "{{\n  \"schema\": \"{MANIFEST_SCHEMA}\",");
-        s.push_str("  \"checkpoints\": [\n");
-        for (i, e) in self.entries.iter().enumerate() {
-            let _ = write!(
-                s,
-                "    {{\"benchmark\": \"{}\", \"scheme\": \"{}\", \"physical_regs\": {}, \
+        let rows = json::row_array(self.entries.iter().map(|e| {
+            format!(
+                "{{\"benchmark\": \"{}\", \"scheme\": \"{}\", \"physical_regs\": {}, \
                  \"seed\": {}, \"miss_penalty\": {}, \"warmup\": {}, \"kind\": \"{}\", \
                  \"target\": {}, \"file\": \"{}\", \"committed\": {}, \"cycle\": {}, \
                  \"trace_cursor\": {}, \"config_hash\": {}, \"payload_checksum\": {}, \
                  \"format_version\": {}}}",
-                e.key.benchmark,
-                e.key.scheme,
+                json::escape(&e.key.benchmark),
+                json::escape(&e.key.scheme),
                 e.key.physical_regs,
                 e.key.seed,
                 e.key.miss_penalty,
                 e.key.warmup,
-                e.key.kind,
+                json::escape(&e.key.kind),
                 e.key.target,
-                e.file,
+                json::escape(&e.file),
                 e.committed,
                 e.cycle,
                 e.trace_cursor,
                 e.config_hash,
                 e.payload_checksum,
                 e.format_version
-            );
-            s.push_str(if i + 1 < self.entries.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        s.push_str("  ]\n}\n");
-        s
+            )
+        }));
+        format!("{{\n  \"schema\": \"{MANIFEST_SCHEMA}\",\n  \"checkpoints\": {rows}\n}}\n")
     }
 
     /// Parses a manifest previously written by [`Manifest::to_json`].
@@ -255,14 +244,14 @@ impl Manifest {
             .ok_or_else(|| ManifestError::Parse("top level is not an object".into()))?;
         let schema = obj
             .get("schema")
-            .and_then(JsonValue::as_str)
+            .and_then(Value::as_str)
             .ok_or_else(|| ManifestError::Parse("missing schema".into()))?;
         if schema != MANIFEST_SCHEMA {
             return Err(ManifestError::Schema(schema.to_string()));
         }
         let rows = obj
             .get("checkpoints")
-            .and_then(JsonValue::as_array)
+            .and_then(Value::as_array)
             .ok_or_else(|| ManifestError::Parse("missing checkpoints array".into()))?;
         let mut entries = Vec::with_capacity(rows.len());
         for row in rows {
@@ -271,13 +260,13 @@ impl Manifest {
                 .ok_or_else(|| ManifestError::Parse("checkpoint row is not an object".into()))?;
             let str_field = |name: &str| -> Result<String, ManifestError> {
                 row.get(name)
-                    .and_then(JsonValue::as_str)
+                    .and_then(Value::as_str)
                     .map(str::to_string)
                     .ok_or_else(|| ManifestError::Parse(format!("missing string field {name}")))
             };
             let num_field = |name: &str| -> Result<u64, ManifestError> {
                 row.get(name)
-                    .and_then(JsonValue::as_u64)
+                    .and_then(Value::as_u64)
                     .ok_or_else(|| ManifestError::Parse(format!("missing numeric field {name}")))
             };
             entries.push(ManifestEntry {
@@ -355,258 +344,9 @@ impl Manifest {
     }
 }
 
-pub use json::parse as parse_json;
-pub use json::Value as JsonValue;
-
-/// A minimal JSON reader for this workspace's artefact schemas: objects,
-/// arrays, strings (the escapes the in-repo writers emit: `\"`, `\\`,
-/// `\n`, `\r`, `\t`, `\uXXXX`), numbers, and the literals
-/// `true`/`false`/`null`. Not a general-purpose parser — just enough to
-/// read back what the hand-rolled writers emit.
-mod json {
-    /// A parsed JSON value (manifest subset).
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Value {
-        /// An object, as insertion-ordered key/value pairs.
-        Object(Vec<(String, Value)>),
-        /// An array.
-        Array(Vec<Value>),
-        /// A string.
-        String(String),
-        /// An unsigned integer (the only number shape the manifest emits).
-        Number(u64),
-        /// A float (tolerated on read so future fields don't break old
-        /// parsers).
-        Float(f64),
-        /// `true`/`false`.
-        Bool(bool),
-        /// `null`.
-        Null,
-    }
-
-    impl Value {
-        /// The object's fields, if this is an object.
-        pub fn as_object(&self) -> Option<ObjectView<'_>> {
-            match self {
-                Value::Object(fields) => Some(ObjectView(fields)),
-                _ => None,
-            }
-        }
-
-        /// The elements, if this is an array.
-        pub fn as_array(&self) -> Option<&[Value]> {
-            match self {
-                Value::Array(v) => Some(v),
-                _ => None,
-            }
-        }
-
-        /// The string contents, if this is a string.
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Value::String(s) => Some(s),
-                _ => None,
-            }
-        }
-
-        /// The integer value, if this is an unsigned integer.
-        pub fn as_u64(&self) -> Option<u64> {
-            match self {
-                Value::Number(n) => Some(*n),
-                _ => None,
-            }
-        }
-
-        /// The numeric value as a float (integers widen losslessly for
-        /// the magnitudes this workspace's artefacts record).
-        pub fn as_f64(&self) -> Option<f64> {
-            match self {
-                Value::Number(n) => Some(*n as f64),
-                Value::Float(f) => Some(*f),
-                _ => None,
-            }
-        }
-    }
-
-    /// Key-lookup view over an object's fields.
-    pub struct ObjectView<'a>(&'a [(String, Value)]);
-
-    impl<'a> ObjectView<'a> {
-        /// First value under `key`, if present.
-        pub fn get(&self, key: &str) -> Option<&'a Value> {
-            self.0.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-        }
-    }
-
-    /// Parses one JSON document.
-    pub fn parse(text: &str) -> Result<Value, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing content at byte {pos}"));
-        }
-        Ok(value)
-    }
-
-    fn skip_ws(b: &[u8], pos: &mut usize) {
-        while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-            *pos += 1;
-        }
-    }
-
-    fn expect(b: &[u8], pos: &mut usize, ch: u8) -> Result<(), String> {
-        skip_ws(b, pos);
-        if *pos < b.len() && b[*pos] == ch {
-            *pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", ch as char, *pos))
-        }
-    }
-
-    fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b'{') => parse_object(b, pos),
-            Some(b'[') => parse_array(b, pos),
-            Some(b'"') => Ok(Value::String(parse_string(b, pos)?)),
-            Some(b't') => parse_literal(b, pos, "true", Value::Bool(true)),
-            Some(b'f') => parse_literal(b, pos, "false", Value::Bool(false)),
-            Some(b'n') => parse_literal(b, pos, "null", Value::Null),
-            Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(b, pos),
-            _ => Err(format!("unexpected content at byte {}", *pos)),
-        }
-    }
-
-    fn parse_literal(b: &[u8], pos: &mut usize, lit: &str, v: Value) -> Result<Value, String> {
-        if b[*pos..].starts_with(lit.as_bytes()) {
-            *pos += lit.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at byte {}", *pos))
-        }
-    }
-
-    fn parse_object(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        expect(b, pos, b'{')?;
-        let mut fields = Vec::new();
-        skip_ws(b, pos);
-        if b.get(*pos) == Some(&b'}') {
-            *pos += 1;
-            return Ok(Value::Object(fields));
-        }
-        loop {
-            skip_ws(b, pos);
-            let key = parse_string(b, pos)?;
-            expect(b, pos, b':')?;
-            let value = parse_value(b, pos)?;
-            fields.push((key, value));
-            skip_ws(b, pos);
-            match b.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b'}') => {
-                    *pos += 1;
-                    return Ok(Value::Object(fields));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
-            }
-        }
-    }
-
-    fn parse_array(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        expect(b, pos, b'[')?;
-        let mut items = Vec::new();
-        skip_ws(b, pos);
-        if b.get(*pos) == Some(&b']') {
-            *pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            items.push(parse_value(b, pos)?);
-            skip_ws(b, pos);
-            match b.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b']') => {
-                    *pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", *pos)),
-            }
-        }
-    }
-
-    fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-        if b.get(*pos) != Some(&b'"') {
-            return Err(format!("expected string at byte {}", *pos));
-        }
-        *pos += 1;
-        let mut out = String::new();
-        while let Some(&c) = b.get(*pos) {
-            match c {
-                b'"' => {
-                    *pos += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    let esc = b
-                        .get(*pos + 1)
-                        .ok_or_else(|| "unterminated escape".to_string())?;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            // \uXXXX (the BMP escapes this workspace's
-                            // writers emit for control characters).
-                            let hex = b
-                                .get(*pos + 2..*pos + 6)
-                                .ok_or_else(|| "truncated \\u escape".to_string())?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| "non-ASCII \\u escape".to_string())?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|e| format!("bad \\u escape {hex:?}: {e}"))?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| format!("invalid \\u code point {code:#x}"))?,
-                            );
-                            *pos += 4;
-                        }
-                        other => return Err(format!("unsupported escape \\{}", *other as char)),
-                    }
-                    *pos += 2;
-                }
-                _ => {
-                    out.push(c as char);
-                    *pos += 1;
-                }
-            }
-        }
-        Err("unterminated string".into())
-    }
-
-    fn parse_number(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        let start = *pos;
-        if b.get(*pos) == Some(&b'-') {
-            *pos += 1;
-        }
-        while *pos < b.len()
-            && (b[*pos].is_ascii_digit() || matches!(b[*pos], b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            *pos += 1;
-        }
-        let text = std::str::from_utf8(&b[start..*pos]).expect("ascii digits");
-        if let Ok(n) = text.parse::<u64>() {
-            return Ok(Value::Number(n));
-        }
-        text.parse::<f64>()
-            .map(Value::Float)
-            .map_err(|e| format!("bad number {text:?}: {e}"))
-    }
-}
+/// [`crate::json::parse`] and [`crate::json::Value`] under the names the
+/// benchmark harness in `perfbench/` imports.
+pub use crate::json::{parse as parse_json, Value as JsonValue};
 
 #[cfg(test)]
 mod tests {
