@@ -87,8 +87,8 @@ fn main() {
         s.lsq.forwards, s.lsq.speculative_loads, s.lsq.violations
     );
     // The machine-readable counterpart: the full counter set, wrapped
-    // with the probed configuration (mirrors the throughput harness's
-    // schema style).
+    // with the probed configuration in a versioned schema like every
+    // other artefact.
     let wrapped = format!(
         "{{\"schema\": \"vpr-bench-probe/v1\",\n \"benchmark\": \"{benchmark}\", \"scheme\": \"{}\", \"physical_regs\": {regs},\n \"stats\": {}}}\n",
         args[1],

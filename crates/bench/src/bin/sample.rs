@@ -50,7 +50,7 @@ fn main() {
         "--interval-measure",
         take_flag_value(&mut args, "--interval-measure"),
     );
-    // Remaining flags override the *quick* defaults (throughput-bin style,
+    // Remaining flags override the *quick* defaults (applied onto the base,
     // so a flag explicitly set to a default value is still honoured); plan
     // overrides apply after the plan is derived from the experiment.
     let mut exp = ExperimentConfig::quick();

@@ -79,8 +79,8 @@ impl Table2 {
         (v / c - 1.0) * 100.0
     }
 
-    /// Renders the result as JSON (`vpr-bench-table2/v4`), mirroring the
-    /// throughput harness's hand-rolled style. v2 added the `sampling`
+    /// Renders the result as JSON (`vpr-bench-table2/v4`) through
+    /// `vpr_snap::json`. v2 added the `sampling`
     /// provenance block; v3 added `failures` and renders unmeasured
     /// metrics as `null` instead of panicking or emitting bare NaN; v4
     /// adds the aggregated `metrics` block (see `docs/observability.md`).

@@ -32,15 +32,13 @@
 //! ## Machine-readable artefacts
 //!
 //! Each binary writes a JSON twin next to its text table (`table2.json`,
-//! `fig4.json`–`fig7.json`, `eval.json` for `--bin all`, `probe.json`,
-//! `BENCH_throughput.json`), in hand-rolled schemas
-//! (`vpr-bench-<artefact>/v1`) mirroring the throughput harness — the
-//! build environment has no serde. The throughput report
-//! (`vpr-bench-throughput/v3`) records per-configuration sim-MIPS
-//! (best of `--runs` repetitions), the parallel sweep's wall-clock, and a
-//! fixed host-ops/sec calibration (`sim_mips_per_host_mops`) so sim-MIPS
-//! regressions can be judged independently of runner load; its
-//! `--check BASELINE.json` mode is the CI regression gate.
+//! `fig4.json`–`fig7.json`, `eval.json` for `--bin all`, `probe.json`),
+//! in versioned hand-written schemas (`vpr-bench-<artefact>/vN`) rendered
+//! through `vpr_snap::json` — the build environment has no serde.
+//!
+//! The crate measures the *simulated* machine, not the host. Host time
+//! is tracked by the benchmark in `perfbench/`; the simulator's work per
+//! result is pinned exactly by the root `tests/exact_counts.rs` gate.
 //!
 //! ## Sampled simulation and checkpoint artefacts
 //!

@@ -705,7 +705,7 @@ pub fn accuracy_to_json(rows: &[SamplingAccuracy], plan: &SamplingPlan) -> Strin
              \"sampled_ipc\": {}, \"ipc_error_percent\": {}, \
              \"full_miss_ratio\": {}, \"sampled_miss_ratio\": {}}}",
             json::escape(&r.workload.name()),
-            json::escape(&crate::harness::scheme_label(r.scheme)),
+            json::escape(&crate::workloads::scheme_label(r.scheme)),
             json::fixed(r.full_ipc, 4),
             json::fixed(r.sampled_ipc, 4),
             json::fixed(r.ipc_error_percent(), 3),

@@ -1,9 +1,9 @@
 //! Shared workload tables, the [`Workload`] abstraction, and
 //! scheme-label plumbing.
 //!
-//! Several binaries sweep the same standard grids — the throughput
-//! harness, the `sample` accuracy report, and the `checkpoint`
-//! artefact manager all iterate (benchmark × scheme) tables that used to
+//! Several binaries and suites sweep the same standard grids — the
+//! `sample` accuracy report, the `checkpoint` artefact manager and the
+//! exact-count gate all iterate (benchmark × scheme) tables that used to
 //! be set up independently in each `main`. This module is the single
 //! source of those tables, plus the label ↔ [`RenameScheme`] mapping the
 //! JSON artefacts and the checkpoint manifest key entries use.
@@ -245,8 +245,8 @@ pub const TABLE2_SCHEMES: [RenameScheme; 2] = [
     RenameScheme::VirtualPhysicalWriteback { nrr: 32 },
 ];
 
-/// The renaming schemes the throughput harness sweeps: all four
-/// implementations at their headline parameters.
+/// All four renaming schemes at their headline parameters: the scheme
+/// axis of the exact-count gate and the golden and round-trip suites.
 pub const THROUGHPUT_SCHEMES: [RenameScheme; 4] = [
     RenameScheme::Conventional,
     RenameScheme::ConventionalEarlyRelease,
@@ -254,8 +254,8 @@ pub const THROUGHPUT_SCHEMES: [RenameScheme; 4] = [
     RenameScheme::VirtualPhysicalWriteback { nrr: 32 },
 ];
 
-/// The benchmarks the throughput harness runs each scheme on (one
-/// FP-heavy, one branchy integer workload).
+/// The synthetic benchmarks the exact-count gate pins full window
+/// statistics for (one FP-heavy, one branchy integer workload).
 pub const THROUGHPUT_BENCHMARKS: [Benchmark; 2] = [Benchmark::Swim, Benchmark::Go];
 
 /// A short, stable identifier for a scheme (used in labels, JSON
@@ -306,11 +306,6 @@ pub fn table2_grid() -> Vec<(Benchmark, RenameScheme)> {
     grid(&Benchmark::ALL, &TABLE2_SCHEMES)
 }
 
-/// The throughput grid: [`THROUGHPUT_BENCHMARKS`] × [`THROUGHPUT_SCHEMES`].
-pub fn throughput_grid() -> Vec<(Benchmark, RenameScheme)> {
-    grid(&THROUGHPUT_BENCHMARKS, &THROUGHPUT_SCHEMES)
-}
-
 /// Cross product of a workload (or benchmark) list and a scheme list,
 /// workload-major.
 pub fn grid<W: Copy>(workloads: &[W], schemes: &[RenameScheme]) -> Vec<(W, RenameScheme)> {
@@ -336,6 +331,19 @@ mod tests {
         assert!(parse_scheme("vp-wb-nrr").is_err());
         assert!(parse_scheme("vp-wb-nrrx").is_err());
         assert!(parse_scheme("something").is_err());
+    }
+
+    #[test]
+    fn scheme_labels_are_stable() {
+        assert_eq!(scheme_label(RenameScheme::Conventional), "conventional");
+        assert_eq!(
+            scheme_label(RenameScheme::VirtualPhysicalWriteback { nrr: 32 }),
+            "vp-wb-nrr32"
+        );
+        assert_eq!(
+            scheme_label(RenameScheme::VirtualPhysicalIssue { nrr: 8 }),
+            "vp-issue-nrr8"
+        );
     }
 
     #[test]
@@ -372,7 +380,6 @@ mod tests {
     #[test]
     fn grids_have_the_expected_shapes() {
         assert_eq!(table2_grid().len(), 18);
-        assert_eq!(throughput_grid().len(), 8);
         // Benchmark-major: the first two rows share a benchmark.
         let t2 = table2_grid();
         assert_eq!(t2[0].0, t2[1].0);

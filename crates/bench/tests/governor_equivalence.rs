@@ -19,10 +19,12 @@ fn build(
     scheme: RenameScheme,
     regs: usize,
     seed: u64,
+    vp_commit_delay: bool,
 ) -> Processor<TraceGen> {
     let config = SimConfig::builder()
         .scheme(scheme)
         .physical_regs(regs)
+        .vp_commit_delay(vp_commit_delay)
         .build();
     let trace = TraceBuilder::new(benchmark).seed(seed).build();
     Processor::new(config, trace)
@@ -70,12 +72,13 @@ proptest! {
         seed in 1u64..1_000,
         first in 200u64..1_500,
         second in 200u64..1_500,
+        vp_commit_delay in any::<bool>(),
     ) {
         let benchmark = BENCHES[bench_idx];
         // NRR is only legal up to `physical_regs - 32` (§3.3).
         let scheme = scheme_of(scheme_code, nrr.min(regs - 32));
-        let mut governed = build(benchmark, scheme, regs, seed);
-        let mut naive = build(benchmark, scheme, regs, seed);
+        let mut governed = build(benchmark, scheme, regs, seed, vp_commit_delay);
+        let mut naive = build(benchmark, scheme, regs, seed, vp_commit_delay);
 
         governed.run_to_commit(first);
         run_to_commit_naive(&mut naive, first);
@@ -105,7 +108,7 @@ proptest! {
         } else {
             RenameScheme::VirtualPhysicalIssue { nrr: 32 }
         };
-        let mut warm_cpu = build(benchmark, canonical, 64, seed);
+        let mut warm_cpu = build(benchmark, canonical, 64, seed, false);
         warm_cpu.run_to_commit(warm);
         let snapshot = warm_cpu.snapshot();
 
@@ -138,7 +141,7 @@ fn retarget_to_current_nrr_is_identity() {
         RenameScheme::VirtualPhysicalIssue { nrr: 32 },
     ] {
         for benchmark in [Benchmark::Go, Benchmark::Swim] {
-            let mut cpu = build(benchmark, scheme, 64, 42);
+            let mut cpu = build(benchmark, scheme, 64, 42, false);
             cpu.run_to_commit(2_000);
             let before = cpu.snapshot();
             cpu.retarget_nrr(32);
@@ -157,6 +160,7 @@ fn upward_retarget_is_refused() {
         RenameScheme::VirtualPhysicalWriteback { nrr: 8 },
         64,
         42,
+        false,
     );
     cpu.run_to_commit(500);
     cpu.retarget_nrr(16);
@@ -173,7 +177,7 @@ fn downward_retarget_keeps_making_progress() {
         } else {
             RenameScheme::VirtualPhysicalIssue { nrr: 32 }
         };
-        let mut cpu = build(Benchmark::Wave5, canonical, 64, exp.seed);
+        let mut cpu = build(Benchmark::Wave5, canonical, 64, exp.seed, false);
         cpu.run_to_commit(3_000);
         cpu.retarget_nrr(1);
         let before = cpu.absolute_committed();

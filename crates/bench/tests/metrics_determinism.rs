@@ -9,8 +9,8 @@
 //! registry without tripping it.
 
 use proptest::prelude::*;
-use vpr_bench::harness::THROUGHPUT_BENCHMARKS;
 use vpr_bench::sweep::MetricsBlock;
+use vpr_bench::workloads::THROUGHPUT_BENCHMARKS;
 use vpr_bench::{run_sweep_metrics, ExperimentConfig, SweepContext, SweepPoint};
 use vpr_core::RenameScheme;
 use vpr_trace::Benchmark;

@@ -11,8 +11,8 @@
 //! `metrics` block (compared as rendered JSON) are covered.
 
 use proptest::prelude::*;
-use vpr_bench::harness::{THROUGHPUT_BENCHMARKS, THROUGHPUT_SCHEMES};
 use vpr_bench::sweep::{PointMetrics, SweepMetrics};
+use vpr_bench::workloads::{THROUGHPUT_BENCHMARKS, THROUGHPUT_SCHEMES};
 use vpr_bench::{run_benchmark, run_sweep_metrics, ExperimentConfig, SweepContext, SweepPoint};
 use vpr_core::{RenameScheme, SimStats};
 use vpr_trace::Benchmark;
@@ -26,7 +26,7 @@ fn quick_exp(jobs: usize) -> ExperimentConfig {
     }
 }
 
-/// The full throughput grid: both benchmarks under all four schemes.
+/// Both gate benchmarks (swim, go) under all four schemes.
 fn grid() -> Vec<SweepPoint> {
     let mut points = Vec::new();
     for benchmark in THROUGHPUT_BENCHMARKS {

@@ -4,7 +4,7 @@
 //! Three layers of pinning:
 //!
 //! 1. `save_restore_run_matches_golden` replays the cycle-exactness
-//!    goldens (`tests/golden/`) with a snapshot/restore inserted in the
+//!    goldens (root `tests/golden/`) with a snapshot/restore inserted in the
 //!    middle of the measurement window, for every renaming scheme on a
 //!    cache-heavy benchmark — so restore is held to the *same* golden
 //!    `SimStats` the optimised kernel is.
@@ -16,7 +16,7 @@
 
 use proptest::prelude::*;
 use std::path::PathBuf;
-use vpr_bench::harness::{scheme_label, THROUGHPUT_SCHEMES};
+use vpr_bench::workloads::{scheme_label, THROUGHPUT_SCHEMES};
 use vpr_bench::ExperimentConfig;
 use vpr_core::{Processor, RenameScheme, SimConfig};
 use vpr_snap::Snapshot;
@@ -41,7 +41,7 @@ fn quick_processor(
 #[test]
 fn save_restore_run_matches_golden() {
     let exp = ExperimentConfig::quick();
-    let golden_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    let golden_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden");
     let benchmark = Benchmark::Swim;
     for scheme in THROUGHPUT_SCHEMES {
         let mut cpu = quick_processor(benchmark, scheme, &exp);

@@ -49,7 +49,7 @@
 //!   constant during quiescence, so the skip replays them in closed
 //!   form; simulated behaviour stays **bit-identical** to the
 //!   cycle-by-cycle kernel ([`Processor::step_single_cycle`]), which
-//!   `crates/bench/tests/cycle_exact_golden.rs` and the governor
+//!   the exact-count gate (`tests/exact_counts.rs`) and the governor
 //!   equivalence proptest pin down.
 
 use crate::config::{RenameScheme, SimConfig};
@@ -690,9 +690,9 @@ impl<S: InstStream, O: PipeObserver> Processor<S, O> {
     /// increment per denied candidate, one `mshr_retries` increment per
     /// blocked retry and per blocked store-buffer head, plus the
     /// occupancy sampling — replayed here in closed form. Behaviour is
-    /// bit-identical to stepping cycle by cycle, which
-    /// `crates/bench/tests/cycle_exact_golden.rs` and the governor
-    /// equivalence proptest pin down.
+    /// bit-identical to stepping cycle by cycle, which the exact-count
+    /// gate (`tests/exact_counts.rs`, which also pins the skipped-cycle
+    /// count) and the governor equivalence proptest pin down.
     fn governor_skip(&mut self, max_cycle: u64) {
         if self.rob.head_hot().is_some_and(|h| h.completed()) {
             return;
@@ -961,10 +961,12 @@ impl<S: InstStream, O: PipeObserver> Processor<S, O> {
                 !head.wrong_path(),
                 "wrong-path entries are squashed, not committed"
             );
-            // Optional PMT-lookup commit delay of the VP schemes (§3.2.2).
+            // Optional PMT-lookup commit delay of the VP schemes (§3.2.2):
+            // commit runs before the event phase, so a head that completed
+            // last cycle would otherwise commit with no delay at all.
             if self.config.vp_commit_delay
                 && self.config.scheme.is_virtual_physical()
-                && head.completed_at >= now
+                && head.completed_at + 1 >= now
             {
                 break;
             }
@@ -2260,7 +2262,10 @@ mod tests {
         delayed.vp_commit_delay = true;
         let fast = Processor::new(base, trace.clone().into_iter()).run_to_completion();
         let slow = Processor::new(delayed, trace.into_iter()).run_to_completion();
-        assert!(slow.cycles >= fast.cycles, "delay cannot speed things up");
+        assert!(
+            slow.cycles > fast.cycles,
+            "the PMT look-up delay must cost cycles"
+        );
     }
 
     #[test]

@@ -61,7 +61,8 @@ impl Stage {
         Stage::Fetch,
     ];
 
-    /// Stable lower-case label (JSON key in the throughput schema).
+    /// Stable lower-case label (the benchmark's `core.<stage>.*` metric
+    /// keys and the exact-count table's column heads).
     pub fn name(self) -> &'static str {
         match self {
             Stage::Governor => "governor",
@@ -128,15 +129,6 @@ impl StageProfile {
     /// Total events across all stages.
     pub fn total_events(&self) -> u64 {
         self.recs.iter().map(|r| r.events).sum()
-    }
-
-    /// Merges another profile into this one (parallel sweeps).
-    pub fn merge(&mut self, other: &StageProfile) {
-        for (a, b) in self.recs.iter_mut().zip(&other.recs) {
-            a.ns += b.ns;
-            a.events += b.events;
-        }
-        self.steps += other.steps;
     }
 }
 
@@ -219,22 +211,6 @@ mod tests {
         assert_eq!(p.stage(Stage::Fetch).events, 8);
         assert_eq!(p.total_ns(), 175);
         assert_eq!(p.total_events(), 14);
-    }
-
-    #[test]
-    fn merge_sums_everything() {
-        let mut a = StageProfile::new();
-        a.record(Stage::Issue, Duration::from_nanos(10), 1);
-        a.steps = 3;
-        let mut b = StageProfile::new();
-        b.record(Stage::Issue, Duration::from_nanos(20), 2);
-        b.record(Stage::Governor, Duration::from_nanos(5), 7);
-        b.steps = 2;
-        a.merge(&b);
-        assert_eq!(a.stage(Stage::Issue).ns, 30);
-        assert_eq!(a.stage(Stage::Issue).events, 3);
-        assert_eq!(a.stage(Stage::Governor).events, 7);
-        assert_eq!(a.steps, 5);
     }
 
     #[test]

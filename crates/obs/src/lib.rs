@@ -132,6 +132,10 @@ impl PipeObserver for NoObs {
     const ENABLED: bool = false;
 }
 
+// The zero-overhead contract, structurally: the disabled observer turns
+// every hook site off and adds no bytes to the `Processor` that holds it.
+const _: () = assert!(!<NoObs as PipeObserver>::ENABLED && size_of::<NoObs>() == 0);
+
 /// The full simulator observer: always-on metrics plus an optional
 /// pipeline lifecycle trace ring.
 #[derive(Debug, Clone, Default)]

@@ -58,12 +58,12 @@
 //!   bit-identical to the naive cycle-by-cycle loop.
 //!
 //! The invariant that these are *pure* throughput optimisations is pinned
-//! by `crates/bench/tests/cycle_exact_golden.rs` (golden `SimStats` under
-//! all four renaming schemes) and by property tests in
-//! `crates/core/tests/proptest_kernel.rs` that check the kernel structures
-//! against simple reference models. Track the perf trajectory with
-//! `cargo run --release -p vpr-bench --bin throughput` (writes
-//! `BENCH_throughput.json`) or `cargo bench -p vpr-bench --bench throughput`;
+//! by `tests/exact_counts.rs` (golden window `SimStats` under all four
+//! renaming schemes, plus exact cycle, step and per-stage event counts, so
+//! a kernel that does more work for the same result fails too) and by
+//! property tests in `crates/core/tests/proptest_kernel.rs` that check the
+//! kernel structures against simple reference models. Host time is
+//! tracked by the benchmark in `perfbench/` (`python3 perfbench/run.py`);
 //! the swap from map-based structures to this kernel raised the quick
 //! table2 workload from ~1.9 to ~4.5 harmonic-mean sim-MIPS (≈2.4×) on the
 //! reference container.

@@ -10,7 +10,7 @@
 //! * the timing pipeline's cycle count and committed count for one full
 //!   program run under all four renaming schemes, so kernel changes
 //!   that shift timing on *real programs* (not just synthetic traces)
-//!   are caught, mirroring `crates/bench/tests/cycle_exact_golden.rs`.
+//!   are caught, mirroring the window goldens of `tests/exact_counts.rs`.
 //!
 //! To regenerate after an intentional behavioural change:
 //!

@@ -2,18 +2,17 @@
 //! module, [`vpr_snap::json::parse`], at a small scale: the experiment
 //! artefacts (Table 2, Figures 4–7, `asm_eval` exact and sampled) and
 //! their run-telemetry twins, a checkpoint manifest, the sampling
-//! accuracy report, the throughput report with its profile block, the
-//! pipeline-trace JSONL and `SimStats::to_json`. One field of each is
-//! spot-checked, so a writer that drifts from the parser fails here.
+//! accuracy report, the pipeline-trace JSONL and `SimStats::to_json`.
+//! One field of each is spot-checked, so a writer that drifts from the
+//! parser fails here.
 
-use vpr_bench::harness::{time_one, HostCalibration, SweepTiming, ThroughputReport};
 use vpr_bench::sampling::{accuracy_to_json, SamplingAccuracy, SamplingPlan};
 use vpr_bench::{experiments, run_benchmark_observed, ExperimentConfig, SweepContext, Workload};
-use vpr_core::{Processor, RenameScheme, SimObserver, Stage, StageProfile};
+use vpr_core::{RenameScheme, SimObserver};
 use vpr_isa::OpClass;
 use vpr_obs::{PipelineTrace, RunTelemetry};
 use vpr_snap::json::{self, Value};
-use vpr_trace::{Benchmark, TraceBuilder};
+use vpr_trace::Benchmark;
 
 fn exp() -> ExperimentConfig {
     ExperimentConfig {
@@ -159,38 +158,6 @@ fn reports_traces_and_stats_parse() {
     assert_eq!(
         field(&doc, &["rows", "0", "sampled_miss_ratio"]),
         &Value::Null
-    );
-
-    let mut profile = StageProfile::new();
-    let config = vpr_bench::checkpoints::sim_config(scheme, 64, &exp);
-    Processor::new(config, TraceBuilder::new(Benchmark::Go).build())
-        .run_profiled(1_000, &mut profile);
-    let report = ThroughputReport {
-        config: exp,
-        runs_per_config: 1,
-        runs: vec![time_one(Benchmark::Go, scheme, &exp)],
-        sweep: SweepTiming {
-            jobs: 1,
-            wall_seconds: 0.5,
-            serial_seconds: 0.5,
-        },
-        host: HostCalibration {
-            ops: 1,
-            seconds: 1.0,
-            mops: 1.0,
-        },
-        notes: "line one\n\"quoted\" \\ tab\t".into(),
-        profile: Some(profile),
-    };
-    let doc = parse("throughput", &report.to_json());
-    assert_eq!(str_at(&doc, &["runs", "0", "label"]), "go/vp-wb-nrr32");
-    assert_eq!(str_at(&doc, &["notes"]), report.notes);
-    assert_eq!(
-        field(&doc, &["profile", "stages"])
-            .as_array()
-            .unwrap()
-            .len(),
-        Stage::ALL.len()
     );
 
     let names = OpClass::ALL.iter().map(|o| o.to_string()).collect();

@@ -1,18 +1,24 @@
 //! End-to-end checks of the paper's qualitative claims on the synthetic
 //! suite (scaled-down runs; the full-size numbers live in EXPERIMENTS.md).
 
-use vpr::core::{harmonic_mean, Processor, RenameScheme, SimConfig};
+use vpr::core::{harmonic_mean, Processor, RenameScheme, SimConfig, SimStats};
 use vpr::trace::{Benchmark, TraceBuilder};
+
+/// The measurement window of `b` under `config`: seed 42, 5 000
+/// warm-up and 40 000 measured instructions.
+fn window(b: Benchmark, config: SimConfig) -> SimStats {
+    let trace = TraceBuilder::new(b).seed(42).build();
+    let mut cpu = Processor::new(config, trace);
+    cpu.warm_up(5_000);
+    cpu.run(40_000)
+}
 
 fn ipc(b: Benchmark, scheme: RenameScheme, regs: usize) -> f64 {
     let config = SimConfig::builder()
         .scheme(scheme)
         .physical_regs(regs)
         .build();
-    let trace = TraceBuilder::new(b).seed(42).build();
-    let mut cpu = Processor::new(config, trace);
-    cpu.warm_up(5_000);
-    cpu.run(40_000).ipc()
+    window(b, config).ipc()
 }
 
 #[test]
@@ -142,7 +148,8 @@ fn tiny_nrr_hurts_fp_programs_under_scarcity() {
     // programs". In our reproduction the FP file only becomes genuinely
     // scarce at 48 registers (see EXPERIMENTS.md on this deviation), so
     // the claim is checked there: NRR=1 must underperform the maximum
-    // NRR (16 at 48 registers).
+    // NRR (16 at 48 registers). This is also the NRR ablation: under
+    // scarcity the maximum NRR never loses to NRR=1.
     for b in [Benchmark::Swim, Benchmark::Apsi] {
         let small = ipc(b, RenameScheme::VirtualPhysicalWriteback { nrr: 1 }, 48);
         let large = ipc(b, RenameScheme::VirtualPhysicalWriteback { nrr: 16 }, 48);
@@ -166,5 +173,73 @@ fn tiny_nrr_hurts_fp_programs_under_scarcity() {
     assert!(
         large >= small,
         "hydro2d: NRR=32 should not lose to NRR=1 ({large:.2} vs {small:.2})"
+    );
+}
+
+#[test]
+fn vp_commit_delay_costs_cycles_but_little_ipc() {
+    // §3.2.2: the PMT look-up may add a cycle before a VP instruction
+    // commits. On swim that must show as cycles, yet stay a small effect.
+    // (Not a universal claim: apsi gets marginally faster with it.)
+    let scheme = RenameScheme::VirtualPhysicalWriteback { nrr: 32 };
+    let fast = window(Benchmark::Swim, SimConfig::builder().scheme(scheme).build());
+    let slow = window(
+        Benchmark::Swim,
+        SimConfig::builder()
+            .scheme(scheme)
+            .vp_commit_delay(true)
+            .build(),
+    );
+    assert!(
+        slow.cycles > fast.cycles,
+        "the commit delay must cost cycles ({} vs {})",
+        slow.cycles,
+        fast.cycles
+    );
+    let ratio = slow.ipc() / fast.ipc();
+    assert!(
+        (ratio - 1.0).abs() <= 0.02,
+        "the commit delay must stay within 2% of IPC, got {ratio:.4}"
+    );
+}
+
+#[test]
+fn early_release_and_writeback_never_lose_to_conventional() {
+    // §3.1's two waste intervals: early release removes the tail after
+    // the last read, write-back allocation the head before write-back.
+    for b in [Benchmark::Swim, Benchmark::Apsi, Benchmark::Vortex] {
+        let conv = ipc(b, RenameScheme::Conventional, 64);
+        let er = ipc(b, RenameScheme::ConventionalEarlyRelease, 64);
+        let wb = ipc(b, RenameScheme::VirtualPhysicalWriteback { nrr: 32 }, 64);
+        assert!(
+            er >= conv * 0.98,
+            "{b}: early release should not lose to conventional ({er:.3} vs {conv:.3})"
+        );
+        assert!(
+            wb >= conv,
+            "{b}: write-back should not lose to conventional ({wb:.3} vs {conv:.3})"
+        );
+    }
+}
+
+#[test]
+fn a_cheaper_miss_shrinks_the_vp_advantage() {
+    // Table 2's sensitivity point: the mean improvement drops from 19% to
+    // 12% when the miss penalty falls from 50 to 20 cycles.
+    let swim_speedup = |miss_penalty| {
+        let at = |scheme| {
+            let config = SimConfig::builder()
+                .scheme(scheme)
+                .miss_penalty(miss_penalty)
+                .build();
+            window(Benchmark::Swim, config).ipc()
+        };
+        at(RenameScheme::VirtualPhysicalWriteback { nrr: 32 }) / at(RenameScheme::Conventional)
+    };
+    let at50 = swim_speedup(50);
+    let at20 = swim_speedup(20);
+    assert!(
+        at20 < at50,
+        "a cheaper miss must shrink the VP advantage: {at20:.2} vs {at50:.2}"
     );
 }

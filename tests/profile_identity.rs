@@ -1,6 +1,7 @@
 //! The stage profiler shares the one step loop: a profiled run must be
 //! architecturally identical to a plain run under every renaming scheme,
-//! and its exact event counts must line up with the architecture.
+//! its exact event counts must line up with the architecture, and the
+//! per-stage rows must account for the profile's totals.
 
 use vpr::core::{Processor, RenameScheme, SimConfig, Stage, StageProfile};
 use vpr::trace::{Benchmark, TraceBuilder, TraceGen};
@@ -42,6 +43,14 @@ fn run_profiled_is_run_for_all_schemes() {
                 profiled.absolute_committed(),
                 "commit events must equal committed instructions on {what}"
             );
+            assert!(
+                prof.stage(Stage::Fetch).events >= profiled.absolute_committed(),
+                "every committed instruction was fetched on {what}"
+            );
+            let ns: u64 = Stage::ALL.iter().map(|&s| prof.stage(s).ns).sum();
+            let events: u64 = Stage::ALL.iter().map(|&s| prof.stage(s).events).sum();
+            assert_eq!(ns, prof.total_ns(), "stage ns rows sum to the total");
+            assert_eq!(events, prof.total_events(), "stage events sum to the total");
             assert!(prof.steps > 0, "no active cycles recorded on {what}");
         }
     }
