@@ -23,8 +23,8 @@
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::checkpoints::{
-    checkpoint_key, config_hash, generate_checkpoints, group_scheme_label, sim_config,
-    CheckpointLoadError, CheckpointOutcome, CheckpointStore, KIND_WARM,
+    checkpoint_key, config_hash, generate_checkpoints, sim_config, CheckpointLoadError,
+    CheckpointOutcome, CheckpointStore, KIND_WARM,
 };
 use crate::sweep::PointMetrics;
 use crate::workloads::{parse_scheme, scheme_label, Workload, WorkloadStream};
@@ -59,23 +59,6 @@ impl JobSpec {
             self.workload.name(),
             scheme_label(self.scheme),
             self.physical_regs
-        )
-    }
-
-    /// The single-flight key two tenants' warm passes coalesce on: the
-    /// (workload, seed, scheme-family) coordinate, via the checkpoint
-    /// store's family-label machinery. Family members serialise their
-    /// warm passes behind one lock; identical points behind it dedup
-    /// outright.
-    pub fn group_key(&self) -> String {
-        format!(
-            "{}/{}@{}r/s{}/w{}/mp{}",
-            self.workload.name(),
-            group_scheme_label(self.scheme, self.physical_regs, &self.exp),
-            self.physical_regs,
-            self.exp.seed,
-            self.exp.warmup,
-            self.exp.miss_penalty
         )
     }
 
@@ -476,26 +459,5 @@ mod tests {
             batch.metrics.miss_ratio.to_bits()
         );
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn group_key_coalesces_family_members() {
-        let a = spec();
-        let b = JobSpec {
-            scheme: RenameScheme::VirtualPhysicalWriteback { nrr: 16 },
-            ..a.clone()
-        };
-        // nrr 16 and 32 share a warm-pass family at 64 regs.
-        assert_eq!(a.group_key(), b.group_key());
-        let c = JobSpec {
-            scheme: RenameScheme::Conventional,
-            ..a.clone()
-        };
-        assert_ne!(a.group_key(), c.group_key());
-        let d = JobSpec {
-            exp: ExperimentConfig { seed: 7, ..a.exp },
-            ..a.clone()
-        };
-        assert_ne!(a.group_key(), d.group_key());
     }
 }

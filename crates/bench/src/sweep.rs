@@ -695,6 +695,22 @@ struct GroupPass {
     generated: Vec<GeneratedCheckpoint>,
 }
 
+/// A sampled sweep point's sharing-group key: the (workload, seed,
+/// scheme-family, register count, warm-up) coordinate, via the
+/// checkpoint store's family-label machinery. Family members share one
+/// warm pass.
+fn group_key(s: &JobSpec) -> String {
+    format!(
+        "{}/{}@{}r/s{}/w{}/mp{}",
+        s.workload.name(),
+        group_scheme_label(s.scheme, s.physical_regs, &s.exp),
+        s.physical_regs,
+        s.exp.seed,
+        s.exp.warmup,
+        s.exp.miss_penalty
+    )
+}
+
 /// The sampled stages: one warm pass per sharing group, then every point
 /// estimated from its group's interval checkpoints; freshly generated
 /// checkpoints are persisted to the store afterwards. The stages only
@@ -714,17 +730,16 @@ fn run_sampled(
     // checkpoints and re-prices only the NRR-dependent state
     // (`Processor::retarget_nrr`), so an NRR sweep pays one pass per
     // (benchmark, seed, family) instead of one per NRR value. Groups are
-    // the daemon's single-flight groups ([`JobSpec::group_key`]), whose
-    // family label already folds the NRR values together; each is
-    // represented by its first point.
+    // keyed by [`group_key`], whose family label already folds the NRR
+    // values together; each is represented by its first point.
     let mut groups: Vec<&JobSpec> = Vec::new();
     let group_of: Vec<usize> = specs
         .iter()
         .map(|s| {
-            let key = s.group_key();
+            let key = group_key(s);
             groups
                 .iter()
-                .position(|g| g.group_key() == key)
+                .position(|g| group_key(g) == key)
                 .unwrap_or_else(|| {
                     groups.push(s);
                     groups.len() - 1
@@ -907,5 +922,31 @@ mod tests {
             "pool output must merge in point order"
         );
         assert!(parallel.failures.is_empty());
+    }
+
+    #[test]
+    fn group_key_coalesces_family_members() {
+        let a = JobSpec {
+            workload: Benchmark::Swim.into(),
+            scheme: RenameScheme::VirtualPhysicalWriteback { nrr: 32 },
+            physical_regs: 64,
+            exp: ExperimentConfig::quick(),
+        };
+        let b = JobSpec {
+            scheme: RenameScheme::VirtualPhysicalWriteback { nrr: 16 },
+            ..a.clone()
+        };
+        // nrr 16 and 32 share a warm-pass family at 64 regs.
+        assert_eq!(group_key(&a), group_key(&b));
+        let c = JobSpec {
+            scheme: RenameScheme::Conventional,
+            ..a.clone()
+        };
+        assert_ne!(group_key(&a), group_key(&c));
+        let d = JobSpec {
+            exp: ExperimentConfig { seed: 7, ..a.exp },
+            ..a.clone()
+        };
+        assert_ne!(group_key(&a), group_key(&d));
     }
 }

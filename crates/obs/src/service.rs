@@ -4,21 +4,19 @@
 //! The struct is a plain snapshot, not a live registry: the daemon keeps
 //! atomics, snapshots them into a [`ServeMetrics`], and renders that
 //! through [`crate::Registry`] — so the export path is identical to every
-//! other artefact the workspace writes, and shard processes can report
-//! their own snapshots for a deterministic [`ServeMetrics::merge`] at the
-//! parent.
+//! other artefact the workspace writes.
 
 use crate::Registry;
 
 /// One snapshot of the sweep service's health counters.
 ///
 /// All fields are additive event counts except `queue_depth`, which is a
-/// point-in-time gauge; [`ServeMetrics::merge`] sums everything (merging
-/// shard snapshots taken at the same instant yields the fleet totals and
-/// the fleet-wide queue depth).
+/// point-in-time gauge.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeMetrics {
-    /// Jobs accepted (journalled and acknowledged) over the process life.
+    /// New jobs accepted (journalled and acknowledged) over the process
+    /// life; a submitted spec that reused an existing job's id counts in
+    /// `dedup_hits` instead.
     pub jobs_accepted: u64,
     /// Jobs that reached a terminal success.
     pub jobs_completed: u64,
@@ -33,8 +31,9 @@ pub struct ServeMetrics {
     /// Retry attempts scheduled (lease reclaims and worker deaths both
     /// land here).
     pub retries: u64,
-    /// Warm passes avoided because another tenant's pass already
-    /// deposited the artefact this job needed.
+    /// Jobs answered by another job's run: a submitted spec that reused
+    /// an existing job's id, or a run that restored a warm checkpoint
+    /// another job deposited.
     pub dedup_hits: u64,
     /// Completed results served straight from the journal on replay,
     /// without recomputation.
@@ -42,20 +41,6 @@ pub struct ServeMetrics {
 }
 
 impl ServeMetrics {
-    /// Sums `other` into `self`, field by field. Addition is commutative
-    /// and associative, so merging shard snapshots in any order yields
-    /// the same totals — the determinism contract the merge test pins.
-    pub fn merge(&mut self, other: &ServeMetrics) {
-        self.jobs_accepted += other.jobs_accepted;
-        self.jobs_completed += other.jobs_completed;
-        self.jobs_failed += other.jobs_failed;
-        self.queue_depth += other.queue_depth;
-        self.lease_expiries += other.lease_expiries;
-        self.retries += other.retries;
-        self.dedup_hits += other.dedup_hits;
-        self.replay_hits += other.replay_hits;
-    }
-
     /// Renders the snapshot into a [`Registry`] under the `vpr_serve_*`
     /// namespace (insertion order is fixed, so the Prometheus text is
     /// byte-stable for equal snapshots).
@@ -93,7 +78,7 @@ impl ServeMetrics {
         );
         r.counter(
             "vpr_serve_dedup_hits_total",
-            "Warm passes avoided via the cross-tenant checkpoint cache",
+            "Jobs answered by another job's run: a reused job id or a warm-checkpoint hit",
             self.dedup_hits,
         );
         r.counter(
@@ -130,25 +115,6 @@ mod tests {
             dedup_hits: 5,
             replay_hits: k / 2,
         }
-    }
-
-    #[test]
-    fn merge_is_order_independent() {
-        let parts = [sample(1), sample(4), sample(9)];
-        let mut forward = ServeMetrics::default();
-        for p in &parts {
-            forward.merge(p);
-        }
-        let mut backward = ServeMetrics::default();
-        for p in parts.iter().rev() {
-            backward.merge(p);
-        }
-        assert_eq!(forward, backward);
-        // And the rendered surfaces are byte-identical, not just the
-        // struct: this is what "determinism-safe merge" means for the
-        // scrape endpoint.
-        assert_eq!(forward.to_prometheus(), backward.to_prometheus());
-        assert_eq!(forward.to_json_value(), backward.to_json_value());
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! artefacts one process invocation at a time. This crate turns the same
 //! job execution ([`vpr_bench::jobs`]) into a **long-running daemon**: N
 //! clients submit sweep grids over a Unix-domain socket (line-delimited
-//! JSON, parsed by the workspace's own [`vpr_snap::manifest`] reader),
-//! workers execute them under leases, and a shared warm-checkpoint store
-//! dedups warm passes across tenants.
+//! JSON, parsed by the workspace's own [`vpr_snap::json`] module),
+//! workers execute them under leases, and each distinct job spec runs
+//! once no matter how many tenants submit it.
 //!
 //! The robustness contract, built from four pieces:
 //!
@@ -20,11 +20,14 @@
 //!    exponential backoff ([`vpr_core::par::RetryPolicy`]). An exhausted
 //!    budget degrades into the structured NaN failure the batch sweep
 //!    reports — a poisoned job can never wedge the queue.
-//! 3. **Cross-tenant warm-pass dedup**: jobs coalesce on their
-//!    (workload, seed, scheme-family) key via single-flight locks over
-//!    the [`vpr_bench::checkpoints::CheckpointStore`]; a warm pass that
-//!    crashes is re-run by the next waiter, and artefacts are deposited
-//!    only on success (atomic writes), so nothing torn is ever cached.
+//! 3. **Dedup by spec**: submit is idempotent on the
+//!    [`vpr_bench::jobs::JobSpec`]. An equal spec whose job has not
+//!    failed gets that job's id back and is never journalled or queued
+//!    again, across tenants and restarts. Specs that share only a
+//!    warm-up restore its checkpoint from the
+//!    [`vpr_bench::checkpoints::CheckpointStore`], whose artefacts are
+//!    deposited only on success (atomic writes), so a crashed run leaves
+//!    nothing torn behind.
 //! 4. **Fault hooks**: the daemon consults
 //!    [`vpr_snap::faults`] at its four service-specific points —
 //!    journal append, lease expiry, client disconnect, worker kill —

@@ -1,17 +1,19 @@
 //! The `vpr-serve` binary: daemon, client, and drill tooling in one.
 //!
 //! ```text
-//! vpr-serve serve    --socket S --dir D [--workers N] [--lease-ms M]
-//!                    [--retries N] [--backoff-base-ms B] [--backoff-cap-ms C]
-//!                    [--shard] [--abort-after-appends N]
-//!                    [--arm-service-fault SEED[:TARGET]]
-//! vpr-serve submit   --socket S [--json OUT] [--workloads a,b] [--schemes x,y]
-//!                    [--regs N] [--warmup N] [--measure N] [--seed N]
-//!                    [--miss-penalty N] [--timeout-s T]
-//! vpr-serve metrics  --socket S
-//! vpr-serve check    --results R.json --golden table2.json
-//! vpr-serve exec-job --spec JSON --dir STORE_DIR
+//! vpr-serve serve   --socket S --dir D [--workers N] [--lease-ms M]
+//!                   [--retries N] [--backoff-base-ms B] [--backoff-cap-ms C]
+//!                   [--abort-after-appends N]
+//!                   [--arm-service-fault SEED[:TARGET]]
+//! vpr-serve submit  --socket S [--json OUT] [--workloads a,b] [--schemes x,y]
+//!                   [--regs N] [--warmup N] [--measure N] [--seed N]
+//!                   [--miss-penalty N] [--timeout-s T]
+//! vpr-serve metrics --socket S
+//! vpr-serve check   --results R.json --golden table2.json
 //! ```
+//!
+//! `submit` is idempotent: a spec the daemon already holds (and has not
+//! failed) comes back under its existing id and is not run again.
 //!
 //! `--abort-after-appends` and `--arm-service-fault` are drill hooks: the
 //! first aborts the process (SIGKILL-equivalent) after N journalled job
@@ -22,9 +24,9 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-use vpr_bench::jobs::{execute_job, JobSpec};
+use vpr_bench::jobs::JobSpec;
 use vpr_bench::workloads::{parse_scheme, Workload};
-use vpr_bench::{take_flag, take_flag_value, write_json_artifact, ExperimentConfig};
+use vpr_bench::{take_flag_value, write_json_artifact, ExperimentConfig};
 use vpr_core::par::RetryPolicy;
 use vpr_serve::{Client, ServeConfig, Server};
 use vpr_snap::json::{self, Value};
@@ -40,7 +42,6 @@ fn main() {
         "submit" => cmd_submit(args),
         "metrics" => cmd_metrics(args),
         "check" => cmd_check(args),
-        "exec-job" => cmd_exec_job(args),
         other => {
             eprintln!("unknown command: {other}");
             usage();
@@ -50,7 +51,7 @@ fn main() {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: vpr-serve <serve|submit|metrics|check|exec-job> [flags]\n\
+        "usage: vpr-serve <serve|submit|metrics|check> [flags]\n\
          see docs/service.md for the full protocol and operator playbook"
     );
     std::process::exit(2);
@@ -97,7 +98,6 @@ fn cmd_serve(mut args: Vec<String>) {
         .map(|v| numeric(v, "--backoff-cap-ms"))
         .unwrap_or(cfg.retry.cap_ms);
     cfg.retry = RetryPolicy::backoff(budget, base, cap);
-    cfg.shard = take_flag(&mut args, "--shard");
     if let Some(v) = take_flag_value(&mut args, "--abort-after-appends") {
         cfg.abort_after_appends = Some(numeric(v, "--abort-after-appends"));
     }
@@ -358,28 +358,4 @@ fn cmd_check(mut args: Vec<String>) {
         std::process::exit(1);
     }
     println!("vpr-serve check: {compared} cells match the golden");
-}
-
-fn cmd_exec_job(mut args: Vec<String>) {
-    let spec_json = required(&mut args, "--spec");
-    let dir = take_flag_value(&mut args, "--dir");
-    reject_leftovers(&args);
-    let spec = json::parse(&spec_json)
-        .map_err(|e| e.to_string())
-        .and_then(|v| JobSpec::from_json(&v))
-        .unwrap_or_else(|e| {
-            eprintln!("vpr-serve exec-job: bad --spec: {e}");
-            std::process::exit(2);
-        });
-    let output = match dir {
-        Some(dir) => {
-            let store =
-                vpr_bench::checkpoints::CheckpointStore::open_resilient(std::path::Path::new(&dir))
-                    .0;
-            let store = std::sync::Mutex::new(store);
-            execute_job(&spec, Some(&store))
-        }
-        None => execute_job(&spec, None),
-    };
-    println!("{}", output.to_json());
 }

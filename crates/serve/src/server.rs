@@ -19,9 +19,16 @@
 //! else (leases, backoff timers, the ready queue) is reconstructible
 //! state that a restart simply resets: replayed non-terminal jobs start
 //! `Queued` with a fresh retry budget.
+//!
+//! ### One run per spec
+//!
+//! Submit is idempotent on the [`JobSpec`]: a spec equal to one already
+//! accepted gets that job's id back, unless the job `Failed`. The repeat
+//! is never journalled or queued, so equal specs from any tenant, before
+//! or after a restart, cost one simulation between them.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -57,10 +64,6 @@ pub struct ServeConfig {
     pub lease_ms: u64,
     /// Retry discipline for worker deaths and expired leases.
     pub retry: RetryPolicy,
-    /// Run each job in a child `vpr-serve exec-job` process (real
-    /// preemption at the lease deadline) instead of an in-process
-    /// worker thread.
-    pub shard: bool,
     /// Test hook: abort the process (as SIGKILL would) after this many
     /// journalled job records — the deterministic "crash at the worst
     /// moment" the kill-and-restart drill uses.
@@ -77,7 +80,6 @@ impl ServeConfig {
             workers: 0,
             lease_ms: 30_000,
             retry: RetryPolicy::backoff(3, 100, 2_000),
-            shard: false,
             abort_after_appends: None,
         }
     }
@@ -121,11 +123,14 @@ struct Counters {
 struct Inner {
     cfg: ServeConfig,
     jobs: Mutex<HashMap<u64, JobEntry>>,
+    /// The id each spec was last accepted under. A submit holds this
+    /// lock for its whole batch, so equal specs racing in from two
+    /// tenants resolve to one id.
+    by_spec: Mutex<HashMap<JobSpec, u64>>,
     ready: Mutex<VecDeque<u64>>,
     ready_cv: Condvar,
     journal: Mutex<Journal>,
     store: Mutex<CheckpointStore>,
-    flights: Mutex<HashMap<String, Arc<Mutex<()>>>>,
     telemetry: Mutex<RunTelemetry>,
     counters: Counters,
     next_id: AtomicU64,
@@ -161,8 +166,11 @@ impl Server {
         }
 
         // Rebuild the job table: terminal records win over their job
-        // record; everything else re-queues with a fresh budget.
+        // record; everything else re-queues with a fresh budget. A spec
+        // journalled twice (by an older daemon) keeps both jobs, and the
+        // latest id answers later submits.
         let mut jobs: HashMap<u64, JobEntry> = HashMap::new();
+        let mut by_spec: HashMap<JobSpec, u64> = HashMap::new();
         let mut max_id = 0u64;
         let now = Instant::now();
         let mut replayed = 0u64;
@@ -170,6 +178,7 @@ impl Server {
             match rec {
                 Record::Job { id, spec } => {
                     max_id = max_id.max(id);
+                    by_spec.insert(spec.clone(), id);
                     jobs.insert(
                         id,
                         JobEntry {
@@ -224,11 +233,11 @@ impl Server {
             telemetry: Mutex::new(RunTelemetry::new(workers)),
             cfg,
             jobs: Mutex::new(jobs),
+            by_spec: Mutex::new(by_spec),
             ready: Mutex::new(ready),
             ready_cv: Condvar::new(),
             journal: Mutex::new(journal),
             store: Mutex::new(store),
-            flights: Mutex::new(HashMap::new()),
             counters: Counters::default(),
             next_id: AtomicU64::new(max_id + 1),
             shutdown: AtomicBool::new(false),
@@ -394,7 +403,18 @@ fn handle_request(inner: &Arc<Inner>, req: Request) -> String {
     match req {
         Request::Submit(specs) => {
             let mut ids = Vec::with_capacity(specs.len());
+            let mut by_spec = lock(&inner.by_spec);
             for spec in specs {
+                if let Some(&id) = by_spec.get(&spec) {
+                    let live = lock(&inner.jobs)
+                        .get(&id)
+                        .is_some_and(|e| !matches!(e.state, JobState::Failed { .. }));
+                    if live {
+                        inner.counters.dedup_hits.fetch_add(1, Ordering::Relaxed);
+                        ids.push(id.to_string());
+                        continue;
+                    }
+                }
                 let id = inner.next_id.fetch_add(1, Ordering::SeqCst);
                 // Durable first, visible second: the ack below covers
                 // only journalled jobs.
@@ -415,6 +435,7 @@ fn handle_request(inner: &Arc<Inner>, req: Request) -> String {
                         std::process::abort();
                     }
                 }
+                by_spec.insert(spec.clone(), id);
                 lock(&inner.jobs).insert(
                     id,
                     JobEntry {
@@ -553,24 +574,14 @@ fn worker_loop(inner: &Arc<Inner>, _worker: usize) {
         };
         let label = spec.label();
         let begun = Instant::now();
-        let outcome = if inner.cfg.shard {
-            run_in_child(inner, &spec)
-        } else {
-            catch_unwind(AssertUnwindSafe(|| {
-                // The injected worker-kill fires here — after the lease,
-                // before any work — modelling a worker that dies the
-                // moment it picks the job up.
-                faults::maybe_kill_worker(&label);
-                let flight = single_flight(inner, &spec.group_key());
-                // A previous holder that died mid-warm-pass poisons the
-                // flight lock; the next waiter claims it and re-runs the
-                // pass (artefacts are only deposited on success, so a
-                // crashed pass left nothing torn behind).
-                let _guard = flight.lock().unwrap_or_else(PoisonError::into_inner);
-                execute_job(&spec, Some(&inner.store))
-            }))
-            .map_err(|payload| panic_text(payload.as_ref()))
-        };
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            // The injected worker-kill fires here — after the lease,
+            // before any work — modelling a worker that dies the moment
+            // it picks the job up.
+            faults::maybe_kill_worker(&label);
+            execute_job(&spec, Some(&inner.store))
+        }))
+        .map_err(|payload| panic_text(payload.as_ref()));
         match outcome {
             Ok(output) => complete_job(inner, id, &spec, output, attempt, queue_wait, begun),
             Err(message) => retry_or_fail(inner, id, &label, &message, attempt),
@@ -585,62 +596,6 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "non-string panic payload".to_string()
-    }
-}
-
-fn single_flight(inner: &Inner, key: &str) -> Arc<Mutex<()>> {
-    Arc::clone(
-        lock(&inner.flights)
-            .entry(key.to_string())
-            .or_insert_with(|| Arc::new(Mutex::new(()))),
-    )
-}
-
-/// Runs one job in a child `vpr-serve exec-job` process, killing it at
-/// the lease deadline (real preemption — a wedged simulation cannot hold
-/// a worker slot past its lease).
-fn run_in_child(inner: &Inner, spec: &JobSpec) -> Result<JobOutput, String> {
-    let exe = std::env::current_exe().map_err(|e| format!("no current exe: {e}"))?;
-    let deadline = Instant::now() + Duration::from_millis(inner.cfg.lease_ms);
-    let mut child = std::process::Command::new(exe)
-        .arg("exec-job")
-        .arg("--spec")
-        .arg(spec.to_json())
-        .arg("--dir")
-        .arg(inner.cfg.dir.join(STORE_SUBDIR))
-        .stdout(std::process::Stdio::piped())
-        .stderr(std::process::Stdio::null())
-        .spawn()
-        .map_err(|e| format!("spawn failed: {e}"))?;
-    loop {
-        match child.try_wait() {
-            Ok(Some(status)) => {
-                let mut out = String::new();
-                if let Some(mut stdout) = child.stdout.take() {
-                    let _ = stdout.read_to_string(&mut out);
-                }
-                if !status.success() {
-                    return Err(format!("exec-job exited with {status}"));
-                }
-                let line = out.lines().last().ok_or("exec-job produced no output")?;
-                let v = vpr_snap::json::parse(line)
-                    .map_err(|e| format!("exec-job output unparseable: {e}"))?;
-                return JobOutput::from_json(&v);
-            }
-            Ok(None) => {
-                if Instant::now() >= deadline {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                    return Err("lease deadline exceeded; shard worker killed".into());
-                }
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(e) => {
-                let _ = child.kill();
-                let _ = child.wait();
-                return Err(format!("wait failed: {e}"));
-            }
-        }
     }
 }
 
@@ -666,6 +621,9 @@ fn complete_job(
         entry.state = JobState::Done {
             output: output.clone(),
         };
+        // Counted under the table lock: a poll that sees `done` sees the
+        // count too.
+        inner.counters.completed.fetch_add(1, Ordering::Relaxed);
     }
     if let Err(e) = lock(&inner.journal).append(&Record::Done {
         id,
@@ -675,7 +633,6 @@ fn complete_job(
         // this one job. Degradation, not loss.
         eprintln!("vpr-serve: done-record append failed for job {id}: {e}");
     }
-    inner.counters.completed.fetch_add(1, Ordering::Relaxed);
     let telemetry_outcome = match output.outcome {
         CheckpointOutcome::Hit(_) => {
             inner.counters.dedup_hits.fetch_add(1, Ordering::Relaxed);

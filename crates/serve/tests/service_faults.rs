@@ -8,8 +8,8 @@
 //! Seeds sweep [`FaultPlan::from_seed_service`], which covers the whole
 //! service matrix (kind × hook × position). Each seed runs an in-process
 //! daemon (the fault registry is process-global) with two concurrent
-//! tenants submitting overlapping grids, so the dedup/single-flight path
-//! is exercised under fault too.
+//! tenants submitting overlapping grids, so dedup by job spec is
+//! exercised under fault too.
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
