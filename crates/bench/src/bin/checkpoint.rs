@@ -15,10 +15,9 @@
 //!     [--schemes l1,l2,...]            # scheme labels; default: conventional,vp-wb-nrr32
 //!     [--regs N]                       # physical registers per class (default 64)
 //!     [--intervals]                    # create: also write per-interval checkpoints
-//!     [--shared]                       # create: family (canonical-NRR) artefacts
 //!     [--run N]                        # verify: continue each restore by N commits
 //!                                      #         and compare against an exact rerun
-//!     [--cross-nrr N1,N2]              # verify: shared-artefact re-target contract
+//!     [--cross-nrr N1,N2]              # verify: shared-pass re-target contract
 //!     [--max-age SECS]                 # repair: also reclaim *.corrupt quarantine
 //!                                      #         files at least SECS old (kept otherwise)
 //!     [--warmup N] [--measure N] [--seed N] [--miss-penalty N] [--jobs N]
@@ -28,29 +27,31 @@
 //! end of warm-up; with `--intervals` it additionally checkpoints every
 //! start of the checkpoint-seeded sampling plan, which is what
 //! `--sampled --checkpoint-dir` experiment runs seed their windows from.
-//! With `--shared` it instead writes one set per *scheme family* under
-//! the canonical (maximum) NRR — the artefacts a sampled NRR sweep
-//! restores for every NRR value via `Processor::retarget_nrr` (see
-//! `docs/sampling.md` §1.3). Stale artefacts (different configuration,
-//! seed, or snapshot format) are rejected at load by the manifest's
-//! config hash — `verify` reports them, `create` replaces them.
+//! Every set is filed under the label of the scheme whose pass ran, and a
+//! sampled NRR sweep restores its family's pass at the maximum NRR for
+//! every NRR value it shares with, via `Processor::retarget_nrr` — so
+//! `create --intervals --schemes vp-wb-nrr32` at 64 registers is the set
+//! a sampled sweep at NRR 8–32 restores (see `docs/sampling.md` §1.2).
+//! Stale artefacts (different configuration, seed, or snapshot format)
+//! are rejected at load by the manifest's config hash — `verify` reports
+//! them, `create` replaces them.
 //!
-//! `verify --cross-nrr N1,N2` additionally pins the shared-artefact
-//! contract on every shared interval checkpoint: re-targeting to the
-//! canonical NRR must be a bit-exact no-op, and for each requested NRR
-//! two independent restore + re-target + run passes must agree on every
-//! counter.
+//! `verify --cross-nrr N1,N2` additionally pins the shared-pass contract
+//! on every interval checkpoint of a virtual-physical scheme at its
+//! configuration's maximum NRR: re-targeting to that NRR must be a
+//! bit-exact no-op, and for each requested NRR two independent restore +
+//! re-target + run passes must agree on every counter.
 
 use std::path::PathBuf;
 use vpr_bench::checkpoints::{
-    checkpoint_key_labelled, config_hash, generate_checkpoints, generate_group_checkpoints,
-    group_scheme_label, load_usage, parse_checkpoint_scheme, shares_group_pass, sim_config,
-    CheckpointLoadError, CheckpointStore, KIND_INTERVAL,
+    config_hash, generate_checkpoints, sim_config, CheckpointLoadError, CheckpointStore,
+    KIND_INTERVAL,
 };
 use vpr_bench::sampling::SamplingPlan;
 use vpr_bench::workloads::{parse_scheme, scheme_label, TABLE2_SCHEMES};
 use vpr_bench::{take_flag, take_flag_value, ExperimentConfig, Table, Workload, WorkloadStream};
 use vpr_core::{par, Processor, RenameScheme};
+use vpr_snap::manifest::{ManifestEntry, ManifestError};
 
 struct Cli {
     command: String,
@@ -59,7 +60,6 @@ struct Cli {
     schemes: Vec<RenameScheme>,
     regs: usize,
     intervals: bool,
-    shared: bool,
     run: Option<u64>,
     cross_nrr: Option<(usize, usize)>,
     max_age: Option<u64>,
@@ -69,7 +69,7 @@ struct Cli {
 fn usage() -> ! {
     eprintln!(
         "usage: checkpoint <create|inspect|verify|repair> [--dir DIR] [--workload a,b,...] \
-         [--schemes l1,l2,...] [--regs N] [--intervals] [--shared] [--run N] \
+         [--schemes l1,l2,...] [--regs N] [--intervals] [--run N] \
          [--cross-nrr N1,N2] [--max-age SECS] \
          [--warmup N] [--measure N] [--seed N] [--miss-penalty N] [--jobs N]"
     );
@@ -126,7 +126,6 @@ fn parse_cli() -> Cli {
         })
         .unwrap_or(64);
     let intervals = take_flag(&mut args, "--intervals");
-    let shared = take_flag(&mut args, "--shared");
     let run = take_flag_value(&mut args, "--run").map(|v| {
         v.parse().unwrap_or_else(|e| {
             eprintln!("bad value for --run: {e}");
@@ -170,7 +169,6 @@ fn parse_cli() -> Cli {
         schemes,
         regs,
         intervals,
-        shared,
         run,
         cross_nrr,
         max_age,
@@ -188,39 +186,10 @@ fn create(cli: &Cli) {
     let plan = cli
         .intervals
         .then(|| SamplingPlan::for_experiment(&cli.exp));
-    let exp = cli.exp;
-    let regs = cli.regs;
-    // --shared: create the *family* (canonical-NRR) artefacts the sampled
-    // NRR sweeps restore, one set per family rather than per scheme.
-    let schemes: Vec<RenameScheme> = if cli.shared {
-        let mut labels = Vec::new();
-        let mut out = Vec::new();
-        for &scheme in &cli.schemes {
-            if !shares_group_pass(scheme, regs, &exp) {
-                eprintln!(
-                    "--shared: scheme {} has no shared family pass",
-                    scheme_label(scheme)
-                );
-                std::process::exit(2);
-            }
-            let label = group_scheme_label(scheme, regs, &exp);
-            if !labels.contains(&label) {
-                labels.push(label);
-                out.push(scheme);
-            }
-        }
-        out
-    } else {
-        cli.schemes.clone()
-    };
-    let grid = vpr_bench::workloads::grid(&cli.workloads, &schemes);
-    let shared = cli.shared;
+    let (exp, regs) = (cli.exp, cli.regs);
+    let grid = vpr_bench::workloads::grid(&cli.workloads, &cli.schemes);
     let generated = par::par_map(exp.effective_jobs(), grid, move |_, (workload, scheme)| {
-        if shared {
-            generate_group_checkpoints(workload, scheme, regs, &exp, plan.as_ref())
-        } else {
-            generate_checkpoints(workload, scheme, regs, &exp, plan.as_ref())
-        }
+        generate_checkpoints(workload, scheme, regs, &exp, plan.as_ref())
     });
     let mut files = 0usize;
     for batch in &generated {
@@ -265,9 +234,6 @@ fn age_of(meta: &std::fs::Metadata) -> String {
 
 fn inspect(cli: &Cli) {
     let store = open_store(cli);
-    // Reuse counts come from the sweeps' best-effort usage ledger
-    // (`usage.tsv`); artefacts never restored simply have no entry.
-    let usage = load_usage(&store.dir);
     let mut table = Table::new(
         [
             "benchmark",
@@ -280,7 +246,6 @@ fn inspect(cli: &Cli) {
             "bytes",
             "age",
             "config-hash",
-            "reuses",
         ]
         .map(String::from)
         .to_vec(),
@@ -291,11 +256,6 @@ fn inspect(cli: &Cli) {
             Ok(m) => (m.len().to_string(), age_of(m)),
             Err(_) => ("missing".into(), "-".into()),
         };
-        let reuses = usage
-            .iter()
-            .find(|(file, _)| *file == e.file)
-            .map(|(_, n)| n.to_string())
-            .unwrap_or_else(|| "0".into());
         table.add_row(vec![
             e.key.benchmark.clone(),
             e.key.scheme.clone(),
@@ -307,7 +267,6 @@ fn inspect(cli: &Cli) {
             size,
             age,
             format!("{:016x}", e.config_hash),
-            reuses,
         ]);
     }
     println!(
@@ -343,36 +302,48 @@ struct ResolvedEntry {
     snapshot: vpr_snap::Snapshot,
 }
 
+/// The experiment coordinates `entry` was taken under.
+fn entry_exp(cli: &Cli, entry: &ManifestEntry) -> ExperimentConfig {
+    ExperimentConfig {
+        warmup: entry.key.warmup,
+        seed: entry.key.seed,
+        miss_penalty: entry.key.miss_penalty,
+        ..cli.exp
+    }
+}
+
+/// The configuration hash of the pass `entry` claims to come from — what
+/// a validating load checks its manifest row against.
+fn entry_hash(cli: &Cli, entry: &ManifestEntry) -> Result<u64, String> {
+    let workload = Workload::parse(&entry.key.benchmark)?;
+    let exp = entry_exp(cli, entry);
+    let scheme = parse_scheme(&entry.key.scheme)?;
+    let config = sim_config(scheme, entry.key.physical_regs as usize, &exp);
+    Ok(config_hash(workload, &config, exp.seed))
+}
+
+/// Whether `entry` comes from a family's shared pass: a virtual-physical
+/// scheme at its configuration's maximum NRR.
+fn is_shared_pass(cli: &Cli, entry: &ManifestEntry) -> bool {
+    let regs = entry.key.physical_regs as usize;
+    parse_scheme(&entry.key.scheme).is_ok_and(|scheme| {
+        scheme.nrr() == Some(sim_config(scheme, regs, &entry_exp(cli, entry)).max_nrr())
+    })
+}
+
 /// Re-derives the configuration `entry` claims and loads its snapshot —
 /// the shared front half of both verification passes. `Err` carries the
 /// printable failure reason.
 fn resolve_and_load(
     cli: &Cli,
     store: &CheckpointStore,
-    entry: &vpr_snap::manifest::ManifestEntry,
+    entry: &ManifestEntry,
 ) -> Result<ResolvedEntry, String> {
     let workload = Workload::parse(&entry.key.benchmark)?;
-    let exp = ExperimentConfig {
-        warmup: entry.key.warmup,
-        seed: entry.key.seed,
-        miss_penalty: entry.key.miss_penalty,
-        ..cli.exp
-    };
+    let exp = entry_exp(cli, entry);
     let regs = entry.key.physical_regs as usize;
-    // Shared family labels resolve to the canonical (maximum-NRR)
-    // configuration their warm pass ran under.
-    let scheme = parse_checkpoint_scheme(&entry.key.scheme, regs, &exp)?;
-    let config = sim_config(scheme, regs, &exp);
-    let hash = config_hash(workload, &config, exp.seed);
-    let key = checkpoint_key_labelled(
-        workload,
-        entry.key.scheme.clone(),
-        regs,
-        &exp,
-        &entry.key.kind,
-        entry.key.target,
-    );
-    let (_, snapshot) = store.load(&key, hash).map_err(|e| e.to_string())?;
+    let hash = entry_hash(cli, entry)?;
+    let (_, snapshot) = store.load(&entry.key, hash).map_err(|e| e.to_string())?;
     Ok(ResolvedEntry {
         workload,
         exp,
@@ -468,7 +439,7 @@ fn verify(cli: &Cli) {
             miss_penalty,
             ..cli.exp
         };
-        let scheme = parse_checkpoint_scheme(&scheme_label_, regs, &exp).expect("validated above");
+        let scheme = parse_scheme(&scheme_label_).expect("validated above");
         let trace = workload.stream(seed);
         let mut reference = Processor::new(sim_config(scheme, regs, &exp), trace);
         group.sort_by_key(|c| c.end_committed);
@@ -488,16 +459,17 @@ fn verify(cli: &Cli) {
             }
         }
     }
-    // --cross-nrr: the shared-artefact contract. Each shared interval
-    // checkpoint must (a) re-target to the canonical NRR as a bit-exact
-    // no-op (snapshot equality), and (b) restore bit-identically for each
-    // requested NRR value: two independent restore + re-target + run
-    // passes must agree on every counter — the property that lets one
-    // warm serial pass serve a whole NRR sweep.
+    // --cross-nrr: the shared-pass contract. Each interval checkpoint of
+    // a family's shared pass (a virtual-physical scheme at its
+    // configuration's maximum NRR, `pass_scheme`) must (a) re-target to
+    // that NRR as a bit-exact no-op (snapshot equality), and (b) restore
+    // bit-identically for each requested NRR value: two independent
+    // restore + re-target + run passes must agree on every counter — the
+    // property that lets one warm serial pass serve a whole NRR sweep.
     let mut shared_checked = 0usize;
     if let Some((nrr_a, nrr_b)) = cli.cross_nrr {
         for entry in &store.manifest.entries {
-            if !entry.key.scheme.ends_with("-shared") || entry.key.kind != KIND_INTERVAL {
+            if entry.key.kind != KIND_INTERVAL || !is_shared_pass(cli, entry) {
                 continue;
             }
             let label = format!(
@@ -618,7 +590,6 @@ fn verify(cli: &Cli) {
 /// `--max-age SECS` reclaims the ones at least SECS old and reports the
 /// bytes freed (`--max-age 0` reclaims them all).
 fn repair(cli: &Cli) {
-    use vpr_snap::manifest::ManifestError;
     let (mut store, note) = CheckpointStore::open_resilient(&cli.dir);
     if let Some(note) = note {
         println!("note {note}");
@@ -661,25 +632,8 @@ fn repair(cli: &Cli) {
             "{}/{} {}@{}",
             entry.key.benchmark, entry.key.scheme, entry.key.kind, entry.key.target
         );
-        let loaded = Workload::parse(&entry.key.benchmark).and_then(|workload| {
-            let exp = ExperimentConfig {
-                warmup: entry.key.warmup,
-                seed: entry.key.seed,
-                miss_penalty: entry.key.miss_penalty,
-                ..cli.exp
-            };
-            let regs = entry.key.physical_regs as usize;
-            let scheme = parse_checkpoint_scheme(&entry.key.scheme, regs, &exp)?;
-            let hash = config_hash(workload, &sim_config(scheme, regs, &exp), exp.seed);
-            let key = checkpoint_key_labelled(
-                workload,
-                entry.key.scheme.clone(),
-                regs,
-                &exp,
-                &entry.key.kind,
-                entry.key.target,
-            );
-            store.load(&key, hash).map_err(|e| match e {
+        let loaded = entry_hash(cli, entry).and_then(|hash| {
+            store.load(&entry.key, hash).map_err(|e| match e {
                 // Stale entries are intact artefacts for some other
                 // configuration: keep them on disk and in the manifest.
                 CheckpointLoadError::Manifest(

@@ -16,6 +16,12 @@
 //! the configuration *about to run* and rejects any mismatch — stale
 //! artefacts fail loudly at load, never silently skew an experiment.
 //!
+//! Every artefact is filed under the scheme label of the configuration
+//! its pass ran. A sampled NRR sweep restores its family's pass at the
+//! maximum NRR ([`pass_scheme`]), so `vp-wb-nrr16@64r` reads the
+//! `vp-wb-nrr32` set — the same files `checkpoint create` and an exact
+//! `vp-wb-nrr32` run write. One pass, one name.
+//!
 //! This module stores and validates artefacts; it runs no measurement.
 //! Exact points restore (or deposit) their warm checkpoint through the
 //! one job executor, [`crate::jobs::execute_job`], and sampled sweeps
@@ -41,39 +47,37 @@ pub const KIND_WARM: &str = "warm";
 /// Checkpoint kind label: taken at a sampling-interval start.
 pub const KIND_INTERVAL: &str = "interval";
 
-/// The configuration whose warm pass a point's *sharing group* reuses:
-/// for the virtual-physical schemes, the same scheme at the
-/// configuration's **maximum** NRR ([`SimConfig::max_nrr`]) — the NRR is
+/// The scheme whose warm serial pass a point restores — and so the
+/// scheme every checkpoint of that pass is filed under. For a
+/// virtual-physical scheme that shares its family's pass
+/// ([`shares_group_pass`]), that is the same scheme at the
+/// configuration's **maximum** NRR ([`SimConfig::max_nrr`]): the NRR is
 /// an allocation-policy parameter only, so one warm pass per (benchmark,
 /// seed, scheme family) serves every NRR value via
-/// `Processor::retarget_nrr`; for every other scheme, the point's own
-/// configuration (nothing to share across).
+/// `Processor::retarget_nrr`. Every other scheme runs its own pass.
 ///
-/// The canonical NRR must be the maximum because re-targeting is only
+/// The shared NRR must be the maximum because re-targeting is only
 /// sound *downward*: the §3.3 invariant `free ≥ NRR − Used` survives
 /// shrinking the reserved set (removing a reserved slot removes at most
 /// one allocated one) but not growing it — a machine warmed under a
 /// small NRR may hold too few free registers to honour a larger reserved
 /// set's guarantee.
-pub fn group_config(
+pub fn pass_scheme(
     scheme: RenameScheme,
     physical_regs: usize,
     exp: &ExperimentConfig,
-) -> SimConfig {
-    let own = sim_config(scheme, physical_regs, exp);
+) -> RenameScheme {
     if !shares_group_pass(scheme, physical_regs, exp) {
-        return own;
+        return scheme;
     }
-    let canonical = match scheme {
-        RenameScheme::VirtualPhysicalIssue { .. } => {
-            RenameScheme::VirtualPhysicalIssue { nrr: own.max_nrr() }
-        }
+    let nrr = sim_config(scheme, physical_regs, exp).max_nrr();
+    match scheme {
+        RenameScheme::VirtualPhysicalIssue { .. } => RenameScheme::VirtualPhysicalIssue { nrr },
         RenameScheme::VirtualPhysicalWriteback { .. } => {
-            RenameScheme::VirtualPhysicalWriteback { nrr: own.max_nrr() }
+            RenameScheme::VirtualPhysicalWriteback { nrr }
         }
         other => other,
-    };
-    sim_config(canonical, physical_regs, exp)
+    }
 }
 
 /// Whether a point restores its family's shared canonical-NRR pass
@@ -92,54 +96,6 @@ pub fn shares_group_pass(
     match scheme.nrr() {
         Some(nrr) => nrr * 4 >= sim_config(scheme, physical_regs, exp).max_nrr(),
         None => false,
-    }
-}
-
-/// The manifest scheme label a point's sharing group stores its
-/// checkpoints under: an NRR-independent family label for
-/// virtual-physical schemes that share the canonical pass
-/// ([`shares_group_pass`]), the point's own label otherwise. The
-/// separate namespace keeps shared (canonical-NRR) artefacts from ever
-/// colliding with exact per-configuration ones.
-pub fn group_scheme_label(
-    scheme: RenameScheme,
-    physical_regs: usize,
-    exp: &ExperimentConfig,
-) -> String {
-    if !shares_group_pass(scheme, physical_regs, exp) {
-        return scheme_label(scheme);
-    }
-    match scheme {
-        RenameScheme::VirtualPhysicalIssue { .. } => "vp-issue-shared".into(),
-        RenameScheme::VirtualPhysicalWriteback { .. } => "vp-wb-shared".into(),
-        other => scheme_label(other),
-    }
-}
-
-/// Parses a manifest scheme label, including the shared family labels
-/// [`group_scheme_label`] produces: `vp-issue-shared` / `vp-wb-shared`
-/// resolve to the family's canonical (maximum-NRR) scheme for
-/// `physical_regs`, everything else through
-/// [`crate::workloads::parse_scheme`].
-///
-/// # Errors
-///
-/// Describes the accepted forms when `label` matches none of them.
-pub fn parse_checkpoint_scheme(
-    label: &str,
-    physical_regs: usize,
-    exp: &ExperimentConfig,
-) -> Result<RenameScheme, String> {
-    let canonical = |family: fn(usize) -> RenameScheme| {
-        let probe = sim_config(family(1), physical_regs, exp);
-        family(probe.max_nrr())
-    };
-    match label {
-        "vp-issue-shared" => Ok(canonical(|nrr| RenameScheme::VirtualPhysicalIssue { nrr })),
-        "vp-wb-shared" => Ok(canonical(|nrr| RenameScheme::VirtualPhysicalWriteback {
-            nrr,
-        })),
-        other => crate::workloads::parse_scheme(other),
     }
 }
 
@@ -197,29 +153,9 @@ pub fn checkpoint_key(
     kind: &str,
     target: u64,
 ) -> CheckpointKey {
-    checkpoint_key_labelled(
-        workload,
-        scheme_label(scheme),
-        physical_regs,
-        exp,
-        kind,
-        target,
-    )
-}
-
-/// [`checkpoint_key`] with an explicit scheme label (the group keys use
-/// family labels that do not name a single scheme).
-pub fn checkpoint_key_labelled(
-    workload: impl Into<Workload>,
-    scheme: String,
-    physical_regs: usize,
-    exp: &ExperimentConfig,
-    kind: &str,
-    target: u64,
-) -> CheckpointKey {
     CheckpointKey {
         benchmark: workload.into().name(),
-        scheme,
+        scheme: scheme_label(scheme),
         physical_regs: physical_regs as u64,
         seed: exp.seed,
         miss_penalty: exp.miss_penalty,
@@ -296,48 +232,8 @@ pub fn generate_checkpoints(
     exp: &ExperimentConfig,
     plan: Option<&SamplingPlan>,
 ) -> Vec<GeneratedCheckpoint> {
+    let workload = workload.into();
     let config = sim_config(scheme, physical_regs, exp);
-    generate_checkpoints_for(
-        workload.into(),
-        config,
-        scheme_label(scheme),
-        physical_regs,
-        exp,
-        plan,
-    )
-}
-
-/// Runs the **group** (canonical-configuration) warm serial pass for
-/// `scheme`'s sharing family and checkpoints it under the family's
-/// manifest label — the artefacts every NRR value of the family restores
-/// (re-targeted via `Processor::retarget_nrr`). Identical to
-/// [`generate_checkpoints`] for schemes with nothing to share.
-pub fn generate_group_checkpoints(
-    workload: impl Into<Workload>,
-    scheme: RenameScheme,
-    physical_regs: usize,
-    exp: &ExperimentConfig,
-    plan: Option<&SamplingPlan>,
-) -> Vec<GeneratedCheckpoint> {
-    let config = group_config(scheme, physical_regs, exp);
-    generate_checkpoints_for(
-        workload.into(),
-        config,
-        group_scheme_label(scheme, physical_regs, exp),
-        physical_regs,
-        exp,
-        plan,
-    )
-}
-
-fn generate_checkpoints_for(
-    workload: Workload,
-    config: SimConfig,
-    label: String,
-    physical_regs: usize,
-    exp: &ExperimentConfig,
-    plan: Option<&SamplingPlan>,
-) -> Vec<GeneratedCheckpoint> {
     let hash = config_hash(workload, &config, exp.seed);
     // Sorted unique targets, each mapping to the kinds checkpointed there.
     let mut targets: Vec<(u64, Vec<&str>)> = vec![(exp.warmup, vec![KIND_WARM])];
@@ -359,14 +255,7 @@ fn generate_checkpoints_for(
         let snapshot = cpu.snapshot();
         for kind in &targets[at].1 {
             out.push(GeneratedCheckpoint {
-                key: checkpoint_key_labelled(
-                    workload,
-                    label.clone(),
-                    physical_regs,
-                    exp,
-                    kind,
-                    target,
-                ),
+                key: checkpoint_key(workload, scheme, physical_regs, exp, kind, target),
                 committed: cpu.absolute_committed(),
                 cycle: cpu.cycle(),
                 trace_cursor: cpu.trace().emitted(),
@@ -580,16 +469,16 @@ impl CheckpointStore {
         }
     }
 
-    /// Loads the full set of **group** (shared, canonical-configuration)
-    /// interval checkpoints for `scheme`'s sharing family, in interval
-    /// order — what a sampled sweep restores and re-targets.
+    /// Loads the full set of `scheme`'s interval checkpoints, in interval
+    /// order — what a sampled sweep restores (for a family's shared pass,
+    /// pass [`pass_scheme`]; the windows re-target it).
     ///
     /// # Errors
     ///
     /// The first checkpoint that is missing, stale or corrupt (see
     /// [`CheckpointStore::load`]); callers then fall back to generating
     /// the serial pass.
-    pub fn load_group_interval_set(
+    pub fn load_interval_set(
         &self,
         workload: impl Into<Workload>,
         scheme: RenameScheme,
@@ -598,90 +487,25 @@ impl CheckpointStore {
         plan: &SamplingPlan,
     ) -> Result<Vec<(u64, Snapshot)>, CheckpointLoadError> {
         let workload = workload.into();
-        let config = group_config(scheme, physical_regs, exp);
+        let config = sim_config(scheme, physical_regs, exp);
         let hash = config_hash(workload, &config, exp.seed);
-        let label = group_scheme_label(scheme, physical_regs, exp);
         plan.starts()
             .into_iter()
             .map(|start| {
-                let key = checkpoint_key_labelled(
-                    workload,
-                    label.clone(),
-                    physical_regs,
-                    exp,
-                    KIND_INTERVAL,
-                    start,
-                );
+                let key =
+                    checkpoint_key(workload, scheme, physical_regs, exp, KIND_INTERVAL, start);
                 Ok((start, self.load(&key, hash)?.1))
             })
             .collect()
     }
 }
 
-// ----------------------------------------------------------------------
-// Checkpoint reuse ledger
-// ----------------------------------------------------------------------
-
-/// Per-directory reuse ledger file: one `<count>\t<file>` line per
-/// artefact that has ever been restored from this store. Best-effort
-/// telemetry — sweeps update it after the measurement so `checkpoint
-/// inspect` can show which artefacts actually earn their keep, but a
-/// missing or unwritable ledger never affects results.
-pub const USAGE_FILE: &str = "usage.tsv";
-
-/// Reads the reuse ledger of `dir`: `(file name, restore count)` pairs.
-/// Malformed lines and a missing ledger read as empty — the ledger is
-/// advisory.
-pub fn load_usage(dir: &Path) -> Vec<(String, u64)> {
-    let Ok(text) = std::fs::read_to_string(dir.join(USAGE_FILE)) else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    for line in text.lines() {
-        if let Some((count, file)) = line.split_once('\t') {
-            if let (Ok(n), false) = (count.trim().parse::<u64>(), file.is_empty()) {
-                out.push((file.to_string(), n));
-            }
-        }
-    }
-    out
-}
-
-/// Folds one sweep's restored-artefact file names into the ledger
-/// (read-merge-rewrite through [`vpr_snap::atomic_write`], so a crash
-/// mid-update leaves the previous ledger intact). Duplicate names in
-/// `used_files` count once each.
-///
-/// # Errors
-///
-/// Propagates I/O failures; callers treat them as ignorable.
-pub fn record_usage(dir: &Path, used_files: &[String]) -> std::io::Result<()> {
-    if used_files.is_empty() {
-        return Ok(());
-    }
-    let mut counts = load_usage(dir);
-    for f in used_files {
-        match counts.iter_mut().find(|(name, _)| name == f) {
-            Some((_, n)) => *n += 1,
-            None => counts.push((f.clone(), 1)),
-        }
-    }
-    counts.sort_by(|a, b| a.0.cmp(&b.0));
-    let mut text = String::new();
-    for (file, n) in &counts {
-        text.push_str(&format!("{n}\t{file}\n"));
-    }
-    std::fs::create_dir_all(dir)?;
-    vpr_snap::atomic_write(&dir.join(USAGE_FILE), text.as_bytes())
-}
-
 /// How one sweep point's warm-up was satisfied — the raw material for the
 /// run-telemetry checkpoint hit/miss counters.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CheckpointOutcome {
-    /// A valid warm checkpoint was restored; carries the artefact's file
-    /// name for the reuse ledger ([`record_usage`]).
-    Hit(String),
+    /// A valid warm checkpoint was restored.
+    Hit,
     /// A store was available but held no usable artefact for this point;
     /// the warm-up was simulated.
     Miss,

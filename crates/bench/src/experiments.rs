@@ -158,15 +158,11 @@ impl Table2 {
 }
 
 /// Regenerates Table 2: conventional vs. VP write-back (NRR = 32) at 64
-/// physical registers per file. The grid runs through the parallel sweep
-/// engine (`exp.jobs` workers); rows are assembled in benchmark order, so
-/// the result is identical for any worker count.
-pub fn table2(exp: &ExperimentConfig) -> Table2 {
-    table2_in(exp, &SweepContext::exact())
-}
-
-/// [`table2`] in an explicit [`SweepContext`]: exact (optionally restoring
-/// warm checkpoints) or sampled (checkpoint-seeded estimation).
+/// physical registers per file, in `ctx`: exact (optionally restoring
+/// warm checkpoints) or sampled (checkpoint-seeded estimation). The grid
+/// runs through the parallel sweep engine (`exp.jobs` workers); rows are
+/// assembled in benchmark order, so the result is identical for any
+/// worker count.
 pub fn table2_in(exp: &ExperimentConfig, ctx: &SweepContext) -> Table2 {
     table2_for(&Workload::synthetic(), exp, ctx)
 }
@@ -362,13 +358,8 @@ fn nrr_sweep(
     }
 }
 
-/// Regenerates Figure 4: VP write-back speedup over conventional for
-/// NRR ∈ {1, 4, 8, 16, 24, 32}.
-pub fn fig4(exp: &ExperimentConfig) -> NrrSweep {
-    fig4_in(exp, &SweepContext::exact())
-}
-
-/// [`fig4`] in an explicit [`SweepContext`].
+/// Regenerates Figure 4 in `ctx`: VP write-back speedup over
+/// conventional for NRR ∈ {1, 4, 8, 16, 24, 32}.
 pub fn fig4_in(exp: &ExperimentConfig, ctx: &SweepContext) -> NrrSweep {
     nrr_sweep(&Workload::synthetic(), exp, ctx, true)
 }
@@ -378,13 +369,8 @@ pub fn fig4_for(workloads: &[Workload], exp: &ExperimentConfig, ctx: &SweepConte
     nrr_sweep(workloads, exp, ctx, true)
 }
 
-/// Regenerates Figure 5: VP issue-allocation speedup over conventional
-/// for the same NRR sweep.
-pub fn fig5(exp: &ExperimentConfig) -> NrrSweep {
-    fig5_in(exp, &SweepContext::exact())
-}
-
-/// [`fig5`] in an explicit [`SweepContext`].
+/// Regenerates Figure 5 in `ctx`: VP issue-allocation speedup over
+/// conventional for the same NRR sweep.
 pub fn fig5_in(exp: &ExperimentConfig, ctx: &SweepContext) -> NrrSweep {
     nrr_sweep(&Workload::synthetic(), exp, ctx, false)
 }
@@ -480,13 +466,8 @@ impl Fig6 {
     }
 }
 
-/// Regenerates Figure 6: both allocation policies at NRR = 32, 64
-/// registers.
-pub fn fig6(exp: &ExperimentConfig) -> Fig6 {
-    fig6_in(exp, &SweepContext::exact())
-}
-
-/// [`fig6`] in an explicit [`SweepContext`].
+/// Regenerates Figure 6 in `ctx`: both allocation policies at NRR = 32,
+/// 64 registers.
 pub fn fig6_in(exp: &ExperimentConfig, ctx: &SweepContext) -> Fig6 {
     fig6_for(&Workload::synthetic(), exp, ctx)
 }
@@ -654,13 +635,8 @@ impl Fig7 {
     }
 }
 
-/// Regenerates Figure 7: conventional vs VP write-back for 48, 64 and 96
-/// physical registers (NRR = 16, 32, 64 respectively).
-pub fn fig7(exp: &ExperimentConfig) -> Fig7 {
-    fig7_in(exp, &SweepContext::exact())
-}
-
-/// [`fig7`] in an explicit [`SweepContext`].
+/// Regenerates Figure 7 in `ctx`: conventional vs VP write-back for 48,
+/// 64 and 96 physical registers (NRR = 16, 32, 64 respectively).
 pub fn fig7_in(exp: &ExperimentConfig, ctx: &SweepContext) -> Fig7 {
     fig7_for(&Workload::synthetic(), exp, ctx)
 }
@@ -711,7 +687,7 @@ pub fn fig7_for(workloads: &[Workload], exp: &ExperimentConfig, ctx: &SweepConte
 // asm_eval — rename schemes on real (assembled) programs vs synthetic
 // ----------------------------------------------------------------------
 
-/// One workload row of the [`asm_eval`] figure: IPC of all four rename
+/// One workload row of the [`asm_eval_in`] figure: IPC of all four rename
 /// schemes at 64 physical registers per class.
 #[derive(Debug, Clone, Copy)]
 pub struct AsmEvalRow {
@@ -863,12 +839,8 @@ pub fn asm_eval_workloads() -> Vec<Workload> {
     ws
 }
 
-/// Regenerates the `asm_eval` figure over the default workload list.
-pub fn asm_eval(exp: &ExperimentConfig) -> AsmEval {
-    asm_eval_in(exp, &SweepContext::exact())
-}
-
-/// [`asm_eval`] in an explicit [`SweepContext`].
+/// Regenerates the `asm_eval` figure over the default workload list, in
+/// `ctx`.
 pub fn asm_eval_in(exp: &ExperimentConfig, ctx: &SweepContext) -> AsmEval {
     asm_eval_for(&asm_eval_workloads(), exp, ctx)
 }

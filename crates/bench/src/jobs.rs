@@ -142,7 +142,7 @@ impl JobOutput {
             json::shortest(self.metrics.miss_ratio),
             json::shortest(self.metrics.executions_per_commit),
             match &self.outcome {
-                CheckpointOutcome::Hit(_) => "hit",
+                CheckpointOutcome::Hit => "hit",
                 CheckpointOutcome::Miss => "miss",
                 CheckpointOutcome::NoStore => "no-store",
             }
@@ -171,7 +171,7 @@ impl JobOutput {
             }
         };
         let outcome = match obj.get("warm").and_then(Value::as_str) {
-            Some("hit") => CheckpointOutcome::Hit(String::new()),
+            Some("hit") => CheckpointOutcome::Hit,
             Some("miss") => CheckpointOutcome::Miss,
             _ => CheckpointOutcome::NoStore,
         };
@@ -295,8 +295,8 @@ pub(crate) fn run_job<O: PipeObserver + Clone>(
     // Manifest lookup and artefact load under the lock; simulation never is.
     let loaded = lock(store).load(&key, hash);
     match loaded {
-        Ok((entry, snapshot)) => match measure_restored(spec, &snapshot, obs.clone()) {
-            Ok(measured) => return done(measured, CheckpointOutcome::Hit(entry.file), notes, None),
+        Ok((_, snapshot)) => match measure_restored(spec, &snapshot, obs.clone()) {
+            Ok(measured) => return done(measured, CheckpointOutcome::Hit, notes, None),
             Err(e) => notes.push(format!("restore failed: {e}")),
         },
         Err(CheckpointLoadError::Manifest(ManifestError::NotFound(_))) => {}
@@ -445,7 +445,7 @@ mod tests {
         // Second run (another tenant): warm hit, identical bits.
         let second = execute_job(&s, Some(&store));
         assert!(
-            matches!(second.outcome, CheckpointOutcome::Hit(_)),
+            matches!(second.outcome, CheckpointOutcome::Hit),
             "{:?}",
             second.outcome
         );

@@ -5,11 +5,11 @@
 //!
 //! | paper artefact | function | binary |
 //! |----------------|----------|--------|
-//! | Table 2 (IPC, conv vs VP write-back) | [`experiments::table2`] | `table2` |
-//! | Figure 4 (write-back speedup vs NRR) | [`experiments::fig4`] | `fig4` |
-//! | Figure 5 (issue speedup vs NRR) | [`experiments::fig5`] | `fig5` |
-//! | Figure 6 (write-back vs issue) | [`experiments::fig6`] | `fig6` |
-//! | Figure 7 (IPC vs register-file size) | [`experiments::fig7`] | `fig7` |
+//! | Table 2 (IPC, conv vs VP write-back) | [`experiments::table2_in`] | `table2` |
+//! | Figure 4 (write-back speedup vs NRR) | [`experiments::fig4_in`] | `fig4` |
+//! | Figure 5 (issue speedup vs NRR) | [`experiments::fig5_in`] | `fig5` |
+//! | Figure 6 (write-back vs issue) | [`experiments::fig6_in`] | `fig6` |
+//! | Figure 7 (IPC vs register-file size) | [`experiments::fig7_in`] | `fig7` |
 //!
 //! Run e.g. `cargo run --release -p vpr-bench --bin table2`, or `--bin
 //! all` for the whole evaluation. Binaries accept `--warmup`, `--measure`,

@@ -386,17 +386,6 @@ impl CheckpointedReport {
         }
     }
 
-    /// Estimated IPC from the pooled window mean alone (no gap modelling)
-    /// — the diagnostic baseline the regression is judged against.
-    pub fn ipc_pooled(&self) -> f64 {
-        let cpi = self.pooled_cpi();
-        if cpi == 0.0 {
-            0.0
-        } else {
-            1.0 / cpi
-        }
-    }
-
     /// Cache miss ratio over the measured windows.
     pub fn miss_ratio(&self) -> f64 {
         let (mut miss, mut total) = (0u64, 0u64);
@@ -420,17 +409,6 @@ impl CheckpointedReport {
             0.0
         } else {
             executions as f64 / committed as f64
-        }
-    }
-
-    /// Fraction of the estimated region actually simulated in detail.
-    pub fn detailed_fraction_achieved(&self) -> f64 {
-        let windows: u64 = self.windows.iter().map(|w| w.stats.committed).sum();
-        let gaps: u64 = self.gaps.iter().map(SpanProfile::len).sum();
-        if windows + gaps == 0 {
-            0.0
-        } else {
-            windows as f64 / (windows + gaps) as f64
         }
     }
 }

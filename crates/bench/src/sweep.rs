@@ -21,12 +21,12 @@
 //! host core, the default) to control the pool.
 
 use crate::checkpoints::{
-    generate_group_checkpoints, group_scheme_label, record_usage, CheckpointLoadError,
-    CheckpointOutcome, CheckpointStore, GeneratedCheckpoint, KIND_INTERVAL,
+    generate_checkpoints, pass_scheme, CheckpointLoadError, CheckpointOutcome, CheckpointStore,
+    GeneratedCheckpoint, KIND_INTERVAL,
 };
 use crate::jobs::{lock, run_job, JobSpec};
 use crate::sampling::{sample_from_checkpoints, SamplingPlan};
-use crate::workloads::Workload;
+use crate::workloads::{scheme_label, Workload};
 use crate::ExperimentConfig;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -584,12 +584,11 @@ pub fn run_sweep_metrics(
 /// What one exact job hands to the merge loop when it simulated (a memo
 /// hit hands `None`): the point's metrics, its window's [`SimMetrics`]
 /// (boxed: about a KiB that each result slot of the pool would otherwise
-/// hold inline), the checkpoint it restored, and whether it ran clean —
-/// no load fault, no failed deposit — and so may be memoised.
+/// hold inline), and whether it ran clean — no load fault, no failed
+/// deposit — and so may be memoised.
 struct Simulated {
     point: PointMetrics,
     metrics: Box<SimMetrics>,
-    restored: Option<String>,
     clean: bool,
 }
 
@@ -631,10 +630,10 @@ fn run_exact(
         }
         let run = run_job(&specs[i], store, SimObserver::new());
         progress.point_done();
-        let (outcome, restored) = match run.outcome {
-            CheckpointOutcome::Hit(file) => (JobOutcome::CacheHit, Some(file)),
-            CheckpointOutcome::Miss => (JobOutcome::CacheMiss, None),
-            CheckpointOutcome::NoStore => (JobOutcome::NoStore, None),
+        let outcome = match run.outcome {
+            CheckpointOutcome::Hit => JobOutcome::CacheHit,
+            CheckpointOutcome::Miss => JobOutcome::CacheMiss,
+            CheckpointOutcome::NoStore => JobOutcome::NoStore,
         };
         let load_note = run.load_note.map(|note| ("checkpoint-load", note));
         let persist_note = run.persist_note.map(|note| ("persist", note));
@@ -643,7 +642,6 @@ fn run_exact(
             value: Some(Simulated {
                 point: PointMetrics::from_stats(&run.stats),
                 metrics: Box::new(run.obs.metrics),
-                restored,
                 clean: notes.is_empty(),
             }),
             notes,
@@ -652,7 +650,6 @@ fn run_exact(
     });
     let mut memo = lock(&ctx.memo.0);
     let mut agg = SimMetrics::default();
-    let mut used_files = Vec::new();
     let out = specs
         .iter()
         .zip(results)
@@ -666,7 +663,6 @@ fn run_exact(
                     memo.insert(memo_key(spec), entry);
                 }
                 agg.merge(*run.metrics);
-                used_files.extend(run.restored);
                 run.point
             }
             Ok(None) => {
@@ -677,12 +673,6 @@ fn run_exact(
             Err(_) => PointMetrics::failed(),
         })
         .collect();
-    drop(memo);
-    // Fold this sweep's restores into the store's reuse ledger
-    // (telemetry only — failures to write never affect results).
-    if let Some(dir) = &ctx.checkpoint_dir {
-        let _ = record_usage(dir, &used_files);
-    }
     let metrics = MetricsBlock::Exact(Box::new(agg));
     stages.finish(out, SamplingProvenance::Exact, metrics)
 }
@@ -695,15 +685,15 @@ struct GroupPass {
     generated: Vec<GeneratedCheckpoint>,
 }
 
-/// A sampled sweep point's sharing-group key: the (workload, seed,
-/// scheme-family, register count, warm-up) coordinate, via the
-/// checkpoint store's family-label machinery. Family members share one
-/// warm pass.
+/// A sampled sweep point's sharing-group key: the (workload, pass scheme,
+/// register count, seed, warm-up, miss penalty) coordinate of the warm
+/// pass it restores ([`pass_scheme`]). Family members that share a pass
+/// share a key.
 fn group_key(s: &JobSpec) -> String {
     format!(
         "{}/{}@{}r/s{}/w{}/mp{}",
         s.workload.name(),
-        group_scheme_label(s.scheme, s.physical_regs, &s.exp),
+        scheme_label(pass_scheme(s.scheme, s.physical_regs, &s.exp)),
         s.physical_regs,
         s.exp.seed,
         s.exp.warmup,
@@ -730,7 +720,7 @@ fn run_sampled(
     // checkpoints and re-prices only the NRR-dependent state
     // (`Processor::retarget_nrr`), so an NRR sweep pays one pass per
     // (benchmark, seed, family) instead of one per NRR value. Groups are
-    // keyed by [`group_key`], whose family label already folds the NRR
+    // keyed by [`group_key`], whose pass scheme already folds the NRR
     // values together; each is represented by its first point.
     let mut groups: Vec<&JobSpec> = Vec::new();
     let group_of: Vec<usize> = specs
@@ -746,11 +736,16 @@ fn run_sampled(
                 })
         })
         .collect();
+    let passes: Vec<RenameScheme> = groups
+        .iter()
+        .map(|g| pass_scheme(g.scheme, g.physical_regs, exp))
+        .collect();
     let group_labels = groups
         .iter()
-        .map(|g| {
-            let family = group_scheme_label(g.scheme, g.physical_regs, exp);
-            format!("group:{}/{family}@{}r", g.workload.name(), g.physical_regs)
+        .zip(&passes)
+        .map(|(g, &pass)| {
+            let (workload, regs) = (g.workload.name(), g.physical_regs);
+            format!("group:{workload}/{}@{regs}r", scheme_label(pass))
         })
         .collect();
 
@@ -760,10 +755,10 @@ fn run_sampled(
     // warm pass — bit-identical, because the on-disk artefacts were
     // produced by the very same pass.
     let sets = stages.run("warm-pass", group_labels, |gi| {
-        let g = groups[gi];
+        let (g, pass) = (groups[gi], passes[gi]);
         let mut notes = Vec::new();
         if let Some(s) = &store {
-            match s.load_group_interval_set(g.workload, g.scheme, g.physical_regs, exp, &plan) {
+            match s.load_interval_set(g.workload, pass, g.physical_regs, exp, &plan) {
                 Ok(set) => {
                     let value = GroupPass {
                         set,
@@ -782,8 +777,7 @@ fn run_sampled(
                 Err(e) => notes.push(("checkpoint-load", e.to_string())),
             }
         }
-        let generated =
-            generate_group_checkpoints(g.workload, g.scheme, g.physical_regs, exp, Some(&plan));
+        let generated = generate_checkpoints(g.workload, pass, g.physical_regs, exp, Some(&plan));
         let set = generated
             .iter()
             .filter(|c| c.key.kind == KIND_INTERVAL)

@@ -468,7 +468,7 @@ impl<S: InstStream, O: PipeObserver> Processor<S, O> {
     /// too few free registers to honour a larger reserved set's
     /// guarantee, which would corrupt the deadlock-freedom argument.
     /// Shared warm passes therefore run at the *maximum* NRR
-    /// (`vpr-bench`'s `group_config`).
+    /// (`vpr-bench`'s `pass_scheme`).
     ///
     /// # Panics
     ///

@@ -634,7 +634,7 @@ fn complete_job(
         eprintln!("vpr-serve: done-record append failed for job {id}: {e}");
     }
     let telemetry_outcome = match output.outcome {
-        CheckpointOutcome::Hit(_) => {
+        CheckpointOutcome::Hit => {
             inner.counters.dedup_hits.fetch_add(1, Ordering::Relaxed);
             JobOutcome::CacheHit
         }
