@@ -16,31 +16,17 @@
 //! do. The JSON artefact (`asm_eval.json`, schema `vpr-bench-asm-eval/v1`)
 //! records per-row IPCs and the per-group harmonic-mean speedups.
 
-use vpr_bench::sweep::SweepContext;
-use vpr_bench::{
-    experiments, take_flag, take_flag_value, take_workloads, write_json_artifact,
-    write_prometheus_metrics, write_run_telemetry, ExperimentConfig,
-};
+use vpr_bench::cli::ExperimentArgs;
+use vpr_bench::experiments;
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let json = take_flag_value(&mut args, "--json").unwrap_or_else(|| "asm_eval.json".into());
-    let sampled = take_flag(&mut args, "--sampled");
-    let checkpoint_dir: Option<std::path::PathBuf> =
-        take_flag_value(&mut args, "--checkpoint-dir").map(Into::into);
-    let metrics_prom = take_flag_value(&mut args, "--metrics-prom");
-    let workloads = take_workloads(&mut args).unwrap_or_else(experiments::asm_eval_workloads);
-    let exp = ExperimentConfig::from_args(args).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
+    let run = ExperimentArgs::from_env("asm_eval.json");
+    let workloads = run
+        .workloads
+        .clone()
+        .unwrap_or_else(experiments::asm_eval_workloads);
     println!("Assembled-program evaluation — all rename schemes, 64 regs/file\n");
-    let ctx = SweepContext::new(sampled, checkpoint_dir.as_deref());
-    if let Err(e) = ctx.try_validate(&exp) {
-        eprintln!("{e}");
-        std::process::exit(2);
-    }
-    let eval = experiments::asm_eval_for(&workloads, &exp, &ctx);
+    let eval = experiments::asm_eval_for(&workloads, &run.exp, &run.ctx);
     print!("{}", eval.render());
     let (asm, synth) = eval.group_speedups();
     if let (Some(asm), Some(synth)) = (asm, synth) {
@@ -49,9 +35,5 @@ fn main() {
              vs {synth:.3}x on synthetic traces"
         );
     }
-    write_json_artifact(std::path::Path::new(&json), &eval.to_json());
-    write_run_telemetry(std::path::Path::new(&json), &eval.telemetry);
-    if let Some(p) = metrics_prom {
-        write_prometheus_metrics(std::path::Path::new(&p), &eval.metrics);
-    }
+    run.write(&eval.to_json(), &eval.telemetry, &eval.metrics);
 }

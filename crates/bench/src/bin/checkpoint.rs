@@ -47,9 +47,10 @@ use vpr_bench::checkpoints::{
     config_hash, generate_checkpoints, sim_config, CheckpointLoadError, CheckpointStore,
     KIND_INTERVAL,
 };
+use vpr_bench::cli::{self, or_exit};
 use vpr_bench::sampling::SamplingPlan;
 use vpr_bench::workloads::{parse_scheme, scheme_label, TABLE2_SCHEMES};
-use vpr_bench::{take_flag, take_flag_value, ExperimentConfig, Table, Workload, WorkloadStream};
+use vpr_bench::{ExperimentConfig, Table, Workload, WorkloadStream};
 use vpr_core::{par, Processor, RenameScheme};
 use vpr_snap::manifest::{ManifestEntry, ManifestError};
 
@@ -77,7 +78,7 @@ fn usage() -> ! {
 }
 
 fn parse_cli() -> Cli {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let mut args = cli::args();
     if args.is_empty() {
         usage();
     }
@@ -86,69 +87,28 @@ fn parse_cli() -> Cli {
         eprintln!("unknown command `{command}`");
         usage();
     }
-    let dir: PathBuf = take_flag_value(&mut args, "--dir")
-        .map(Into::into)
-        .unwrap_or_else(|| "checkpoints".into());
+    let dir: PathBuf = or_exit(cli::value(&mut args, "--dir"))
+        .unwrap_or_else(|| "checkpoints".into())
+        .into();
     // `--workload` is the canonical spelling; `--benchmarks` stays as an
     // alias from before assembled programs joined the workload set.
-    let workload_csv = take_flag_value(&mut args, "--workload")
-        .or_else(|| take_flag_value(&mut args, "--benchmarks"));
-    let workloads = match workload_csv {
-        None => Workload::synthetic(),
-        Some(csv) => csv
-            .split(',')
-            .map(|name| {
-                Workload::parse(name.trim()).unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                })
-            })
-            .collect(),
+    let workloads = match or_exit(cli::workloads(&mut args, "--workload")) {
+        Some(workloads) => workloads,
+        None => {
+            or_exit(cli::workloads(&mut args, "--benchmarks")).unwrap_or_else(Workload::synthetic)
+        }
     };
-    let schemes = match take_flag_value(&mut args, "--schemes") {
-        None => TABLE2_SCHEMES.to_vec(),
-        Some(csv) => csv
-            .split(',')
-            .map(|label| {
-                parse_scheme(label).unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                })
-            })
-            .collect(),
-    };
-    let regs = take_flag_value(&mut args, "--regs")
-        .map(|v| {
-            v.parse().unwrap_or_else(|e| {
-                eprintln!("bad value for --regs: {e}");
-                std::process::exit(2);
-            })
-        })
-        .unwrap_or(64);
-    let intervals = take_flag(&mut args, "--intervals");
-    let run = take_flag_value(&mut args, "--run").map(|v| {
-        v.parse().unwrap_or_else(|e| {
-            eprintln!("bad value for --run: {e}");
-            std::process::exit(2);
-        })
-    });
-    let max_age = take_flag_value(&mut args, "--max-age").map(|v| {
-        v.parse().unwrap_or_else(|e| {
-            eprintln!("bad value for --max-age: {e}");
-            std::process::exit(2);
-        })
-    });
-    let cross_nrr = take_flag_value(&mut args, "--cross-nrr").map(|v| {
-        let parts: Vec<usize> = v
-            .split(',')
-            .map(|n| {
-                n.parse().unwrap_or_else(|e| {
-                    eprintln!("bad value for --cross-nrr: {e}");
-                    std::process::exit(2);
-                })
-            })
-            .collect();
-        let [a, b] = parts[..] else {
+    let schemes =
+        or_exit(cli::schemes(&mut args, "--schemes")).unwrap_or_else(|| TABLE2_SCHEMES.to_vec());
+    let regs = or_exit(cli::number(&mut args, "--regs")).unwrap_or(64);
+    let intervals = cli::flag(&mut args, "--intervals");
+    let run = or_exit(cli::number(&mut args, "--run"));
+    let max_age = or_exit(cli::number(&mut args, "--max-age"));
+    let cross_nrr = or_exit(cli::list(&mut args, "--cross-nrr", |n| {
+        cli::parse_number("--cross-nrr", n)
+    }))
+    .map(|nrrs| {
+        let [a, b] = nrrs[..] else {
             eprintln!("--cross-nrr needs exactly two comma-separated NRR values");
             std::process::exit(2);
         };

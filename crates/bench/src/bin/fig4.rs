@@ -2,36 +2,15 @@
 //! scheme with **write-back** allocation over the conventional scheme,
 //! for NRR ∈ {1, 4, 8, 16, 24, 32} at 64 physical registers.
 
-use vpr_bench::sweep::SweepContext;
-use vpr_bench::{
-    experiments, take_flag, take_flag_value, take_workloads, write_json_artifact,
-    write_prometheus_metrics, write_run_telemetry, ExperimentConfig, Workload,
-};
+use vpr_bench::cli::ExperimentArgs;
+use vpr_bench::{experiments, Workload};
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let json = take_flag_value(&mut args, "--json").unwrap_or_else(|| "fig4.json".into());
-    let sampled = take_flag(&mut args, "--sampled");
-    let checkpoint_dir: Option<std::path::PathBuf> =
-        take_flag_value(&mut args, "--checkpoint-dir").map(Into::into);
-    let metrics_prom = take_flag_value(&mut args, "--metrics-prom");
-    let workloads = take_workloads(&mut args).unwrap_or_else(Workload::synthetic);
-    let exp = ExperimentConfig::from_args(args).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
+    let run = ExperimentArgs::from_env("fig4.json");
+    let workloads = run.workloads.clone().unwrap_or_else(Workload::synthetic);
     println!("Figure 4 — VP write-back speedup vs NRR (64 regs/file)\n");
-    let ctx = SweepContext::new(sampled, checkpoint_dir.as_deref());
-    if let Err(e) = ctx.try_validate(&exp) {
-        eprintln!("{e}");
-        std::process::exit(2);
-    }
-    let sweep = experiments::fig4_for(&workloads, &exp, &ctx);
+    let sweep = experiments::fig4_for(&workloads, &run.exp, &run.ctx);
     print!("{}", sweep.render());
     println!("\npaper: FP best at NRR=24-32 (mean 1.3); tiny NRR can lose to conventional");
-    write_json_artifact(std::path::Path::new(&json), &sweep.to_json());
-    write_run_telemetry(std::path::Path::new(&json), &sweep.telemetry);
-    if let Some(p) = metrics_prom {
-        write_prometheus_metrics(std::path::Path::new(&p), &sweep.metrics);
-    }
+    run.write(&sweep.to_json(), &sweep.telemetry, &sweep.metrics);
 }

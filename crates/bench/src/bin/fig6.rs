@@ -1,39 +1,18 @@
 //! Regenerates the paper's Figure 6: write-back vs issue allocation,
 //! each at its optimal NRR (32), as speedups over conventional renaming.
 
-use vpr_bench::sweep::SweepContext;
-use vpr_bench::{
-    experiments, take_flag, take_flag_value, take_workloads, write_json_artifact,
-    write_prometheus_metrics, write_run_telemetry, ExperimentConfig, Workload,
-};
+use vpr_bench::cli::ExperimentArgs;
+use vpr_bench::{experiments, Workload};
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let json = take_flag_value(&mut args, "--json").unwrap_or_else(|| "fig6.json".into());
-    let sampled = take_flag(&mut args, "--sampled");
-    let checkpoint_dir: Option<std::path::PathBuf> =
-        take_flag_value(&mut args, "--checkpoint-dir").map(Into::into);
-    let metrics_prom = take_flag_value(&mut args, "--metrics-prom");
-    let workloads = take_workloads(&mut args).unwrap_or_else(Workload::synthetic);
-    let exp = ExperimentConfig::from_args(args).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
+    let run = ExperimentArgs::from_env("fig6.json");
+    let workloads = run.workloads.clone().unwrap_or_else(Workload::synthetic);
     println!("Figure 6 — write-back vs issue register allocation (NRR=32, 64 regs/file)\n");
-    let ctx = SweepContext::new(sampled, checkpoint_dir.as_deref());
-    if let Err(e) = ctx.try_validate(&exp) {
-        eprintln!("{e}");
-        std::process::exit(2);
-    }
-    let f6 = experiments::fig6_for(&workloads, &exp, &ctx);
+    let f6 = experiments::fig6_for(&workloads, &run.exp, &run.ctx);
     print!("{}", f6.render());
     println!(
         "\nwrite-back wins on {:.0}% of benchmarks (paper: write-back significantly outperforms issue)",
         100.0 * f6.writeback_win_rate()
     );
-    write_json_artifact(std::path::Path::new(&json), &f6.to_json());
-    write_run_telemetry(std::path::Path::new(&json), &f6.telemetry);
-    if let Some(p) = metrics_prom {
-        write_prometheus_metrics(std::path::Path::new(&p), &f6.metrics);
-    }
+    run.write(&f6.to_json(), &f6.telemetry, &f6.metrics);
 }

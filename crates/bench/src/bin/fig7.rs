@@ -2,31 +2,14 @@
 //! virtual-physical (write-back) schemes for 48, 64 and 96 physical
 //! registers per file (NRR = 16, 32 and 64 respectively).
 
-use vpr_bench::sweep::SweepContext;
-use vpr_bench::{
-    experiments, take_flag, take_flag_value, take_workloads, write_json_artifact,
-    write_prometheus_metrics, write_run_telemetry, ExperimentConfig, Workload,
-};
+use vpr_bench::cli::ExperimentArgs;
+use vpr_bench::{experiments, Workload};
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let json = take_flag_value(&mut args, "--json").unwrap_or_else(|| "fig7.json".into());
-    let sampled = take_flag(&mut args, "--sampled");
-    let checkpoint_dir: Option<std::path::PathBuf> =
-        take_flag_value(&mut args, "--checkpoint-dir").map(Into::into);
-    let metrics_prom = take_flag_value(&mut args, "--metrics-prom");
-    let workloads = take_workloads(&mut args).unwrap_or_else(Workload::synthetic);
-    let exp = ExperimentConfig::from_args(args).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
+    let run = ExperimentArgs::from_env("fig7.json");
+    let workloads = run.workloads.clone().unwrap_or_else(Workload::synthetic);
     println!("Figure 7 — IPC vs register-file size (conv vs VP write-back)\n");
-    let ctx = SweepContext::new(sampled, checkpoint_dir.as_deref());
-    if let Err(e) = ctx.try_validate(&exp) {
-        eprintln!("{e}");
-        std::process::exit(2);
-    }
-    let f7 = experiments::fig7_for(&workloads, &exp, &ctx);
+    let f7 = experiments::fig7_for(&workloads, &run.exp, &run.ctx);
     print!("{}", f7.render());
     let imp = f7.mean_improvements_percent();
     println!(
@@ -38,9 +21,5 @@ fn main() {
         "VP at 48 regs ({:.2}) vs conventional at 64 ({:.2}) — paper finds them about equal",
         ipcs[0].1, ipcs[1].0
     );
-    write_json_artifact(std::path::Path::new(&json), &f7.to_json());
-    write_run_telemetry(std::path::Path::new(&json), &f7.telemetry);
-    if let Some(p) = metrics_prom {
-        write_prometheus_metrics(std::path::Path::new(&p), &f7.metrics);
-    }
+    run.write(&f7.to_json(), &f7.telemetry, &f7.metrics);
 }

@@ -30,8 +30,9 @@
 //! different miss penalty so CI can assert the hook end-to-end.
 
 use std::io::{BufRead, Write};
+use vpr_bench::cli::{self, or_exit};
 use vpr_bench::workloads::parse_scheme;
-use vpr_bench::{take_flag, take_flag_value, ExperimentConfig};
+use vpr_bench::ExperimentConfig;
 use vpr_core::{Processor, SimConfig, SimObserver, SimStats};
 use vpr_isa::OpClass;
 use vpr_obs::trace::validate_jsonl_line;
@@ -41,15 +42,6 @@ use vpr_trace::{Benchmark, TraceBuilder, TraceGen};
 fn die(msg: &str) -> ! {
     eprintln!("{msg}");
     std::process::exit(2);
-}
-
-fn parse_num(args: &mut Vec<String>, flag: &str, default: usize) -> usize {
-    match take_flag_value(args, flag) {
-        None => default,
-        Some(v) => v
-            .parse()
-            .unwrap_or_else(|e| die(&format!("bad value for {flag}: {e}"))),
-    }
 }
 
 /// Validates an existing JSONL trace file line by line; exits 1 on the
@@ -102,32 +94,29 @@ fn reference_stats(
 }
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(path) = take_flag_value(&mut args, "--validate") {
+    let mut args = cli::args();
+    if let Some(path) = or_exit(cli::value(&mut args, "--validate")) {
         validate_file(&path);
     }
-    let benchmark: Benchmark = take_flag_value(&mut args, "--bench")
+    let benchmark: Benchmark = or_exit(cli::value(&mut args, "--bench"))
         .unwrap_or_else(|| "go".into())
         .parse()
         .unwrap_or_else(|e| die(&format!("{e}")));
-    let scheme = parse_scheme(
-        &take_flag_value(&mut args, "--scheme").unwrap_or_else(|| "vp-wb-nrr32".into()),
-    )
-    .unwrap_or_else(|e| die(&e));
-    let regs = parse_num(&mut args, "--regs", 64);
-    let out = take_flag_value(&mut args, "--out").unwrap_or_else(|| "pipetrace.jsonl".into());
-    let format = take_flag_value(&mut args, "--format").unwrap_or_else(|| "jsonl".into());
+    let scheme = or_exit(parse_scheme(
+        &or_exit(cli::value(&mut args, "--scheme")).unwrap_or_else(|| "vp-wb-nrr32".into()),
+    ));
+    let regs = or_exit(cli::number(&mut args, "--regs")).unwrap_or(64);
+    let out = or_exit(cli::value(&mut args, "--out")).unwrap_or_else(|| "pipetrace.jsonl".into());
+    let format = or_exit(cli::value(&mut args, "--format")).unwrap_or_else(|| "jsonl".into());
     if format != "jsonl" && format != "konata" {
         die(&format!("unknown --format `{format}` (jsonl|konata)"));
     }
-    let ring = parse_num(&mut args, "--ring", 65_536);
-    let last = parse_num(&mut args, "--last", 256);
-    let verify = take_flag(&mut args, "--verify-governor");
-    let inject = take_flag(&mut args, "--inject-divergence");
+    let ring = or_exit(cli::number(&mut args, "--ring")).unwrap_or(65_536);
+    let last = or_exit(cli::number(&mut args, "--last")).unwrap_or(256);
+    let verify = cli::flag(&mut args, "--verify-governor");
+    let inject = cli::flag(&mut args, "--inject-divergence");
     let mut exp = ExperimentConfig::quick();
-    if let Err(e) = exp.apply_args(args) {
-        die(&e.to_string());
-    }
+    or_exit(exp.apply_args(args));
 
     // The traced, governed run — the subject under observation.
     let op_names: Vec<String> = OpClass::ALL.iter().map(|o| o.to_string()).collect();

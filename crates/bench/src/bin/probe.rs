@@ -8,28 +8,27 @@
 //!     [--measure N] [--warmup N] [--seed N] [--miss-penalty N]
 //! ```
 //!
-//! Scheme names: `conv`, `vp-issue`, `vp-wb`.
+//! Scheme names: `conv`, `conv-er`, `vp-issue`, `vp-wb`. A malformed
+//! register count or NRR is a usage error (exit 2), like a bad flag.
 
-use vpr_bench::{run_benchmark, take_flag_value, write_json_artifact, ExperimentConfig};
+use vpr_bench::cli::{self, parse_number};
+use vpr_bench::{run_benchmark, ExperimentConfig};
 use vpr_core::RenameScheme;
 use vpr_isa::RegClass;
 use vpr_trace::Benchmark;
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let json = take_flag_value(&mut args, "--json").unwrap_or_else(|| "probe.json".into());
+    let mut args = cli::args();
+    let json = cli::or_exit(cli::value(&mut args, "--json")).unwrap_or_else(|| "probe.json".into());
     if args.len() < 4 {
         eprintln!(
             "usage: probe <benchmark> <conv|conv-er|vp-issue|vp-wb> <physical-regs> <nrr> [flags]"
         );
         std::process::exit(2);
     }
-    let benchmark: Benchmark = args[0].parse().unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
-    let regs: usize = args[2].parse().expect("physical-regs must be a number");
-    let nrr: usize = args[3].parse().expect("nrr must be a number");
+    let benchmark: Benchmark = cli::or_exit(args[0].parse().map_err(|e| format!("{e}")));
+    let regs: usize = cli::or_exit(parse_number("<physical-regs>", &args[2]));
+    let nrr: usize = cli::or_exit(parse_number("<nrr>", &args[3]));
     let scheme = match args[1].as_str() {
         "conv" => RenameScheme::Conventional,
         "conv-er" => RenameScheme::ConventionalEarlyRelease,
@@ -40,10 +39,7 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let exp = ExperimentConfig::from_args(args[4..].iter().cloned()).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
+    let exp = cli::or_exit(ExperimentConfig::from_args(args[4..].iter().cloned()));
     let s = run_benchmark(benchmark, scheme, regs, &exp);
     println!("{benchmark} / {scheme:?} / {regs} regs");
     println!("  cycles                 {}", s.cycles);
@@ -94,5 +90,5 @@ fn main() {
         args[1],
         s.to_json().trim_end(),
     );
-    write_json_artifact(std::path::Path::new(&json), &wrapped);
+    cli::write_artifact(std::path::Path::new(&json), &wrapped);
 }

@@ -1,14 +1,19 @@
 //! The paper's evaluation artefacts (§4.2), as reusable functions.
 //!
-//! Each function sweeps the relevant configurations, returns a structured
-//! result, and can render it as a [`Table`] shaped like the paper's
-//! corresponding table or figure.
+//! Every artefact has one shape: a grid of `(scheme, physical registers)`
+//! configurations is swept for each workload, and each workload's results
+//! become one row. [`Experiment<R>`] is that shape — the rows plus what
+//! every sweep records (sampling provenance, failures, aggregated metrics
+//! and run telemetry) — and [`Table2`], [`NrrSweep`], [`Fig6`], [`Fig7`]
+//! and [`AsmEval`] are its instances. Per figure, this module keeps only
+//! the grid, the row mapping, the JSON body (behind the shared envelope)
+//! and the paper-shaped [`Table`].
 
 use crate::sweep::{
-    failures_json, run_sweep_metrics, MetricsBlock, SamplingProvenance, SweepContext, SweepFailure,
-    SweepPoint,
+    failures_json, run_sweep_metrics, MetricsBlock, PointMetrics, SamplingProvenance, SweepContext,
+    SweepFailure, SweepPoint,
 };
-use crate::workloads::Workload;
+use crate::workloads::{Workload, TABLE2_SCHEMES, THROUGHPUT_SCHEMES};
 use crate::{ExperimentConfig, Table};
 use vpr_core::{harmonic_mean, RenameScheme};
 use vpr_obs::RunTelemetry;
@@ -19,6 +24,95 @@ pub const NRR_SWEEP: [usize; 6] = [1, 4, 8, 16, 24, 32];
 
 /// Register-file sizes (and the NRR used with each) swept in Figure 7.
 pub const REG_SWEEP: [(usize, usize); 3] = [(48, 16), (64, 32), (96, 64)];
+
+/// One evaluation artefact: a row per workload, plus what every sweep
+/// records.
+#[derive(Debug, Clone)]
+pub struct Experiment<R> {
+    /// Per-workload rows, in the order the workloads were given.
+    pub rows: Vec<R>,
+    /// How the numbers were obtained (exact vs sampled) — recorded into
+    /// the JSON artefact so the two are never confusable.
+    pub sampling: SamplingProvenance,
+    /// Faults the sweep survived or degraded around (empty on a clean
+    /// run).
+    pub failures: Vec<SweepFailure>,
+    /// Aggregated simulated-machine metrics of the sweep (the artefact's
+    /// `metrics` block; per-run series for exact sweeps).
+    pub metrics: MetricsBlock,
+    /// Sweep-engine run telemetry (written to `run.telemetry.json`, not
+    /// into the experiment artefact).
+    pub telemetry: RunTelemetry,
+}
+
+impl<R> Experiment<R> {
+    /// Sweeps `grid` for every workload in `ctx` and maps each workload's
+    /// results, in grid order, to its row. The sweep merges in submission
+    /// order, so the rows are identical for any worker count.
+    fn run(
+        workloads: &[Workload],
+        grid: &[(RenameScheme, usize)],
+        exp: &ExperimentConfig,
+        ctx: &SweepContext,
+        row: impl Fn(Workload, &[PointMetrics]) -> R,
+    ) -> Self {
+        let points: Vec<SweepPoint> = workloads
+            .iter()
+            .flat_map(|&workload| {
+                grid.iter().map(move |&(scheme, physical_regs)| SweepPoint {
+                    workload,
+                    scheme,
+                    physical_regs,
+                })
+            })
+            .collect();
+        let sweep = run_sweep_metrics(&points, exp, ctx);
+        Self {
+            rows: workloads
+                .iter()
+                .zip(sweep.points.chunks_exact(grid.len()))
+                .map(|(&w, group)| row(w, group))
+                .collect(),
+            sampling: sweep.provenance,
+            failures: sweep.failures,
+            metrics: sweep.metrics,
+            telemetry: sweep.telemetry,
+        }
+    }
+
+    /// Renders the JSON envelope every artefact shares — `schema`,
+    /// `sampling`, `failures` and `metrics` — around `body`, the
+    /// artefact's own `"key": value` lines (indented, comma-separated, no
+    /// trailing newline).
+    fn to_json_with(&self, schema: &str, body: &str) -> String {
+        format!(
+            "{{\n  \"schema\": \"{schema}\",\n  \"sampling\": {},\n  \"failures\": {},\n  \
+             \"metrics\": {},\n{body}\n}}\n",
+            self.sampling.to_json_value(),
+            failures_json(&self.failures),
+            self.metrics.to_json_value()
+        )
+    }
+}
+
+/// `values` rendered as a JSON number list at `decimals` places.
+fn fixed_list(values: impl IntoIterator<Item = f64>, decimals: usize) -> String {
+    values
+        .into_iter()
+        .map(|x| json::fixed(x, decimals))
+        .collect::<Vec<_>>()
+        .join(", ")
+}
+
+/// A table with `headers`.
+fn table(headers: &[&str]) -> Table {
+    Table::new(headers.iter().map(|h| h.to_string()).collect())
+}
+
+/// The harmonic mean of `column` over `rows`.
+fn hmean<R>(rows: &[R], column: impl Fn(&R) -> f64) -> f64 {
+    harmonic_mean(&rows.iter().map(column).collect::<Vec<_>>())
+}
 
 // ----------------------------------------------------------------------
 // Table 2
@@ -46,30 +140,15 @@ impl Table2Row {
 }
 
 /// The full Table 2 result.
-#[derive(Debug, Clone)]
-pub struct Table2 {
-    /// Per-benchmark rows, integer benchmarks first (paper order).
-    pub rows: Vec<Table2Row>,
-    /// How the numbers were obtained (exact vs sampled) — recorded into
-    /// the JSON artefact so the two are never confusable.
-    pub sampling: SamplingProvenance,
-    /// Faults the sweep survived or degraded around (empty on a clean
-    /// run).
-    pub failures: Vec<SweepFailure>,
-    /// Aggregated simulated-machine metrics of the sweep (the artefact's
-    /// `metrics` block; per-run series for exact sweeps).
-    pub metrics: MetricsBlock,
-    /// Sweep-engine run telemetry (written to `run.telemetry.json`, not
-    /// into the experiment artefact).
-    pub telemetry: RunTelemetry,
-}
+pub type Table2 = Experiment<Table2Row>;
 
 impl Table2 {
     /// Harmonic means of the two IPC columns `(conventional, vp)`.
     pub fn harmonic_means(&self) -> (f64, f64) {
-        let conv: Vec<f64> = self.rows.iter().map(|r| r.conv_ipc).collect();
-        let vp: Vec<f64> = self.rows.iter().map(|r| r.vp_ipc).collect();
-        (harmonic_mean(&conv), harmonic_mean(&vp))
+        (
+            hmean(&self.rows, |r| r.conv_ipc),
+            hmean(&self.rows, |r| r.vp_ipc),
+        )
     }
 
     /// Mean improvement of the harmonic means, in percent (the paper's
@@ -85,12 +164,6 @@ impl Table2 {
     /// metrics as `null` instead of panicking or emitting bare NaN; v4
     /// adds the aggregated `metrics` block (see `docs/observability.md`).
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::new();
-        s.push_str("{\n  \"schema\": \"vpr-bench-table2/v4\",\n");
-        let _ = writeln!(s, "  \"sampling\": {},", self.sampling.to_json_value());
-        let _ = writeln!(s, "  \"failures\": {},", failures_json(&self.failures));
-        let _ = writeln!(s, "  \"metrics\": {},", self.metrics.to_json_value());
         let rows = json::row_array(self.rows.iter().map(|r| {
             format!(
                 "{{\"benchmark\": \"{}\", \"conv_ipc\": {}, \"vp_ipc\": {}, \"improvement_percent\": {}, \"vp_executions_per_commit\": {}}}",
@@ -102,33 +175,29 @@ impl Table2 {
             )
         }));
         let (c, v) = self.harmonic_means();
-        let _ = writeln!(
-            s,
-            "  \"rows\": {rows},\n  \"harmonic_mean_conv_ipc\": {},\n  \"harmonic_mean_vp_ipc\": {},\n  \"mean_improvement_percent\": {}",
-            json::fixed(c, 4),
-            json::fixed(v, 4),
-            json::fixed(self.mean_improvement_percent(), 2)
-        );
-        s.push_str("}\n");
-        s
+        self.to_json_with(
+            "vpr-bench-table2/v4",
+            &format!(
+                "  \"rows\": {rows},\n  \"harmonic_mean_conv_ipc\": {},\n  \"harmonic_mean_vp_ipc\": {},\n  \"mean_improvement_percent\": {}",
+                json::fixed(c, 4),
+                json::fixed(v, 4),
+                json::fixed(self.mean_improvement_percent(), 2)
+            ),
+        )
     }
 
     /// Renders the paper-shaped table (with the paper's reference numbers
     /// alongside for comparison).
     pub fn render(&self) -> Table {
-        let mut t = Table::new(
-            [
-                "bench",
-                "conv IPC",
-                "VP IPC",
-                "imp.%",
-                "paper conv",
-                "paper VP",
-                "paper imp.%",
-            ]
-            .map(String::from)
-            .to_vec(),
-        );
+        let mut t = table(&[
+            "bench",
+            "conv IPC",
+            "VP IPC",
+            "imp.%",
+            "paper conv",
+            "paper VP",
+            "paper imp.%",
+        ]);
         let opt = |v: Option<f64>, fmt: fn(f64) -> String| v.map_or_else(|| "\u{2014}".into(), fmt);
         for r in &self.rows {
             t.add_row(vec![
@@ -171,33 +240,13 @@ pub fn table2_in(exp: &ExperimentConfig, ctx: &SweepContext) -> Table2 {
 /// binary): same two-scheme comparison, any mix of synthetic benchmarks
 /// and assembled programs.
 pub fn table2_for(workloads: &[Workload], exp: &ExperimentConfig, ctx: &SweepContext) -> Table2 {
-    let points: Vec<SweepPoint> = workloads
-        .iter()
-        .flat_map(|&w| {
-            [
-                SweepPoint::at64(w, RenameScheme::Conventional),
-                SweepPoint::at64(w, RenameScheme::VirtualPhysicalWriteback { nrr: 32 }),
-            ]
-        })
-        .collect();
-    let sweep = run_sweep_metrics(&points, exp, ctx);
-    let rows = workloads
-        .iter()
-        .zip(sweep.points.chunks_exact(2))
-        .map(|(&w, pair)| Table2Row {
-            workload: w,
-            conv_ipc: pair[0].ipc,
-            vp_ipc: pair[1].ipc,
-            vp_executions_per_commit: pair[1].executions_per_commit,
-        })
-        .collect();
-    Table2 {
-        rows,
-        sampling: sweep.provenance,
-        failures: sweep.failures,
-        metrics: sweep.metrics,
-        telemetry: sweep.telemetry,
-    }
+    let grid = TABLE2_SCHEMES.map(|scheme| (scheme, 64));
+    Experiment::run(workloads, &grid, exp, ctx, |workload, p| Table2Row {
+        workload,
+        conv_ipc: p[0].ipc,
+        vp_ipc: p[1].ipc,
+        vp_executions_per_commit: p[1].executions_per_commit,
+    })
 }
 
 // ----------------------------------------------------------------------
@@ -209,6 +258,9 @@ pub fn table2_for(workloads: &[Workload], exp: &ExperimentConfig, ctx: &SweepCon
 pub struct NrrSweepRow {
     /// The workload.
     pub workload: Workload,
+    /// The allocation policy swept: write-back (Figure 4) or issue
+    /// (Figure 5).
+    pub writeback: bool,
     /// IPC of the conventional baseline.
     pub conv_ipc: f64,
     /// `IPC_vp / IPC_conv` for each NRR in [`NRR_SWEEP`].
@@ -217,81 +269,46 @@ pub struct NrrSweepRow {
 
 /// A Figure-4/Figure-5-shaped result: per-benchmark speedup series over
 /// the NRR sweep.
-#[derive(Debug, Clone)]
-pub struct NrrSweep {
-    /// Which allocation policy was swept.
-    pub scheme_name: &'static str,
-    /// Per-benchmark series.
-    pub rows: Vec<NrrSweepRow>,
-    /// How the numbers were obtained.
-    pub sampling: SamplingProvenance,
-    /// Faults the sweep survived or degraded around (empty on a clean
-    /// run).
-    pub failures: Vec<SweepFailure>,
-    /// Aggregated simulated-machine metrics of the sweep (the artefact's
-    /// `metrics` block; per-run series for exact sweeps).
-    pub metrics: MetricsBlock,
-    /// Sweep-engine run telemetry (written to `run.telemetry.json`, not
-    /// into the experiment artefact).
-    pub telemetry: RunTelemetry,
-}
+pub type NrrSweep = Experiment<NrrSweepRow>;
 
 impl NrrSweep {
     /// Mean (harmonic, over benchmarks) speedup for each NRR value.
     pub fn mean_speedups(&self) -> Vec<f64> {
         (0..NRR_SWEEP.len())
             .map(|i| {
-                let conv: Vec<f64> = self.rows.iter().map(|r| r.conv_ipc).collect();
-                let vp: Vec<f64> = self
-                    .rows
-                    .iter()
-                    .map(|r| r.conv_ipc * r.speedups[i])
-                    .collect();
-                harmonic_mean(&vp) / harmonic_mean(&conv)
+                hmean(&self.rows, |r| r.conv_ipc * r.speedups[i])
+                    / hmean(&self.rows, |r| r.conv_ipc)
             })
             .collect()
     }
 
     /// Renders the result as JSON (`vpr-bench-nrr-sweep/v4`); `scheme`
-    /// distinguishes Figure 4 (write-back) from Figure 5 (issue). v2
-    /// added the `sampling` provenance block; v3 added `failures` and
-    /// `null` for unmeasured metrics; v4 adds the aggregated `metrics`
-    /// block.
+    /// distinguishes Figure 4 (write-back) from Figure 5 (issue), and is
+    /// `null` for a sweep without rows. v2 added the `sampling`
+    /// provenance block; v3 added `failures` and `null` for unmeasured
+    /// metrics; v4 adds the aggregated `metrics` block.
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let join = |xs: &[f64]| {
-            xs.iter()
-                .map(|x| json::fixed(*x, 4))
-                .collect::<Vec<_>>()
-                .join(", ")
+        let scheme = match self.rows.first() {
+            Some(r) if r.writeback => "\"write-back\"",
+            Some(_) => "\"issue\"",
+            None => "null",
         };
-        let mut s = String::new();
-        s.push_str("{\n  \"schema\": \"vpr-bench-nrr-sweep/v4\",\n");
-        let _ = writeln!(s, "  \"sampling\": {},", self.sampling.to_json_value());
-        let _ = writeln!(s, "  \"failures\": {},", failures_json(&self.failures));
-        let _ = writeln!(s, "  \"metrics\": {},", self.metrics.to_json_value());
-        let _ = writeln!(s, "  \"scheme\": \"{}\",", self.scheme_name);
-        let nrrs = NRR_SWEEP
-            .iter()
-            .map(|n| n.to_string())
-            .collect::<Vec<_>>()
-            .join(", ");
-        let _ = writeln!(s, "  \"nrr\": [{nrrs}],");
         let rows = json::row_array(self.rows.iter().map(|r| {
             format!(
                 "{{\"benchmark\": \"{}\", \"conv_ipc\": {}, \"speedups\": [{}]}}",
                 json::escape(&r.workload.name()),
                 json::fixed(r.conv_ipc, 4),
-                join(&r.speedups)
+                fixed_list(r.speedups.iter().copied(), 4)
             )
         }));
-        let _ = writeln!(
-            s,
-            "  \"rows\": {rows},\n  \"mean_speedups\": [{}]",
-            join(&self.mean_speedups())
-        );
-        s.push_str("}\n");
-        s
+        self.to_json_with(
+            "vpr-bench-nrr-sweep/v4",
+            &format!(
+                "  \"scheme\": {scheme},\n  \"nrr\": [{}],\n  \"rows\": {rows},\n  \"mean_speedups\": [{}]",
+                NRR_SWEEP.map(|n| n.to_string()).join(", "),
+                fixed_list(self.mean_speedups(), 4)
+            ),
+        )
     }
 
     /// Renders the figure as a table: one row per benchmark, one column
@@ -325,43 +342,22 @@ fn nrr_sweep(
             RenameScheme::VirtualPhysicalIssue { nrr }
         }
     };
-    let points: Vec<SweepPoint> = workloads
-        .iter()
-        .flat_map(|&w| {
-            std::iter::once(SweepPoint::at64(w, RenameScheme::Conventional)).chain(
-                NRR_SWEEP
-                    .iter()
-                    .map(move |&nrr| SweepPoint::at64(w, vp(nrr))),
-            )
-        })
+    let grid: Vec<(RenameScheme, usize)> = std::iter::once(RenameScheme::Conventional)
+        .chain(NRR_SWEEP.map(vp))
+        .map(|scheme| (scheme, 64))
         .collect();
-    let sweep = run_sweep_metrics(&points, exp, ctx);
-    let rows = workloads
-        .iter()
-        .zip(sweep.points.chunks_exact(1 + NRR_SWEEP.len()))
-        .map(|(&w, group)| {
-            let conv = group[0].ipc;
-            NrrSweepRow {
-                workload: w,
-                conv_ipc: conv,
-                speedups: group[1..].iter().map(|m| m.ipc / conv).collect(),
-            }
-        })
-        .collect();
-    NrrSweep {
-        scheme_name: if writeback { "write-back" } else { "issue" },
-        rows,
-        sampling: sweep.provenance,
-        failures: sweep.failures,
-        metrics: sweep.metrics,
-        telemetry: sweep.telemetry,
-    }
+    Experiment::run(workloads, &grid, exp, ctx, |workload, p| NrrSweepRow {
+        workload,
+        writeback,
+        conv_ipc: p[0].ipc,
+        speedups: p[1..].iter().map(|m| m.ipc / p[0].ipc).collect(),
+    })
 }
 
 /// Regenerates Figure 4 in `ctx`: VP write-back speedup over
 /// conventional for NRR ∈ {1, 4, 8, 16, 24, 32}.
 pub fn fig4_in(exp: &ExperimentConfig, ctx: &SweepContext) -> NrrSweep {
-    nrr_sweep(&Workload::synthetic(), exp, ctx, true)
+    fig4_for(&Workload::synthetic(), exp, ctx)
 }
 
 /// [`fig4_in`] over an explicit workload list.
@@ -372,7 +368,7 @@ pub fn fig4_for(workloads: &[Workload], exp: &ExperimentConfig, ctx: &SweepConte
 /// Regenerates Figure 5 in `ctx`: VP issue-allocation speedup over
 /// conventional for the same NRR sweep.
 pub fn fig5_in(exp: &ExperimentConfig, ctx: &SweepContext) -> NrrSweep {
-    nrr_sweep(&Workload::synthetic(), exp, ctx, false)
+    fig5_for(&Workload::synthetic(), exp, ctx)
 }
 
 /// [`fig5_in`] over an explicit workload list.
@@ -396,34 +392,13 @@ pub struct Fig6Row {
 }
 
 /// The Figure 6 result.
-#[derive(Debug, Clone)]
-pub struct Fig6 {
-    /// Per-benchmark rows.
-    pub rows: Vec<Fig6Row>,
-    /// How the numbers were obtained.
-    pub sampling: SamplingProvenance,
-    /// Faults the sweep survived or degraded around (empty on a clean
-    /// run).
-    pub failures: Vec<SweepFailure>,
-    /// Aggregated simulated-machine metrics of the sweep (the artefact's
-    /// `metrics` block; per-run series for exact sweeps).
-    pub metrics: MetricsBlock,
-    /// Sweep-engine run telemetry (written to `run.telemetry.json`, not
-    /// into the experiment artefact).
-    pub telemetry: RunTelemetry,
-}
+pub type Fig6 = Experiment<Fig6Row>;
 
 impl Fig6 {
     /// Renders the result as JSON (`vpr-bench-fig6/v4`; v2 added the
     /// `sampling` provenance block, v3 added `failures` and `null` for
     /// unmeasured metrics, v4 adds the aggregated `metrics` block).
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::new();
-        s.push_str("{\n  \"schema\": \"vpr-bench-fig6/v4\",\n");
-        let _ = writeln!(s, "  \"sampling\": {},", self.sampling.to_json_value());
-        let _ = writeln!(s, "  \"failures\": {},", failures_json(&self.failures));
-        let _ = writeln!(s, "  \"metrics\": {},", self.metrics.to_json_value());
         let rows = json::row_array(self.rows.iter().map(|r| {
             format!(
                 "{{\"benchmark\": \"{}\", \"writeback_speedup\": {}, \"issue_speedup\": {}}}",
@@ -432,18 +407,18 @@ impl Fig6 {
                 json::fixed(r.issue_speedup, 4)
             )
         }));
-        let _ = writeln!(
-            s,
-            "  \"rows\": {rows},\n  \"writeback_win_rate\": {}",
-            json::fixed(self.writeback_win_rate(), 4)
-        );
-        s.push_str("}\n");
-        s
+        self.to_json_with(
+            "vpr-bench-fig6/v4",
+            &format!(
+                "  \"rows\": {rows},\n  \"writeback_win_rate\": {}",
+                json::fixed(self.writeback_win_rate(), 4)
+            ),
+        )
     }
 
     /// Renders the figure as a table.
     pub fn render(&self) -> Table {
-        let mut t = Table::new(["bench", "write-back", "issue"].map(String::from).to_vec());
+        let mut t = table(&["bench", "write-back", "issue"]);
         for r in &self.rows {
             t.add_row(vec![
                 r.workload.name(),
@@ -474,36 +449,16 @@ pub fn fig6_in(exp: &ExperimentConfig, ctx: &SweepContext) -> Fig6 {
 
 /// [`fig6_in`] over an explicit workload list.
 pub fn fig6_for(workloads: &[Workload], exp: &ExperimentConfig, ctx: &SweepContext) -> Fig6 {
-    let points: Vec<SweepPoint> = workloads
-        .iter()
-        .flat_map(|&w| {
-            [
-                SweepPoint::at64(w, RenameScheme::Conventional),
-                SweepPoint::at64(w, RenameScheme::VirtualPhysicalWriteback { nrr: 32 }),
-                SweepPoint::at64(w, RenameScheme::VirtualPhysicalIssue { nrr: 32 }),
-            ]
-        })
-        .collect();
-    let sweep = run_sweep_metrics(&points, exp, ctx);
-    let rows = workloads
-        .iter()
-        .zip(sweep.points.chunks_exact(3))
-        .map(|(&w, group)| {
-            let conv = group[0].ipc;
-            Fig6Row {
-                workload: w,
-                writeback_speedup: group[1].ipc / conv,
-                issue_speedup: group[2].ipc / conv,
-            }
-        })
-        .collect();
-    Fig6 {
-        rows,
-        sampling: sweep.provenance,
-        failures: sweep.failures,
-        metrics: sweep.metrics,
-        telemetry: sweep.telemetry,
-    }
+    let grid = [
+        (RenameScheme::Conventional, 64),
+        (RenameScheme::VirtualPhysicalWriteback { nrr: 32 }, 64),
+        (RenameScheme::VirtualPhysicalIssue { nrr: 32 }, 64),
+    ];
+    Experiment::run(workloads, &grid, exp, ctx, |workload, p| Fig6Row {
+        workload,
+        writeback_speedup: p[1].ipc / p[0].ipc,
+        issue_speedup: p[2].ipc / p[0].ipc,
+    })
 }
 
 // ----------------------------------------------------------------------
@@ -520,33 +475,15 @@ pub struct Fig7Row {
 }
 
 /// The Figure 7 result.
-#[derive(Debug, Clone)]
-pub struct Fig7 {
-    /// Per-benchmark rows.
-    pub rows: Vec<Fig7Row>,
-    /// How the numbers were obtained.
-    pub sampling: SamplingProvenance,
-    /// Faults the sweep survived or degraded around (empty on a clean
-    /// run).
-    pub failures: Vec<SweepFailure>,
-    /// Aggregated simulated-machine metrics of the sweep (the artefact's
-    /// `metrics` block; per-run series for exact sweeps).
-    pub metrics: MetricsBlock,
-    /// Sweep-engine run telemetry (written to `run.telemetry.json`, not
-    /// into the experiment artefact).
-    pub telemetry: RunTelemetry,
-}
+pub type Fig7 = Experiment<Fig7Row>;
 
 impl Fig7 {
     /// Mean improvement (of harmonic-mean IPCs) per register-file size,
     /// in percent. The paper reports ≈31%, 19% and 8% for 48/64/96.
     pub fn mean_improvements_percent(&self) -> Vec<f64> {
-        (0..REG_SWEEP.len())
-            .map(|i| {
-                let conv: Vec<f64> = self.rows.iter().map(|r| r.ipcs[i].0).collect();
-                let vp: Vec<f64> = self.rows.iter().map(|r| r.ipcs[i].1).collect();
-                (harmonic_mean(&vp) / harmonic_mean(&conv) - 1.0) * 100.0
-            })
+        self.mean_ipcs()
+            .iter()
+            .map(|(conv, vp)| (vp / conv - 1.0) * 100.0)
             .collect()
     }
 
@@ -554,9 +491,10 @@ impl Fig7 {
     pub fn mean_ipcs(&self) -> Vec<(f64, f64)> {
         (0..REG_SWEEP.len())
             .map(|i| {
-                let conv: Vec<f64> = self.rows.iter().map(|r| r.ipcs[i].0).collect();
-                let vp: Vec<f64> = self.rows.iter().map(|r| r.ipcs[i].1).collect();
-                (harmonic_mean(&conv), harmonic_mean(&vp))
+                (
+                    hmean(&self.rows, |r| r.ipcs[i].0),
+                    hmean(&self.rows, |r| r.ipcs[i].1),
+                )
             })
             .collect()
     }
@@ -565,18 +503,9 @@ impl Fig7 {
     /// `sampling` provenance block, v3 added `failures` and `null` for
     /// unmeasured metrics, v4 adds the aggregated `metrics` block).
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::new();
-        s.push_str("{\n  \"schema\": \"vpr-bench-fig7/v4\",\n");
-        let _ = writeln!(s, "  \"sampling\": {},", self.sampling.to_json_value());
-        let _ = writeln!(s, "  \"failures\": {},", failures_json(&self.failures));
-        let _ = writeln!(s, "  \"metrics\": {},", self.metrics.to_json_value());
         let sizes = REG_SWEEP
-            .iter()
             .map(|(size, nrr)| format!("{{\"physical_regs\": {size}, \"nrr\": {nrr}}}"))
-            .collect::<Vec<_>>()
             .join(", ");
-        let _ = writeln!(s, "  \"sweep\": [{sizes}],");
         let rows = json::row_array(self.rows.iter().map(|r| {
             let ipcs = r
                 .ipcs
@@ -595,18 +524,13 @@ impl Fig7 {
                 json::escape(&r.workload.name())
             )
         }));
-        let means = self
-            .mean_improvements_percent()
-            .iter()
-            .map(|x| json::fixed(*x, 2))
-            .collect::<Vec<_>>()
-            .join(", ");
-        let _ = writeln!(
-            s,
-            "  \"rows\": {rows},\n  \"mean_improvements_percent\": [{means}]"
-        );
-        s.push_str("}\n");
-        s
+        self.to_json_with(
+            "vpr-bench-fig7/v4",
+            &format!(
+                "  \"sweep\": [{sizes}],\n  \"rows\": {rows},\n  \"mean_improvements_percent\": [{}]",
+                fixed_list(self.mean_improvements_percent(), 2)
+            ),
+        )
     }
 
     /// Renders the figure as a table.
@@ -617,20 +541,15 @@ impl Fig7 {
             headers.push(format!("virt({size})"));
         }
         let mut t = Table::new(headers);
+        let cells = |ipcs: &[(f64, f64)]| {
+            ipcs.iter()
+                .flat_map(|(c, v)| [format!("{c:.2}"), format!("{v:.2}")])
+                .collect::<Vec<_>>()
+        };
         for r in &self.rows {
-            let mut row = vec![r.workload.name()];
-            for (c, v) in &r.ipcs {
-                row.push(format!("{c:.2}"));
-                row.push(format!("{v:.2}"));
-            }
-            t.add_row(row);
+            t.add_row([vec![r.workload.name()], cells(&r.ipcs)].concat());
         }
-        let mut mean_row = vec!["harm.mean".to_string()];
-        for (c, v) in self.mean_ipcs() {
-            mean_row.push(format!("{c:.2}"));
-            mean_row.push(format!("{v:.2}"));
-        }
-        t.add_row(mean_row);
+        t.add_row([vec!["harm.mean".to_string()], cells(&self.mean_ipcs())].concat());
         t
     }
 }
@@ -643,44 +562,19 @@ pub fn fig7_in(exp: &ExperimentConfig, ctx: &SweepContext) -> Fig7 {
 
 /// [`fig7_in`] over an explicit workload list.
 pub fn fig7_for(workloads: &[Workload], exp: &ExperimentConfig, ctx: &SweepContext) -> Fig7 {
-    let points: Vec<SweepPoint> = workloads
+    let grid: Vec<(RenameScheme, usize)> = REG_SWEEP
         .iter()
-        .flat_map(|&w| {
-            REG_SWEEP.iter().flat_map(move |&(size, nrr)| {
-                [
-                    SweepPoint {
-                        workload: w,
-                        scheme: RenameScheme::Conventional,
-                        physical_regs: size,
-                    },
-                    SweepPoint {
-                        workload: w,
-                        scheme: RenameScheme::VirtualPhysicalWriteback { nrr },
-                        physical_regs: size,
-                    },
-                ]
-            })
+        .flat_map(|&(size, nrr)| {
+            [
+                (RenameScheme::Conventional, size),
+                (RenameScheme::VirtualPhysicalWriteback { nrr }, size),
+            ]
         })
         .collect();
-    let sweep = run_sweep_metrics(&points, exp, ctx);
-    let rows = workloads
-        .iter()
-        .zip(sweep.points.chunks_exact(2 * REG_SWEEP.len()))
-        .map(|(&w, group)| Fig7Row {
-            workload: w,
-            ipcs: group
-                .chunks_exact(2)
-                .map(|p| (p[0].ipc, p[1].ipc))
-                .collect(),
-        })
-        .collect();
-    Fig7 {
-        rows,
-        sampling: sweep.provenance,
-        failures: sweep.failures,
-        metrics: sweep.metrics,
-        telemetry: sweep.telemetry,
-    }
+    Experiment::run(workloads, &grid, exp, ctx, |workload, p| Fig7Row {
+        workload,
+        ipcs: p.chunks_exact(2).map(|p| (p[0].ipc, p[1].ipc)).collect(),
+    })
 }
 
 // ----------------------------------------------------------------------
@@ -714,21 +608,7 @@ impl AsmEvalRow {
 /// — assembled programs through the `vpr-exec` emulator next to the
 /// synthetic benchmark models — so the paper's claims can be checked on
 /// instruction streams that were *executed*, not generated.
-#[derive(Debug, Clone)]
-pub struct AsmEval {
-    /// Per-workload rows, in the order the workloads were given.
-    pub rows: Vec<AsmEvalRow>,
-    /// How the numbers were obtained.
-    pub sampling: SamplingProvenance,
-    /// Faults the sweep survived or degraded around (empty on a clean
-    /// run).
-    pub failures: Vec<SweepFailure>,
-    /// Aggregated simulated-machine metrics of the sweep.
-    pub metrics: MetricsBlock,
-    /// Sweep-engine run telemetry (written to `run.telemetry.json`, not
-    /// into the experiment artefact).
-    pub telemetry: RunTelemetry,
-}
+pub type AsmEval = Experiment<AsmEvalRow>;
 
 impl AsmEval {
     /// Harmonic-mean VP write-back speedup over the assembled-program
@@ -737,17 +617,13 @@ impl AsmEval {
     /// paper measures on synthetic streams survive on real programs?
     pub fn group_speedups(&self) -> (Option<f64>, Option<f64>) {
         let group = |asm: bool| {
-            let rows: Vec<&AsmEvalRow> = self
+            let rows: Vec<AsmEvalRow> = self
                 .rows
                 .iter()
                 .filter(|r| matches!(r.workload, Workload::Asm(_)) == asm)
+                .copied()
                 .collect();
-            if rows.is_empty() {
-                return None;
-            }
-            let conv: Vec<f64> = rows.iter().map(|r| r.conv_ipc).collect();
-            let vp: Vec<f64> = rows.iter().map(|r| r.vp_wb_ipc).collect();
-            Some(harmonic_mean(&vp) / harmonic_mean(&conv))
+            (!rows.is_empty()).then(|| hmean(&rows, |r| r.vp_wb_ipc) / hmean(&rows, |r| r.conv_ipc))
         };
         (group(true), group(false))
     }
@@ -755,12 +631,6 @@ impl AsmEval {
     /// Renders the result as JSON (`vpr-bench-asm-eval/v1`), in the
     /// hand-rolled style of the other artefacts.
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::new();
-        s.push_str("{\n  \"schema\": \"vpr-bench-asm-eval/v1\",\n");
-        let _ = writeln!(s, "  \"sampling\": {},", self.sampling.to_json_value());
-        let _ = writeln!(s, "  \"failures\": {},", failures_json(&self.failures));
-        let _ = writeln!(s, "  \"metrics\": {},", self.metrics.to_json_value());
         let rows = json::row_array(self.rows.iter().map(|r| {
             format!(
                 "{{\"workload\": \"{}\", \"is_asm\": {}, \"conv_ipc\": {}, \
@@ -776,32 +646,28 @@ impl AsmEval {
             )
         }));
         let (asm, synthetic) = self.group_speedups();
-        let _ = writeln!(
-            s,
-            "  \"rows\": {rows},\n  \"asm_harmonic_vp_wb_speedup\": {},\n  \
-             \"synthetic_harmonic_vp_wb_speedup\": {}",
-            json::fixed(asm.unwrap_or(f64::NAN), 4),
-            json::fixed(synthetic.unwrap_or(f64::NAN), 4)
-        );
-        s.push_str("}\n");
-        s
+        self.to_json_with(
+            "vpr-bench-asm-eval/v1",
+            &format!(
+                "  \"rows\": {rows},\n  \"asm_harmonic_vp_wb_speedup\": {},\n  \
+                 \"synthetic_harmonic_vp_wb_speedup\": {}",
+                json::fixed(asm.unwrap_or(f64::NAN), 4),
+                json::fixed(synthetic.unwrap_or(f64::NAN), 4)
+            ),
+        )
     }
 
     /// Renders the figure as a table: one row per workload, one IPC
     /// column per scheme, plus the VP write-back speedup.
     pub fn render(&self) -> Table {
-        let mut t = Table::new(
-            [
-                "workload",
-                "conv",
-                "early",
-                "vp-issue",
-                "vp-wb",
-                "wb-speedup",
-            ]
-            .map(String::from)
-            .to_vec(),
-        );
+        let mut t = table(&[
+            "workload",
+            "conv",
+            "early",
+            "vp-issue",
+            "vp-wb",
+            "wb-speedup",
+        ]);
         for r in &self.rows {
             t.add_row(vec![
                 r.workload.name(),
@@ -815,14 +681,10 @@ impl AsmEval {
         let (asm, synthetic) = self.group_speedups();
         for (label, v) in [("harm.mean asm", asm), ("harm.mean synth", synthetic)] {
             if let Some(v) = v {
-                t.add_row(vec![
-                    label.into(),
-                    "-".into(),
-                    "-".into(),
-                    "-".into(),
-                    "-".into(),
-                    format!("{v:.2}"),
-                ]);
+                let mut row = vec![label.to_string()];
+                row.extend(["-"; 4].map(String::from));
+                row.push(format!("{v:.2}"));
+                t.add_row(row);
             }
         }
         t
@@ -847,30 +709,14 @@ pub fn asm_eval_in(exp: &ExperimentConfig, ctx: &SweepContext) -> AsmEval {
 
 /// [`asm_eval_in`] over an explicit workload list.
 pub fn asm_eval_for(workloads: &[Workload], exp: &ExperimentConfig, ctx: &SweepContext) -> AsmEval {
-    let schemes = crate::workloads::THROUGHPUT_SCHEMES;
-    let points: Vec<SweepPoint> = workloads
-        .iter()
-        .flat_map(|&w| schemes.iter().map(move |&s| SweepPoint::at64(w, s)))
-        .collect();
-    let sweep = run_sweep_metrics(&points, exp, ctx);
-    let rows = workloads
-        .iter()
-        .zip(sweep.points.chunks_exact(schemes.len()))
-        .map(|(&w, group)| AsmEvalRow {
-            workload: w,
-            conv_ipc: group[0].ipc,
-            early_ipc: group[1].ipc,
-            vp_issue_ipc: group[2].ipc,
-            vp_wb_ipc: group[3].ipc,
-        })
-        .collect();
-    AsmEval {
-        rows,
-        sampling: sweep.provenance,
-        failures: sweep.failures,
-        metrics: sweep.metrics,
-        telemetry: sweep.telemetry,
-    }
+    let grid = THROUGHPUT_SCHEMES.map(|scheme| (scheme, 64));
+    Experiment::run(workloads, &grid, exp, ctx, |workload, p| AsmEvalRow {
+        workload,
+        conv_ipc: p[0].ipc,
+        early_ipc: p[1].ipc,
+        vp_issue_ipc: p[2].ipc,
+        vp_wb_ipc: p[3].ipc,
+    })
 }
 
 #[cfg(test)]

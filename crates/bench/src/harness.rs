@@ -81,9 +81,9 @@ impl ExperimentConfig {
 
     /// Parses the shared experiment flags onto `self` (whatever base —
     /// [`ExperimentConfig::default`] or [`ExperimentConfig::quick`] — the
-    /// caller started from). Binaries with extra flags extract those via
-    /// [`crate::take_flag_value`] first and hand the rest here, so the
-    /// flag set is parsed in exactly one place.
+    /// caller started from). Binaries with extra flags take those out with
+    /// [`crate::cli`] first and hand the rest here, so the flag set is
+    /// parsed in exactly one place.
     ///
     /// # Errors
     ///
@@ -92,10 +92,8 @@ impl ExperimentConfig {
         let mut it = args.into_iter();
         while let Some(flag) = it.next() {
             let mut take = |name: &str| -> Result<u64, String> {
-                it.next()
-                    .ok_or_else(|| format!("{name} needs a value"))?
-                    .parse::<u64>()
-                    .map_err(|e| format!("bad value for {name}: {e}"))
+                let text = it.next().ok_or_else(|| format!("{name} needs a value"))?;
+                crate::cli::parse_number(name, &text)
             };
             match flag.as_str() {
                 "--warmup" => self.warmup = take("--warmup")?,

@@ -28,9 +28,10 @@
 //!   and prices every unmeasured gap from its own exactly-known
 //!   covariates.
 //!
-//! Accuracy is *reported*, not assumed: the `sample` binary runs the exact
-//! sweep next to the sampled one and reports the relative per-point
-//! error, and `tests/sampling_accuracy.rs` gates ≤ 2 % worst
+//! Accuracy is *reported*, not assumed: `table2 --sampled --check-exact
+//! PCT` runs the exact table next to the sampled one, prints the relative
+//! per-configuration error and fails beyond its bounds, and
+//! `tests/sampling_accuracy.rs` gates ≤ 2 % worst
 //! per-configuration error (−1.5 % observed) and ≤ 1 % harmonic-mean
 //! error on the quick table2 grid, from windows covering ≈ half the
 //! region. On this deliberately tiny CI workload (30 k-instruction region,
@@ -41,9 +42,7 @@
 
 use crate::harness::ExperimentConfig;
 use crate::workloads::{Workload, WorkloadStream};
-use std::fmt::Write as _;
 use vpr_core::{par, Processor, RenameScheme, SimConfig, SimStats};
-use vpr_snap::json;
 
 /// Shape of one sampled estimate: where the estimated region lies in the
 /// instruction stream and how much of it is simulated in detail.
@@ -105,7 +104,7 @@ impl SamplingPlan {
     }
 
     /// The plan as a JSON object: the `plan` field of a sampled sweep's
-    /// provenance block and of `sampling.json`.
+    /// provenance block.
     pub fn to_json_value(&self) -> String {
         format!(
             "{{\"offset\": {}, \"region\": {}, \"intervals\": {}, \"detailed_warmup\": 0, \
@@ -640,67 +639,6 @@ impl FunctionalModel {
             _ => (false, false),
         }
     }
-}
-
-/// A sampled estimate next to its full-run reference.
-#[derive(Debug, Clone)]
-pub struct SamplingAccuracy {
-    /// The workload.
-    pub workload: Workload,
-    /// The renaming scheme.
-    pub scheme: RenameScheme,
-    /// IPC of the uninterrupted full run's measurement window.
-    pub full_ipc: f64,
-    /// IPC estimated from the sampled intervals.
-    pub sampled_ipc: f64,
-    /// Cache miss ratio of the full run.
-    pub full_miss_ratio: f64,
-    /// Cache miss ratio estimated from the samples.
-    pub sampled_miss_ratio: f64,
-}
-
-impl SamplingAccuracy {
-    /// Relative IPC error of the sampled estimate, in percent.
-    pub fn ipc_error_percent(&self) -> f64 {
-        if self.full_ipc == 0.0 {
-            0.0
-        } else {
-            (self.sampled_ipc / self.full_ipc - 1.0) * 100.0
-        }
-    }
-}
-
-/// Renders a set of accuracy rows as JSON (`vpr-bench-sampling/v1`),
-/// mirroring the other artefacts' hand-rolled style; a failed point's
-/// NaN metrics render as `null`.
-pub fn accuracy_to_json(rows: &[SamplingAccuracy], plan: &SamplingPlan) -> String {
-    let mut s = String::new();
-    s.push_str("{\n  \"schema\": \"vpr-bench-sampling/v1\",\n");
-    let _ = writeln!(s, "  \"plan\": {},", plan.to_json_value());
-    let rows_json = json::row_array(rows.iter().map(|r| {
-        format!(
-            "{{\"benchmark\": \"{}\", \"scheme\": \"{}\", \"full_ipc\": {}, \
-             \"sampled_ipc\": {}, \"ipc_error_percent\": {}, \
-             \"full_miss_ratio\": {}, \"sampled_miss_ratio\": {}}}",
-            json::escape(&r.workload.name()),
-            json::escape(&crate::workloads::scheme_label(r.scheme)),
-            json::fixed(r.full_ipc, 4),
-            json::fixed(r.sampled_ipc, 4),
-            json::fixed(r.ipc_error_percent(), 3),
-            json::fixed(r.full_miss_ratio, 4),
-            json::fixed(r.sampled_miss_ratio, 4)
-        )
-    }));
-    let worst = rows
-        .iter()
-        .map(|r| r.ipc_error_percent().abs())
-        .fold(0.0f64, f64::max);
-    let _ = writeln!(
-        s,
-        "  \"rows\": {rows_json},\n  \"worst_ipc_error_percent\": {worst:.3}"
-    );
-    s.push_str("}\n");
-    s
 }
 
 #[cfg(test)]

@@ -107,9 +107,6 @@ pub struct SweepContext {
     pub mode: SweepMode,
     /// Checkpoint directory, if any.
     pub checkpoint_dir: Option<PathBuf>,
-    /// Sampling plan override for sampled sweeps; `None` derives the
-    /// checkpoint-seeded plan from the experiment configuration.
-    pub plan: Option<SamplingPlan>,
     memo: Memo,
 }
 
@@ -161,7 +158,6 @@ impl SweepContext {
                 SweepMode::Exact
             },
             checkpoint_dir: dir.map(Path::to_path_buf),
-            plan: None,
             memo: Memo::default(),
         }
     }
@@ -171,14 +167,10 @@ impl SweepContext {
         matches!(self.mode, SweepMode::Sampled)
     }
 
-    /// The sampling plan a sampled sweep of `exp` will use (the explicit
-    /// override, or the derived checkpoint-seeded plan); `None` in exact
-    /// mode.
+    /// The sampling plan a sampled sweep of `exp` uses
+    /// ([`SamplingPlan::for_experiment`]); `None` in exact mode.
     pub fn effective_plan(&self, exp: &ExperimentConfig) -> Option<SamplingPlan> {
-        self.is_sampled().then(|| {
-            self.plan
-                .unwrap_or_else(|| SamplingPlan::for_experiment(exp))
-        })
+        self.is_sampled().then(|| SamplingPlan::for_experiment(exp))
     }
 
     /// Checks the context against an experiment before any simulation

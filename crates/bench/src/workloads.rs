@@ -1,9 +1,9 @@
 //! Shared workload tables, the [`Workload`] abstraction, and
 //! scheme-label plumbing.
 //!
-//! Several binaries and suites sweep the same standard grids — the
-//! `sample` accuracy report, the `checkpoint` artefact manager and the
-//! exact-count gate all iterate (benchmark × scheme) tables that used to
+//! Several binaries and suites sweep the same standard grids — Table 2
+//! and its `--check-exact` gate, the `checkpoint` artefact manager and
+//! the exact-count gate all iterate (benchmark × scheme) tables that used to
 //! be set up independently in each `main`. This module is the single
 //! source of those tables, plus the label ↔ [`RenameScheme`] mapping the
 //! JSON artefacts and the checkpoint manifest key entries use.

@@ -24,9 +24,10 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
+use vpr_bench::cli::{self, or_exit};
 use vpr_bench::jobs::JobSpec;
-use vpr_bench::workloads::{parse_scheme, Workload};
-use vpr_bench::{take_flag_value, write_json_artifact, ExperimentConfig};
+use vpr_bench::workloads::{Workload, TABLE2_SCHEMES};
+use vpr_bench::ExperimentConfig;
 use vpr_core::par::RetryPolicy;
 use vpr_serve::{Client, ServeConfig, Server};
 use vpr_snap::json::{self, Value};
@@ -58,17 +59,18 @@ fn usage() -> ! {
 }
 
 fn required(args: &mut Vec<String>, flag: &str) -> String {
-    take_flag_value(args, flag).unwrap_or_else(|| {
+    or_exit(cli::value(args, flag)).unwrap_or_else(|| {
         eprintln!("missing required flag {flag}");
         std::process::exit(2);
     })
 }
 
-fn numeric<T: std::str::FromStr>(value: String, flag: &str) -> T {
-    value.parse().unwrap_or_else(|_| {
-        eprintln!("{flag} needs a numeric value, got {value:?}");
-        std::process::exit(2);
-    })
+/// `flag N` taken out of `args`, if present; a malformed value exits 2.
+fn numeric<T: std::str::FromStr>(args: &mut Vec<String>, flag: &str) -> Option<T>
+where
+    T::Err: std::fmt::Display,
+{
+    or_exit(cli::number(args, flag))
 }
 
 fn reject_leftovers(args: &[String]) {
@@ -82,35 +84,21 @@ fn cmd_serve(mut args: Vec<String>) {
     let socket = PathBuf::from(required(&mut args, "--socket"));
     let dir = PathBuf::from(required(&mut args, "--dir"));
     let mut cfg = ServeConfig::new(socket, dir);
-    if let Some(v) = take_flag_value(&mut args, "--workers") {
-        cfg.workers = numeric(v, "--workers");
-    }
-    if let Some(v) = take_flag_value(&mut args, "--lease-ms") {
-        cfg.lease_ms = numeric(v, "--lease-ms");
-    }
-    let budget = take_flag_value(&mut args, "--retries")
-        .map(|v| numeric(v, "--retries"))
-        .unwrap_or(cfg.retry.budget);
-    let base = take_flag_value(&mut args, "--backoff-base-ms")
-        .map(|v| numeric(v, "--backoff-base-ms"))
-        .unwrap_or(cfg.retry.base_ms);
-    let cap = take_flag_value(&mut args, "--backoff-cap-ms")
-        .map(|v| numeric(v, "--backoff-cap-ms"))
-        .unwrap_or(cfg.retry.cap_ms);
-    cfg.retry = RetryPolicy::backoff(budget, base, cap);
-    if let Some(v) = take_flag_value(&mut args, "--abort-after-appends") {
-        cfg.abort_after_appends = Some(numeric(v, "--abort-after-appends"));
-    }
-    let fault = take_flag_value(&mut args, "--arm-service-fault");
+    cfg.workers = numeric(&mut args, "--workers").unwrap_or(cfg.workers);
+    cfg.lease_ms = numeric(&mut args, "--lease-ms").unwrap_or(cfg.lease_ms);
+    cfg.retry = RetryPolicy::backoff(
+        numeric(&mut args, "--retries").unwrap_or(cfg.retry.budget),
+        numeric(&mut args, "--backoff-base-ms").unwrap_or(cfg.retry.base_ms),
+        numeric(&mut args, "--backoff-cap-ms").unwrap_or(cfg.retry.cap_ms),
+    );
+    cfg.abort_after_appends = numeric(&mut args, "--abort-after-appends");
+    let fault = or_exit(cli::value(&mut args, "--arm-service-fault"));
     reject_leftovers(&args);
 
     if let Some(spec) = fault {
-        let (seed, target) = match spec.split_once(':') {
-            Some((s, t)) => (s.to_string(), t.to_string()),
-            None => (spec, String::new()),
-        };
-        let seed: u64 = numeric(seed, "--arm-service-fault");
-        let plan = vpr_snap::faults::FaultPlan::from_seed_service(seed, target);
+        let (seed, target) = spec.split_once(':').unwrap_or((&spec, ""));
+        let seed: u64 = or_exit(cli::parse_number("--arm-service-fault", seed));
+        let plan = vpr_snap::faults::FaultPlan::from_seed_service(seed, target.to_string());
         eprintln!(
             "vpr-serve: arming service fault {}/{} nth={} (seed {seed})",
             plan.kind.label(),
@@ -132,54 +120,26 @@ fn cmd_serve(mut args: Vec<String>) {
 }
 
 fn experiment_from(args: &mut Vec<String>) -> ExperimentConfig {
-    let mut exp = ExperimentConfig::quick();
-    if let Some(v) = take_flag_value(args, "--warmup") {
-        exp.warmup = numeric(v, "--warmup");
+    let quick = ExperimentConfig::quick();
+    ExperimentConfig {
+        warmup: numeric(args, "--warmup").unwrap_or(quick.warmup),
+        measure: numeric(args, "--measure").unwrap_or(quick.measure),
+        seed: numeric(args, "--seed").unwrap_or(quick.seed),
+        miss_penalty: numeric(args, "--miss-penalty").unwrap_or(quick.miss_penalty),
+        ..quick
     }
-    if let Some(v) = take_flag_value(args, "--measure") {
-        exp.measure = numeric(v, "--measure");
-    }
-    if let Some(v) = take_flag_value(args, "--seed") {
-        exp.seed = numeric(v, "--seed");
-    }
-    if let Some(v) = take_flag_value(args, "--miss-penalty") {
-        exp.miss_penalty = numeric(v, "--miss-penalty");
-    }
-    exp
 }
 
 fn cmd_submit(mut args: Vec<String>) {
     let socket = required(&mut args, "--socket");
-    let out = take_flag_value(&mut args, "--json");
-    let workloads: Vec<Workload> = match take_flag_value(&mut args, "--workloads") {
-        Some(csv) => csv
-            .split(',')
-            .map(|w| {
-                Workload::parse(w.trim()).unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                })
-            })
-            .collect(),
-        None => Workload::synthetic(),
-    };
-    let schemes: Vec<_> = take_flag_value(&mut args, "--schemes")
-        .unwrap_or_else(|| "conventional,vp-wb-nrr32".into())
-        .split(',')
-        .map(|s| {
-            parse_scheme(s.trim()).unwrap_or_else(|e| {
-                eprintln!("{e}");
-                std::process::exit(2);
-            })
-        })
-        .collect();
-    let regs: usize = take_flag_value(&mut args, "--regs")
-        .map(|v| numeric(v, "--regs"))
-        .unwrap_or(64);
+    let out = or_exit(cli::value(&mut args, "--json"));
+    let workloads =
+        or_exit(cli::workloads(&mut args, "--workloads")).unwrap_or_else(Workload::synthetic);
+    let schemes =
+        or_exit(cli::schemes(&mut args, "--schemes")).unwrap_or_else(|| TABLE2_SCHEMES.to_vec());
+    let regs: usize = numeric(&mut args, "--regs").unwrap_or(64);
     let exp = experiment_from(&mut args);
-    let timeout_s: u64 = take_flag_value(&mut args, "--timeout-s")
-        .map(|v| numeric(v, "--timeout-s"))
-        .unwrap_or(600);
+    let timeout_s: u64 = numeric(&mut args, "--timeout-s").unwrap_or(600);
     reject_leftovers(&args);
 
     let specs: Vec<JobSpec> = workloads
@@ -237,7 +197,7 @@ fn cmd_submit(mut args: Vec<String>) {
         json::row_array(rows)
     );
     match out {
-        Some(path) => write_json_artifact(std::path::Path::new(&path), &doc),
+        Some(path) => cli::write_artifact(std::path::Path::new(&path), &doc),
         None => print!("{doc}"),
     }
     if failed > 0 {

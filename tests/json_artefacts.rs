@@ -1,12 +1,11 @@
 //! Every JSON writer's output parses with the workspace's one JSON
 //! module, [`vpr_snap::json::parse`], at a small scale: the experiment
 //! artefacts (Table 2, Figures 4–7, `asm_eval` exact and sampled) and
-//! their run-telemetry twins, a checkpoint manifest, the sampling
-//! accuracy report, the pipeline-trace JSONL and `SimStats::to_json`.
+//! their run-telemetry twins, a checkpoint manifest, the pipeline-trace
+//! JSONL and `SimStats::to_json`.
 //! One field of each is spot-checked, so a writer that drifts from the
 //! parser fails here.
 
-use vpr_bench::sampling::{accuracy_to_json, SamplingAccuracy, SamplingPlan};
 use vpr_bench::{experiments, run_benchmark_observed, ExperimentConfig, SweepContext, Workload};
 use vpr_core::{RenameScheme, SimObserver};
 use vpr_isa::OpClass;
@@ -141,24 +140,6 @@ fn checkpoint_manifest_parses() {
 fn reports_traces_and_stats_parse() {
     let exp = exp();
     let scheme = RenameScheme::VirtualPhysicalWriteback { nrr: 32 };
-
-    let rows = [SamplingAccuracy {
-        workload: Benchmark::Go.into(),
-        scheme,
-        full_ipc: 1.5,
-        sampled_ipc: 1.49,
-        full_miss_ratio: 0.02,
-        sampled_miss_ratio: f64::NAN,
-    }];
-    let doc = parse(
-        "sampling",
-        &accuracy_to_json(&rows, &SamplingPlan::for_experiment(&exp)),
-    );
-    assert_eq!(str_at(&doc, &["rows", "0", "scheme"]), "vp-wb-nrr32");
-    assert_eq!(
-        field(&doc, &["rows", "0", "sampled_miss_ratio"]),
-        &Value::Null
-    );
 
     let names = OpClass::ALL.iter().map(|o| o.to_string()).collect();
     let obs = SimObserver::with_trace(PipelineTrace::new(256, names));
