@@ -27,6 +27,8 @@
 //! end of warm-up; with `--intervals` it additionally checkpoints every
 //! start of the checkpoint-seeded sampling plan, which is what
 //! `--sampled --checkpoint-dir` experiment runs seed their windows from.
+//! Each configuration's checkpoints land in one `.vprsnap` pack; `inspect`
+//! lists one row per checkpoint, with the size of the pack it sits in.
 //! Every set is filed under the label of the scheme whose pass ran, and a
 //! sampled NRR sweep restores its family's pass at the maximum NRR for
 //! every NRR value it shares with, via `Processor::retarget_nrr` — so
@@ -44,15 +46,14 @@
 
 use std::path::PathBuf;
 use vpr_bench::checkpoints::{
-    config_hash, generate_checkpoints, sim_config, CheckpointLoadError, CheckpointStore,
-    KIND_INTERVAL,
+    generate_checkpoints, key_config_hash, sim_config, CheckpointStore, RowCheck, KIND_INTERVAL,
 };
 use vpr_bench::cli::{self, or_exit};
 use vpr_bench::sampling::SamplingPlan;
 use vpr_bench::workloads::{parse_scheme, scheme_label, TABLE2_SCHEMES};
 use vpr_bench::{ExperimentConfig, Table, Workload, WorkloadStream};
 use vpr_core::{par, Processor, RenameScheme};
-use vpr_snap::manifest::{ManifestEntry, ManifestError};
+use vpr_snap::manifest::ManifestEntry;
 
 struct Cli {
     command: String,
@@ -203,7 +204,7 @@ fn inspect(cli: &Cli) {
             "committed",
             "cycle",
             "cursor",
-            "bytes",
+            "file-bytes",
             "age",
             "config-hash",
         ]
@@ -272,16 +273,6 @@ fn entry_exp(cli: &Cli, entry: &ManifestEntry) -> ExperimentConfig {
     }
 }
 
-/// The configuration hash of the pass `entry` claims to come from — what
-/// a validating load checks its manifest row against.
-fn entry_hash(cli: &Cli, entry: &ManifestEntry) -> Result<u64, String> {
-    let workload = Workload::parse(&entry.key.benchmark)?;
-    let exp = entry_exp(cli, entry);
-    let scheme = parse_scheme(&entry.key.scheme)?;
-    let config = sim_config(scheme, entry.key.physical_regs as usize, &exp);
-    Ok(config_hash(workload, &config, exp.seed))
-}
-
 /// Whether `entry` comes from a family's shared pass: a virtual-physical
 /// scheme at its configuration's maximum NRR.
 fn is_shared_pass(cli: &Cli, entry: &ManifestEntry) -> bool {
@@ -302,7 +293,7 @@ fn resolve_and_load(
     let workload = Workload::parse(&entry.key.benchmark)?;
     let exp = entry_exp(cli, entry);
     let regs = entry.key.physical_regs as usize;
-    let hash = entry_hash(cli, entry)?;
+    let hash = key_config_hash(&entry.key)?;
     let (_, snapshot) = store.load(&entry.key, hash).map_err(|e| e.to_string())?;
     Ok(ResolvedEntry {
         workload,
@@ -538,13 +529,15 @@ fn verify(cli: &Cli) {
 }
 
 /// `repair`: brings a damaged checkpoint directory back to a state every
-/// other command accepts without simulating anything. Corrupt artefacts
-/// are quarantined to `*.corrupt` (a side effect of the validating load),
-/// manifest entries whose artefact is missing, corrupt or unparseable are
-/// dropped, and `*.tmp` debris left by interrupted atomic writes is
-/// swept. Stale-but-intact artefacts (config-hash or format mismatch
-/// against this invocation's flags) are kept — they may serve another
-/// configuration, and `create` replaces them in place.
+/// other command accepts without simulating anything. A pack holding a
+/// corrupt envelope is quarantined to `*.corrupt` whole (a side effect of
+/// the validating load), manifest entries whose artefact is missing,
+/// corrupt or unparseable are dropped — every row of a quarantined pack
+/// with them ([`CheckpointStore::prune`]) — and `*.tmp` debris left by
+/// interrupted atomic writes is swept. Stale-but-intact artefacts
+/// (config-hash or format mismatch against what this build derives for
+/// the row's key) are kept — they may serve another configuration, and
+/// `create` replaces them in place.
 ///
 /// Quarantined `*.corrupt` files are evidence and are kept by default;
 /// `--max-age SECS` reclaims the ones at least SECS old and reports the
@@ -584,42 +577,24 @@ fn repair(cli: &Cli) {
             }
         }
     }
-    let entries = store.manifest.entries.clone();
-    let mut keep = vec![true; entries.len()];
     let (mut dropped, mut stale) = (0usize, 0usize);
-    for (i, entry) in entries.iter().enumerate() {
+    for (entry, check) in store.prune() {
         let label = format!(
             "{}/{} {}@{}",
             entry.key.benchmark, entry.key.scheme, entry.key.kind, entry.key.target
         );
-        let loaded = entry_hash(cli, entry).and_then(|hash| {
-            store.load(&entry.key, hash).map_err(|e| match e {
-                // Stale entries are intact artefacts for some other
-                // configuration: keep them on disk and in the manifest.
-                CheckpointLoadError::Manifest(
-                    ManifestError::StaleConfig { .. } | ManifestError::StaleFormat { .. },
-                ) => String::new(),
-                other => other.to_string(),
-            })
-        });
-        match loaded {
-            Ok(_) => println!("ok      {label}"),
-            Err(reason) if reason.is_empty() => {
+        match check {
+            RowCheck::Valid => println!("ok      {label}"),
+            RowCheck::Stale => {
                 stale += 1;
                 println!("stale   {label} (kept; `create` replaces it)");
             }
-            Err(reason) => {
-                keep[i] = false;
+            RowCheck::Dropped(reason) => {
                 dropped += 1;
                 println!("dropped {label}: {reason}");
             }
         }
     }
-    let mut it = keep.iter();
-    store
-        .manifest
-        .entries
-        .retain(|_| *it.next().expect("same length"));
     if let Err(e) = store.flush() {
         eprintln!("cannot rewrite manifest in {}: {e}", store.dir.display());
         std::process::exit(1);

@@ -8,13 +8,17 @@
 //! window from the exact machine state of the uninterrupted run instead of
 //! functional re-warming (see [`crate::sampling`]).
 //!
-//! On disk, a directory holds one `.vprsnap` file per checkpoint (the
-//! `vpr-snap` envelope, unchanged) plus a `checkpoints.json` manifest
-//! ([`vpr_snap::manifest`]) recording for each artefact its experiment
-//! key, the configuration hash it was taken under, its trace cursor, and
-//! its payload checksum. Loading re-derives the configuration hash from
-//! the configuration *about to run* and rejects any mismatch — stale
-//! artefacts fail loudly at load, never silently skew an experiment.
+//! On disk, a directory holds one `.vprsnap` **pack** per warm pass — the
+//! pass's `vpr-snap` envelopes, unchanged, written back to back in one
+//! crash-safe write — plus a `checkpoints.json` manifest
+//! ([`vpr_snap::manifest`]) recording for each checkpoint its experiment
+//! key, the pack and byte offset its envelope sits at, the configuration
+//! hash it was taken under, its trace cursor, and its payload checksum.
+//! Loading re-derives the configuration hash from the configuration
+//! *about to run* and rejects any mismatch — stale artefacts fail loudly
+//! at load, never silently skew an experiment. A pack's name identifies
+//! its exact checkpoint set, so rerunning a pass rewrites the same file
+//! and two different sets never share one.
 //!
 //! Every artefact is filed under the scheme label of the configuration
 //! its pass ran. A sampled NRR sweep restores its family's pass at the
@@ -34,8 +38,7 @@
 //! uninterrupted run).
 
 use crate::sampling::SamplingPlan;
-use crate::workloads::scheme_label;
-use crate::workloads::Workload;
+use crate::workloads::{parse_scheme, scheme_label, Workload};
 use crate::ExperimentConfig;
 use std::path::{Path, PathBuf};
 use vpr_core::{Processor, RenameScheme, SimConfig};
@@ -165,21 +168,60 @@ pub fn checkpoint_key(
     }
 }
 
-/// File name a checkpoint is stored under (unique per key). Workload
-/// names can contain `:` (`asm:matmul`), which is not portable in file
-/// names — it becomes `-` on disk; the manifest key keeps the real name.
-pub fn checkpoint_file_name(key: &CheckpointKey) -> String {
+/// File name of the pack holding `generated` — one warm pass's
+/// checkpoints: the pass coordinates of its first key, then a hash of
+/// every key in the batch, so the name identifies the exact checkpoint
+/// set. Workload names can contain `:` (`asm:matmul`), which is not
+/// portable in file names — it becomes `-` on disk; the manifest key
+/// keeps the real name.
+///
+/// # Panics
+///
+/// On an empty batch (there is no pack to name).
+fn pack_file_name(generated: &[GeneratedCheckpoint]) -> String {
+    let key = &generated.first().expect("a pack holds a checkpoint").key;
+    let mut set = String::new();
+    for g in generated {
+        let k = &g.key;
+        set += &format!(
+            "{}/{}/{}/{}/{}/{}/{}@{};",
+            k.benchmark,
+            k.scheme,
+            k.physical_regs,
+            k.seed,
+            k.miss_penalty,
+            k.warmup,
+            k.kind,
+            k.target
+        );
+    }
     format!(
-        "{}_{}_{}r_s{}_mp{}_w{}_{}{}.vprsnap",
+        "{}_{}_{}r_s{}_mp{}_w{}_{:016x}.vprsnap",
         key.benchmark.replace(':', "-"),
         key.scheme,
         key.physical_regs,
         key.seed,
         key.miss_penalty,
         key.warmup,
-        key.kind,
-        key.target
+        vpr_snap::fnv1a(set.as_bytes())
     )
+}
+
+/// The configuration hash of the pass a manifest key claims to come
+/// from — what a validating load checks its row against.
+///
+/// # Errors
+///
+/// The key names a workload or scheme this build does not know.
+pub fn key_config_hash(key: &CheckpointKey) -> Result<u64, String> {
+    let workload = Workload::parse(&key.benchmark)?;
+    let scheme = parse_scheme(&key.scheme)?;
+    let exp = ExperimentConfig {
+        miss_penalty: key.miss_penalty,
+        ..ExperimentConfig::default()
+    };
+    let config = sim_config(scheme, key.physical_regs as usize, &exp);
+    Ok(config_hash(workload, &config, key.seed))
 }
 
 /// One checkpoint produced by [`generate_checkpoints`]: its manifest key,
@@ -201,11 +243,13 @@ pub struct GeneratedCheckpoint {
 }
 
 impl GeneratedCheckpoint {
-    /// The manifest row describing this checkpoint once written to `file`.
-    pub fn manifest_entry(&self, file: String) -> ManifestEntry {
+    /// The manifest row describing this checkpoint once its envelope is
+    /// written `offset` bytes into `file`.
+    pub fn manifest_entry(&self, file: String, offset: u64) -> ManifestEntry {
         ManifestEntry {
             key: self.key.clone(),
             file,
+            offset,
             committed: self.committed,
             cycle: self.cycle,
             trace_cursor: self.trace_cursor,
@@ -214,6 +258,16 @@ impl GeneratedCheckpoint {
             format_version: vpr_snap::FORMAT_VERSION,
         }
     }
+}
+
+/// One pack written into a checkpoint directory: its file name and the
+/// manifest rows pointing into it, for [`CheckpointStore::record`].
+#[derive(Debug)]
+pub(crate) struct WrittenPack {
+    /// The pack's file name.
+    pub file: String,
+    /// One row per envelope, in file order.
+    pub rows: Vec<ManifestEntry>,
 }
 
 /// Runs **one warm serial pass** for `(workload, scheme)` and checkpoints
@@ -335,6 +389,19 @@ impl std::fmt::Display for CheckpointLoadError {
 
 impl std::error::Error for CheckpointLoadError {}
 
+/// What [`CheckpointStore::prune`] found for one manifest row.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RowCheck {
+    /// The row's checkpoint loaded and validated; the row stays.
+    Valid,
+    /// An intact checkpoint taken under another configuration or snapshot
+    /// format; the row stays (it may serve another run, and `create`
+    /// replaces it).
+    Stale,
+    /// The row was dropped, for the reason given.
+    Dropped(String),
+}
+
 impl CheckpointStore {
     /// Opens a checkpoint directory (an absent manifest reads as empty).
     ///
@@ -384,21 +451,53 @@ impl CheckpointStore {
         }
     }
 
-    /// Writes generated checkpoints into the directory and records them in
-    /// the in-memory manifest. Call [`CheckpointStore::flush`] afterwards
-    /// to persist the manifest itself.
+    /// Writes one warm pass's generated checkpoints into the directory as
+    /// one pack and records them in the in-memory
+    /// manifest. Call [`CheckpointStore::flush`] afterwards to persist the
+    /// manifest itself.
     ///
     /// # Errors
     ///
     /// Propagates file-write failures.
     pub fn save_all(&mut self, generated: &[GeneratedCheckpoint]) -> std::io::Result<()> {
-        std::fs::create_dir_all(&self.dir)?;
-        for g in generated {
-            let file = checkpoint_file_name(&g.key);
-            g.snapshot.write_to(&self.dir.join(&file))?;
-            self.manifest.upsert(g.manifest_entry(file));
+        if let Some(pack) = self.write_pack(generated)? {
+            self.record(pack);
         }
         Ok(())
+    }
+
+    /// Writes `generated` as one pack — the envelopes back to back, in one
+    /// crash-safe [`vpr_snap::atomic_write`] — without touching the
+    /// manifest; `None` for an empty batch. Packs of different passes have
+    /// different names, so concurrent jobs may each write their own.
+    pub(crate) fn write_pack(
+        &self,
+        generated: &[GeneratedCheckpoint],
+    ) -> std::io::Result<Option<WrittenPack>> {
+        if generated.is_empty() {
+            return Ok(None);
+        }
+        let file = pack_file_name(generated);
+        let len = generated.iter().map(|g| g.snapshot.envelope_len()).sum();
+        let mut bytes = Vec::with_capacity(len);
+        let mut rows = Vec::with_capacity(generated.len());
+        for g in generated {
+            rows.push(g.manifest_entry(file.clone(), bytes.len() as u64));
+            g.snapshot.append_to(&mut bytes);
+        }
+        std::fs::create_dir_all(&self.dir)?;
+        vpr_snap::atomic_write(&self.dir.join(&file), &bytes)?;
+        Ok(Some(WrittenPack { file, rows }))
+    }
+
+    /// Files a written pack in the in-memory manifest: every row that
+    /// pointed into the file it replaced goes, then its own rows are
+    /// upserted in file order.
+    pub(crate) fn record(&mut self, pack: WrittenPack) {
+        self.manifest.entries.retain(|e| e.file != pack.file);
+        for row in pack.rows {
+            self.manifest.upsert(row);
+        }
     }
 
     /// Persists the manifest (`checkpoints.json`).
@@ -412,15 +511,17 @@ impl CheckpointStore {
 
     /// Loads and validates the checkpoint under `key` for a run whose
     /// configuration hashes to `expected_hash`: the manifest entry must
-    /// exist, match the hash and snapshot format version, and the file's
-    /// payload checksum must equal the manifest's record.
+    /// exist, match the hash and snapshot format version, and the
+    /// envelope at its offset must hold the payload checksum the manifest
+    /// records. Only that envelope is read.
     ///
     /// # Errors
     ///
-    /// [`CheckpointLoadError::Manifest`] for missing/stale entries,
-    /// [`CheckpointLoadError::Io`] for unreadable files, and
-    /// [`CheckpointLoadError::Corrupt`] for torn/corrupt artefacts —
-    /// which are **quarantined** (renamed to `*.corrupt`) as a side
+    /// [`CheckpointLoadError::Manifest`] for missing/stale entries — a row
+    /// whose pack is gone (quarantined, or removed by hand) is missing
+    /// too — [`CheckpointLoadError::Io`] for unreadable files, and
+    /// [`CheckpointLoadError::Corrupt`] for torn/corrupt artefacts, whose
+    /// whole pack is **quarantined** (renamed to `*.corrupt`) as a side
     /// effect, so the caller's regenerated replacement can be written
     /// under the original name.
     pub fn load(
@@ -428,27 +529,59 @@ impl CheckpointStore {
         key: &CheckpointKey,
         expected_hash: u64,
     ) -> Result<(ManifestEntry, Snapshot), CheckpointLoadError> {
-        let entry = self.manifest.find(key).ok_or_else(|| {
+        self.load_via(key, expected_hash, &mut None)
+    }
+
+    /// [`CheckpointStore::load`] through `open`, the pack a previous load
+    /// left open (by file name): a row into the same pack reuses it.
+    fn load_via(
+        &self,
+        key: &CheckpointKey,
+        expected_hash: u64,
+        open: &mut Option<(String, std::fs::File)>,
+    ) -> Result<(ManifestEntry, Snapshot), CheckpointLoadError> {
+        let missing = |why: &str| {
             CheckpointLoadError::Manifest(ManifestError::NotFound(format!(
-                "{}/{} {}@{}",
+                "{}/{} {}@{}{why}",
                 key.benchmark, key.scheme, key.kind, key.target
             )))
-        })?;
+        };
+        let entry = self.manifest.find(key).ok_or_else(|| missing(""))?;
         let path = self.dir.join(&entry.file);
-        let snapshot = Snapshot::read_from(&path).map_err(|e| {
+        if open.as_ref().is_none_or(|(file, _)| *file != entry.file) {
+            *open = None;
+            match std::fs::File::open(&path) {
+                Ok(handle) => *open = Some((entry.file.clone(), handle)),
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                    return Err(missing(&format!(" ({} is gone)", entry.file)));
+                }
+                Err(e) => {
+                    let e =
+                        std::io::Error::new(e.kind(), format!("reading {}: {e}", path.display()));
+                    return Err(CheckpointLoadError::Io(e));
+                }
+            }
+        }
+        let (_, handle) = open.as_mut().expect("opened above");
+        let read = Snapshot::read_at(handle, &path, entry.offset);
+        // A bad envelope condemns its whole pack: the pack is moved out
+        // of the way, so every other row into it misses from now on and
+        // the caller's warm-pass regeneration rewrites it cleanly.
+        let mut corrupt = |detail: String| {
+            *open = None;
+            CheckpointLoadError::Corrupt {
+                quarantined_to: quarantine_artefact(&path),
+                path: path.clone(),
+                detail,
+            }
+        };
+        let snapshot = read.map_err(|e| {
             if e.kind() == std::io::ErrorKind::InvalidData {
-                // Torn or corrupt envelope: move it out of the way so the
-                // caller's warm-pass regeneration replaces it cleanly.
                 // The read error already names the path; Corrupt's
                 // Display re-adds it, so strip the duplicate prefix.
                 let msg = e.to_string();
                 let prefix = format!("{}: ", path.display());
-                let detail = msg.strip_prefix(&prefix).map(str::to_string).unwrap_or(msg);
-                CheckpointLoadError::Corrupt {
-                    quarantined_to: quarantine_artefact(&path),
-                    path: path.clone(),
-                    detail,
-                }
+                corrupt(msg.strip_prefix(&prefix).map(str::to_string).unwrap_or(msg))
             } else {
                 CheckpointLoadError::Io(e)
             }
@@ -457,12 +590,8 @@ impl CheckpointStore {
             Ok(()) => Ok((entry.clone(), snapshot)),
             // The envelope is internally consistent but does not hold the
             // payload the manifest row promised — same quarantine-and-
-            // regenerate treatment as a torn file.
-            Err(e @ ManifestError::ChecksumMismatch { .. }) => Err(CheckpointLoadError::Corrupt {
-                quarantined_to: quarantine_artefact(&path),
-                path,
-                detail: e.to_string(),
-            }),
+            // regenerate treatment as a torn envelope.
+            Err(e @ ManifestError::ChecksumMismatch { .. }) => Err(corrupt(e.to_string())),
             // Stale (config/format) entries are *valid* artefacts for a
             // different experiment: refuse them but leave them on disk.
             Err(e) => Err(CheckpointLoadError::Manifest(e)),
@@ -471,7 +600,8 @@ impl CheckpointStore {
 
     /// Loads the full set of `scheme`'s interval checkpoints, in interval
     /// order — what a sampled sweep restores (for a family's shared pass,
-    /// pass [`pass_scheme`]; the windows re-target it).
+    /// pass [`pass_scheme`]; the windows re-target it). Each pack is
+    /// opened once.
     ///
     /// # Errors
     ///
@@ -489,14 +619,59 @@ impl CheckpointStore {
         let workload = workload.into();
         let config = sim_config(scheme, physical_regs, exp);
         let hash = config_hash(workload, &config, exp.seed);
+        let mut open = None;
         plan.starts()
             .into_iter()
             .map(|start| {
                 let key =
                     checkpoint_key(workload, scheme, physical_regs, exp, KIND_INTERVAL, start);
-                Ok((start, self.load(&key, hash)?.1))
+                Ok((start, self.load_via(&key, hash, &mut open)?.1))
             })
             .collect()
+    }
+
+    /// Validates every manifest row ([`CheckpointStore::load`] against
+    /// [`key_config_hash`]) and drops from the in-memory manifest every
+    /// row that did not load — a missing, unreadable or corrupt
+    /// checkpoint — and every row whose file is gone afterwards: a bad
+    /// envelope quarantines its whole pack, rows validated before it
+    /// included. Stale rows stay. Returns every row with its verdict, in
+    /// manifest order; call [`CheckpointStore::flush`] to persist the
+    /// pruned manifest.
+    pub fn prune(&mut self) -> Vec<(ManifestEntry, RowCheck)> {
+        let checks: Vec<RowCheck> = self
+            .manifest
+            .entries
+            .iter()
+            .map(|entry| {
+                let hash = match key_config_hash(&entry.key) {
+                    Ok(hash) => hash,
+                    Err(e) => return RowCheck::Dropped(e),
+                };
+                match self.load(&entry.key, hash) {
+                    Ok(_) => RowCheck::Valid,
+                    Err(CheckpointLoadError::Manifest(
+                        ManifestError::StaleConfig { .. } | ManifestError::StaleFormat { .. },
+                    )) => RowCheck::Stale,
+                    Err(e) => RowCheck::Dropped(e.to_string()),
+                }
+            })
+            .collect();
+        let entries = std::mem::take(&mut self.manifest.entries);
+        let mut out = Vec::with_capacity(entries.len());
+        for (entry, check) in entries.into_iter().zip(checks) {
+            let check = match check {
+                RowCheck::Valid | RowCheck::Stale if !self.dir.join(&entry.file).exists() => {
+                    RowCheck::Dropped(format!("{} is gone (its pack was quarantined)", entry.file))
+                }
+                check => check,
+            };
+            if !matches!(check, RowCheck::Dropped(_)) {
+                self.manifest.entries.push(entry.clone());
+            }
+            out.push((entry, check));
+        }
+        out
     }
 }
 
@@ -626,7 +801,7 @@ mod tests {
         store.flush().unwrap();
 
         // Flip one payload byte on disk.
-        let file = dir.join(checkpoint_file_name(&generated[0].key));
+        let file = dir.join(pack_file_name(&generated));
         let mut bytes = std::fs::read(&file).unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0x40;

@@ -22,7 +22,7 @@
 
 use crate::checkpoints::{
     generate_checkpoints, pass_scheme, CheckpointLoadError, CheckpointOutcome, CheckpointStore,
-    GeneratedCheckpoint, KIND_INTERVAL,
+    WrittenPack, KIND_INTERVAL,
 };
 use crate::jobs::{lock, run_job, JobSpec};
 use crate::sampling::{sample_from_checkpoints, SamplingPlan};
@@ -87,8 +87,8 @@ pub enum SweepMode {
     /// ([`crate::sampling::sample_from_checkpoints`]). Interval
     /// checkpoints are loaded from the checkpoint directory when a valid
     /// set exists, and produced in-memory by one warm serial pass
-    /// otherwise (then persisted to the directory, if one was given, so
-    /// the next sampled run skips the pass).
+    /// otherwise (then persisted to the directory as one pack, if one was
+    /// given, so the next sampled run skips the pass).
     Sampled,
 }
 
@@ -670,11 +670,12 @@ fn run_exact(
 }
 
 /// One sharing group's interval checkpoints, loaded from the store or
-/// produced by the group's warm pass; `generated` holds what the pass
-/// produced for persisting and is empty exactly when the set was loaded.
+/// produced by the group's warm pass; `loaded` says which, and `pack` is
+/// what a warm pass wrote to the store, if it wrote anything.
 struct GroupPass {
     set: Vec<(u64, vpr_snap::Snapshot)>,
-    generated: Vec<GeneratedCheckpoint>,
+    loaded: bool,
+    pack: Option<WrittenPack>,
 }
 
 /// A sampled sweep point's sharing-group key: the (workload, pass scheme,
@@ -694,9 +695,11 @@ fn group_key(s: &JobSpec) -> String {
 }
 
 /// The sampled stages: one warm pass per sharing group, then every point
-/// estimated from its group's interval checkpoints; freshly generated
-/// checkpoints are persisted to the store afterwards. The stages only
-/// read the store, so they share it without a lock.
+/// estimated from its group's interval checkpoints. A warm pass writes
+/// its checkpoints to the store as one pack inside its own job; the
+/// calling thread files the packs' rows in group order and writes the
+/// manifest once. The stages only read the manifest, so they share the
+/// store without a lock.
 fn run_sampled(
     mut stages: Stages,
     specs: &[JobSpec],
@@ -754,7 +757,8 @@ fn run_sampled(
                 Ok(set) => {
                     let value = GroupPass {
                         set,
-                        generated: Vec::new(),
+                        loaded: true,
+                        pack: None,
                     };
                     let outcome = JobOutcome::CacheHit;
                     return Ok(StageDone {
@@ -770,13 +774,25 @@ fn run_sampled(
             }
         }
         let generated = generate_checkpoints(g.workload, pass, g.physical_regs, exp, Some(&plan));
+        // Persist the pass just paid for, so the next sampled run reuses
+        // it. A write failure never affects results — note and continue.
+        let pack = store.as_ref().and_then(|s| {
+            s.write_pack(&generated).unwrap_or_else(|e| {
+                notes.push(("persist", format!("cannot write checkpoints: {e}")));
+                None
+            })
+        });
         let set = generated
-            .iter()
+            .into_iter()
             .filter(|c| c.key.kind == KIND_INTERVAL)
-            .map(|c| (c.key.target, c.snapshot.clone()))
+            .map(|c| (c.key.target, c.snapshot))
             .collect();
         Ok(StageDone {
-            value: GroupPass { set, generated },
+            value: GroupPass {
+                set,
+                loaded: false,
+                pack,
+            },
             notes,
             outcome: match store {
                 Some(_) => JobOutcome::CacheMiss,
@@ -828,28 +844,24 @@ fn run_sampled(
         .map(|r| r.unwrap_or_else(|_| PointMetrics::failed()))
         .collect();
 
-    let all_from_disk = sets
-        .iter()
-        .all(|r| matches!(r, Ok(pass) if pass.generated.is_empty()));
-    // Persist freshly generated checkpoints so the next sampled run reuses
-    // the serial passes just paid for. Write failures never affect results
-    // — record and continue.
+    let all_from_disk = sets.iter().all(|r| matches!(r, Ok(pass) if pass.loaded));
+    // File the written packs in group order, so the manifest does not
+    // depend on which job finished first, and write it once.
     if let Some(mut store) = store {
-        let dir = store.dir.display().to_string();
-        let mut failed = |error| {
-            let failure = SweepFailure::recovered(dir.clone(), "persist", error);
-            stages.failures.push(failure);
-        };
         let mut dirty = false;
-        for pass in sets.iter().flatten().filter(|p| !p.generated.is_empty()) {
-            match store.save_all(&pass.generated) {
-                Ok(()) => dirty = true,
-                Err(e) => failed(format!("cannot write checkpoints: {e}")),
+        for pass in sets.into_iter().flatten() {
+            if let Some(pack) = pass.pack {
+                store.record(pack);
+                dirty = true;
             }
         }
         if dirty {
             if let Err(e) = store.flush() {
-                failed(format!("cannot write manifest: {e}"));
+                let error = format!("cannot write manifest: {e}");
+                let point = store.dir.display().to_string();
+                stages
+                    .failures
+                    .push(SweepFailure::recovered(point, "persist", error));
             }
         }
     }

@@ -3,7 +3,7 @@
 //! Robustness claims are only as good as the faults they were tested
 //! against, so this module gives the workspace a **seeded, dependency-free
 //! fault plan** that the storage layer ([`crate::atomic_write`],
-//! [`crate::Snapshot::read_from`]) and the sweep engine
+//! [`crate::Snapshot::read_at`]) and the sweep engine
 //! (`vpr_bench::sweep`) consult at well-defined hook points. A test arms
 //! exactly one [`FaultPlan`]; the next matching operation suffers the
 //! planned fault (an injected I/O error, a truncated or bit-flipped byte
@@ -81,7 +81,7 @@ impl FaultKind {
 /// Which hook a fault arms against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultOp {
-    /// File reads ([`crate::Snapshot::read_from`], manifest loads).
+    /// File reads ([`crate::Snapshot::read_at`], manifest loads).
     Read,
     /// File writes ([`crate::atomic_write`]).
     Write,

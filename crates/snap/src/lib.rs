@@ -44,13 +44,16 @@
 //!
 //! ## `.vprsnap` files and the checkpoint manifest
 //!
-//! A snapshot written to disk keeps the same envelope byte-for-byte; by
-//! convention such files carry the `.vprsnap` extension and live in a
-//! *checkpoint directory* next to a `checkpoints.json` manifest
-//! ([`manifest::Manifest`]) recording, per artefact, the experiment key it
-//! belongs to, the configuration hash it was taken under, the trace cursor
-//! it stands at, and the envelope's payload checksum — so stale artefacts
-//! are rejected at load rather than silently reused. The full format is
+//! A snapshot written to disk keeps the same envelope byte-for-byte; a
+//! file may hold several envelopes back to back ([`Snapshot::append_to`],
+//! read back one at a time with [`Snapshot::read_at`]). By convention
+//! such files carry the `.vprsnap` extension and live in a *checkpoint
+//! directory* next to a `checkpoints.json` manifest
+//! ([`manifest::Manifest`]) recording, per checkpoint, the experiment key
+//! it belongs to, the file and offset of its envelope, the configuration
+//! hash it was taken under, the trace cursor it stands at, and the
+//! envelope's payload checksum — so stale artefacts are rejected at load
+//! rather than silently reused. The full format is
 //! documented in `docs/snapshot-format.md`.
 //!
 //! ## JSON
@@ -513,6 +516,12 @@ pub trait Resumable {
 
 /// A versioned, checksummed snapshot payload.
 ///
+/// The payload checksum is computed at most once per snapshot, lazily:
+/// the first [`Snapshot::checksum`] (or [`Snapshot::to_bytes`]) computes
+/// it, and [`Snapshot::from_bytes`] keeps the one it verified. A snapshot
+/// that is never written or validated is never hashed. Equality is
+/// equality of payloads.
+///
 /// ```
 /// use vpr_snap::{Encoder, Snapshot};
 /// let mut enc = Encoder::new();
@@ -522,15 +531,30 @@ pub trait Resumable {
 /// let back = Snapshot::from_bytes(&bytes).unwrap();
 /// assert_eq!(back.payload(), snap.payload());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct Snapshot {
     payload: Vec<u8>,
+    checksum: std::sync::OnceLock<u64>,
 }
+
+impl PartialEq for Snapshot {
+    fn eq(&self, other: &Self) -> bool {
+        self.payload == other.payload
+    }
+}
+
+impl Eq for Snapshot {}
+
+/// Bytes of the envelope header: magic, version, checksum, length.
+const HEADER_LEN: usize = MAGIC.len() + 4 + 8 + 8;
 
 impl Snapshot {
     /// Wraps an encoded payload.
     pub fn new(payload: Vec<u8>) -> Self {
-        Self { payload }
+        Self {
+            payload,
+            checksum: std::sync::OnceLock::new(),
+        }
     }
 
     /// The raw payload (hand to a [`Decoder`]).
@@ -542,29 +566,40 @@ impl Snapshot {
     /// envelope carries, exposed so checkpoint manifests can pin the exact
     /// artefact they were written against.
     pub fn checksum(&self) -> u64 {
-        fnv1a(&self.payload)
+        *self.checksum.get_or_init(|| fnv1a(&self.payload))
+    }
+
+    /// Length of the serialised envelope ([`Snapshot::to_bytes`]).
+    pub fn envelope_len(&self) -> usize {
+        HEADER_LEN + self.payload.len()
     }
 
     /// Serialises the envelope: magic, version, checksum, length, payload.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(MAGIC.len() + 4 + 8 + 8 + self.payload.len());
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        out.extend_from_slice(&fnv1a(&self.payload).to_le_bytes());
-        out.extend_from_slice(&(self.payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&self.payload);
+        let mut out = Vec::with_capacity(self.envelope_len());
+        self.append_to(&mut out);
         out
     }
 
+    /// Appends the serialised envelope to `out` — how several envelopes
+    /// are laid back to back in one file.
+    pub fn append_to(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&MAGIC);
+        out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        out.extend_from_slice(&self.checksum().to_le_bytes());
+        out.extend_from_slice(&(self.payload.len() as u64).to_le_bytes());
+        out.extend_from_slice(&self.payload);
+    }
+
     /// Opens a serialised envelope, validating magic, version, length and
-    /// checksum.
+    /// checksum. Bytes after the envelope are ignored, so `bytes` may be
+    /// the tail of a file holding several envelopes back to back.
     ///
     /// # Errors
     ///
     /// See [`SnapError`].
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapError> {
-        let header = MAGIC.len() + 4 + 8 + 8;
-        if bytes.len() < header {
+        if bytes.len() < HEADER_LEN {
             return Err(if bytes.starts_with(&MAGIC) {
                 SnapError::Truncated
             } else {
@@ -583,14 +618,16 @@ impl Snapshot {
         }
         let checksum = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes"));
         let len = u64::from_le_bytes(bytes[20..28].try_into().expect("8 bytes")) as usize;
-        let payload = bytes
-            .get(header..header + len)
+        let payload = HEADER_LEN
+            .checked_add(len)
+            .and_then(|end| bytes.get(HEADER_LEN..end))
             .ok_or(SnapError::Truncated)?;
         if fnv1a(payload) != checksum {
             return Err(SnapError::Checksum);
         }
         Ok(Self {
             payload: payload.to_vec(),
+            checksum: checksum.into(),
         })
     }
 
@@ -603,16 +640,36 @@ impl Snapshot {
         atomic_write(path, &self.to_bytes())
     }
 
-    /// Reads an envelope from a file.
+    /// Reads the envelope that starts `offset` bytes into `file` (opened
+    /// from `path`): its header, then as many payload bytes as the header
+    /// announces — never more than the file holds, so a corrupt length
+    /// reads as a truncated envelope instead of a huge allocation.
     ///
     /// # Errors
     ///
     /// I/O errors are wrapped in [`std::io::Error`] and name the path;
     /// format errors (torn, truncated, or corrupt envelopes) come back as
     /// [`std::io::ErrorKind::InvalidData`].
-    pub fn read_from(path: &std::path::Path) -> std::io::Result<Self> {
-        let mut bytes = std::fs::read(path)
-            .map_err(|e| io::Error::new(e.kind(), format!("reading {}: {e}", path.display())))?;
+    pub fn read_at(
+        file: &mut std::fs::File,
+        path: &std::path::Path,
+        offset: u64,
+    ) -> std::io::Result<Self> {
+        use std::io::{Read as _, Seek as _};
+        let named =
+            |e: io::Error| io::Error::new(e.kind(), format!("reading {}: {e}", path.display()));
+        let mut bytes = Vec::with_capacity(HEADER_LEN);
+        file.seek(io::SeekFrom::Start(offset)).map_err(named)?;
+        file.take(HEADER_LEN as u64)
+            .read_to_end(&mut bytes)
+            .map_err(named)?;
+        if let Some(len) = bytes.get(20..HEADER_LEN) {
+            let len = u64::from_le_bytes(len.try_into().expect("8 bytes"));
+            let end = offset.saturating_add(HEADER_LEN as u64);
+            let left = file.metadata().map_err(named)?.len().saturating_sub(end);
+            bytes.reserve_exact(usize::try_from(len.min(left)).unwrap_or(0));
+            file.take(len).read_to_end(&mut bytes).map_err(named)?;
+        }
         faults::on_read(path, &mut bytes)?;
         Self::from_bytes(&bytes).map_err(|e| {
             io::Error::new(
@@ -708,6 +765,31 @@ mod tests {
 
         // Not a snapshot at all.
         assert_eq!(Snapshot::from_bytes(b"hello"), Err(SnapError::Magic));
+
+        // A length field beyond the end of the bytes is truncation.
+        let mut bad = bytes.clone();
+        bad[27] = 0xff;
+        assert_eq!(Snapshot::from_bytes(&bad), Err(SnapError::Truncated));
+    }
+
+    #[test]
+    fn envelopes_read_back_to_back_at_their_offsets() {
+        let snaps = [Snapshot::new(vec![1, 2, 3]), Snapshot::new(vec![9; 40])];
+        let mut pack = Vec::new();
+        let mut offsets = Vec::new();
+        for s in &snaps {
+            offsets.push(pack.len() as u64);
+            s.append_to(&mut pack);
+        }
+        let path = std::env::temp_dir().join(format!("vpr-snap-pack-{}", std::process::id()));
+        atomic_write(&path, &pack).unwrap();
+        let mut file = std::fs::File::open(&path).unwrap();
+        for (s, &offset) in snaps.iter().zip(&offsets).rev() {
+            let back = Snapshot::read_at(&mut file, &path, offset).unwrap();
+            assert_eq!(&back, s);
+            assert_eq!(back.checksum(), fnv1a(s.payload()));
+        }
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

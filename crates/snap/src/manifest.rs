@@ -1,10 +1,12 @@
 //! The `checkpoints.json` manifest of a checkpoint directory.
 //!
-//! A checkpoint directory holds `.vprsnap` files — serialised [`Snapshot`]
-//! envelopes — plus one `checkpoints.json` describing every artefact:
-//! which workload/configuration produced it, where in the committed
-//! instruction stream it stands, the FNV-1a hash of the configuration it
-//! was taken under, and the payload checksum of the file it points at.
+//! A checkpoint directory holds `.vprsnap` files — each one or more
+//! serialised [`Snapshot`] envelopes written back to back — plus one
+//! `checkpoints.json` describing every checkpoint: which
+//! workload/configuration produced it, the file and byte offset its
+//! envelope sits at, where in the committed instruction stream it stands,
+//! the FNV-1a hash of the configuration it was taken under, and the
+//! payload checksum of the envelope it points at.
 //!
 //! The manifest is the staleness gate: a loader looks an artefact up by
 //! its experiment key ([`CheckpointKey`]), re-derives the configuration
@@ -64,6 +66,9 @@ pub struct ManifestEntry {
     pub key: CheckpointKey,
     /// File name of the `.vprsnap` artefact, relative to the manifest.
     pub file: String,
+    /// Byte position of the checkpoint's envelope inside `file` (`0` for a
+    /// file holding one envelope; a row written without it reads as `0`).
+    pub offset: u64,
     /// Achieved committed-instruction count at the snapshot (a run may
     /// overshoot its target by up to commit-width − 1).
     pub committed: u64,
@@ -208,7 +213,7 @@ impl Manifest {
             format!(
                 "{{\"benchmark\": \"{}\", \"scheme\": \"{}\", \"physical_regs\": {}, \
                  \"seed\": {}, \"miss_penalty\": {}, \"warmup\": {}, \"kind\": \"{}\", \
-                 \"target\": {}, \"file\": \"{}\", \"committed\": {}, \"cycle\": {}, \
+                 \"target\": {}, \"file\": \"{}\", \"offset\": {}, \"committed\": {}, \"cycle\": {}, \
                  \"trace_cursor\": {}, \"config_hash\": {}, \"payload_checksum\": {}, \
                  \"format_version\": {}}}",
                 json::escape(&e.key.benchmark),
@@ -220,6 +225,7 @@ impl Manifest {
                 json::escape(&e.key.kind),
                 e.key.target,
                 json::escape(&e.file),
+                e.offset,
                 e.committed,
                 e.cycle,
                 e.trace_cursor,
@@ -281,6 +287,10 @@ impl Manifest {
                     target: num_field("target")?,
                 },
                 file: str_field("file")?,
+                offset: match row.get("offset") {
+                    None => 0,
+                    Some(_) => num_field("offset")?,
+                },
                 committed: num_field("committed")?,
                 cycle: num_field("cycle")?,
                 trace_cursor: num_field("trace_cursor")?,
@@ -365,6 +375,7 @@ mod tests {
                 target,
             },
             file: format!("{bench}_vp-wb-nrr32_{kind}_{target}.vprsnap"),
+            offset: 0,
             committed: target + 3,
             cycle: 12_345,
             trace_cursor: target + 40,
@@ -384,6 +395,20 @@ mod tests {
         assert_eq!(back, m);
         assert!(back.find(&entry("swim", "interval", 2_625).key).is_some());
         assert!(back.find(&entry("swim", "interval", 9_999).key).is_none());
+    }
+
+    #[test]
+    fn a_row_without_offset_reads_as_offset_zero() {
+        let mut m = Manifest::default();
+        let mut packed = entry("swim", "interval", 2_625);
+        packed.offset = 21_467;
+        m.upsert(entry("swim", "warm", 2_000));
+        m.upsert(packed);
+        let json = m.to_json();
+        assert!(json.contains("\"offset\": 21467"), "{json}");
+        let old_layout = json.replace(", \"offset\": 0", "");
+        assert_eq!(old_layout.matches("\"offset\"").count(), 1);
+        assert_eq!(Manifest::from_json(&old_layout).unwrap(), m);
     }
 
     #[test]
