@@ -4,7 +4,8 @@
 //! artefact against its manifest (optionally continuing each restored
 //! machine and comparing bit-for-bit against a fresh uninterrupted run),
 //! and `repair` quarantines corrupt artefacts, drops dead manifest
-//! entries and sweeps debris left by interrupted writes.
+//! entries and sweeps debris left by interrupted writes and packs no
+//! manifest entry points at.
 //!
 //! ```text
 //! cargo run --release -p vpr-bench --bin checkpoint -- <create|inspect|verify|repair>
@@ -150,7 +151,7 @@ fn create(cli: &Cli) {
     let (exp, regs) = (cli.exp, cli.regs);
     let grid = vpr_bench::workloads::grid(&cli.workloads, &cli.schemes);
     let generated = par::par_map(exp.effective_jobs(), grid, move |_, (workload, scheme)| {
-        generate_checkpoints(workload, scheme, regs, &exp, plan.as_ref())
+        generate_checkpoints(workload, scheme, regs, &exp, plan.as_ref()).checkpoints
     });
     let mut files = 0usize;
     for batch in &generated {
@@ -534,7 +535,9 @@ fn verify(cli: &Cli) {
 /// the validating load), manifest entries whose artefact is missing,
 /// corrupt or unparseable are dropped — every row of a quarantined pack
 /// with them ([`CheckpointStore::prune`]) — and `*.tmp` debris left by
-/// interrupted atomic writes is swept. Stale-but-intact artefacts
+/// interrupted atomic writes is swept, as is every `.vprsnap` pack no
+/// remaining entry points at
+/// ([`CheckpointStore::sweep_unreferenced`]). Stale-but-intact artefacts
 /// (config-hash or format mismatch against what this build derives for
 /// the row's key) are kept — they may serve another configuration, and
 /// `create` replaces them in place.
@@ -599,11 +602,21 @@ fn repair(cli: &Cli) {
         eprintln!("cannot rewrite manifest in {}: {e}", store.dir.display());
         std::process::exit(1);
     }
+    let unreferenced = store.sweep_unreferenced();
+    for path in &unreferenced {
+        println!("swept {}", path.display());
+    }
     println!(
-        "repaired {}: {} entr{} kept ({stale} stale), {dropped} dropped, {swept} temp file(s) swept{}",
+        "repaired {}: {} entr{} kept ({stale} stale), {dropped} dropped, {swept} temp file(s) \
+         and {} unreferenced pack(s) swept{}",
         store.dir.display(),
         store.manifest.entries.len(),
-        if store.manifest.entries.len() == 1 { "y" } else { "ies" },
+        if store.manifest.entries.len() == 1 {
+            "y"
+        } else {
+            "ies"
+        },
+        unreferenced.len(),
         match cli.max_age {
             Some(_) => format!(
                 ", {reclaimed_files} quarantine file(s) reclaimed ({reclaimed_bytes} bytes)"

@@ -37,11 +37,12 @@
 //! continuing each restored machine and comparing against a fresh
 //! uninterrupted run).
 
-use crate::sampling::SamplingPlan;
+use crate::sampling::{SamplingPlan, Window};
 use crate::workloads::{parse_scheme, scheme_label, Workload};
 use crate::ExperimentConfig;
+use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
-use vpr_core::{Processor, RenameScheme, SimConfig};
+use vpr_core::{Processor, RenameScheme, SimConfig, SimStats};
 use vpr_snap::manifest::{CheckpointKey, Manifest, ManifestEntry, ManifestError};
 use vpr_snap::{Snap as _, Snapshot};
 
@@ -270,22 +271,44 @@ pub(crate) struct WrittenPack {
     pub rows: Vec<ManifestEntry>,
 }
 
+/// What one warm serial pass produced: its checkpoints and, when it was
+/// given a sampling plan, the detailed window it measured at each
+/// interval start.
+#[derive(Debug, Clone)]
+pub struct WarmPass {
+    /// The checkpoints, in pass order (the warm checkpoint first).
+    pub checkpoints: Vec<GeneratedCheckpoint>,
+    /// One window per interval, in interval order; empty without a plan.
+    pub windows: Vec<Window>,
+}
+
 /// Runs **one warm serial pass** for `(workload, scheme)` and checkpoints
 /// it at every requested position: always at the end of warm-up
 /// (`exp.warmup`, kind [`KIND_WARM`]) and — when a sampling plan is given —
 /// at each of the plan's interval starts (kind [`KIND_INTERVAL`]).
 ///
-/// The pass is the plain uninterrupted simulation, paused via
-/// [`Processor::checkpoint_at_commits`]; restored continuations are
-/// therefore bit-identical to never having paused (the contract
-/// `tests/snapshot_roundtrip.rs` pins).
+/// With a plan, the pass also measures each interval's detailed window:
+/// window *i* begins at the pause for interval *i* and ends at the first
+/// cycle boundary where the pass has committed `plan.detailed_measure`
+/// more instructions; its stats are the window's [`SimStats`]. The loop
+/// always runs to the nearest outstanding target — a checkpoint start or
+/// a window end — so a window that runs past the next interval start is
+/// measured exactly too.
+///
+/// Every pause lands at the first cycle boundary at or after its target
+/// (a run can overshoot a commit target by up to commit-width − 1), and
+/// the pass never resets its measurement window. The pauses therefore
+/// leave the uninterrupted simulation untouched: a restored checkpoint
+/// continues bit-identically (the contract `tests/snapshot_roundtrip.rs`
+/// pins), and each window equals restoring its checkpoint and running
+/// `detailed_measure` commits (`tests/sampled_windows.rs`).
 pub fn generate_checkpoints(
     workload: impl Into<Workload>,
     scheme: RenameScheme,
     physical_regs: usize,
     exp: &ExperimentConfig,
     plan: Option<&SamplingPlan>,
-) -> Vec<GeneratedCheckpoint> {
+) -> WarmPass {
     let workload = workload.into();
     let config = sim_config(scheme, physical_regs, exp);
     let hash = config_hash(workload, &config, exp.seed);
@@ -300,26 +323,50 @@ pub fn generate_checkpoints(
         }
     }
     targets.sort_by_key(|(t, _)| *t);
-    let positions: Vec<u64> = targets.iter().map(|(t, _)| *t).collect();
+    let measure = plan.map_or(0, |p| p.detailed_measure);
 
     let mut cpu = Processor::new(config, workload.stream(exp.seed));
-    let mut out = Vec::new();
-    let mut at = 0usize;
-    cpu.checkpoint_at_commits(&positions, |cpu, target| {
-        let snapshot = cpu.snapshot();
-        for kind in &targets[at].1 {
-            out.push(GeneratedCheckpoint {
-                key: checkpoint_key(workload, scheme, physical_regs, exp, kind, target),
-                committed: cpu.absolute_committed(),
-                cycle: cpu.cycle(),
-                trace_cursor: cpu.trace().emitted(),
-                config_hash: hash,
-                snapshot: snapshot.clone(),
-            });
+    let mut checkpoints = Vec::new();
+    let mut windows = Vec::new();
+    // Windows begun and not yet ended: (begin, stats at begin, end
+    // target). All windows have one length, so they end in begin order.
+    let mut open: VecDeque<(u64, SimStats, u64)> = VecDeque::new();
+    let mut next = 0usize;
+    loop {
+        let start = targets.get(next).map(|(t, _)| *t);
+        let end = open.front().map(|w| w.2);
+        let Some(target) = start.into_iter().chain(end).min() else {
+            break;
+        };
+        cpu.run_to_commit(target);
+        let reached = |t: u64| cpu.absolute_committed() >= t || cpu.is_done();
+        while open.front().is_some_and(|w| reached(w.2)) {
+            let (begin, base, _) = open.pop_front().expect("checked above");
+            windows.push((begin, cpu.absolute_committed(), cpu.stats().minus(&base)));
         }
-        at += 1;
-    });
-    out
+        while let Some((target, kinds)) = targets.get(next).filter(|(t, _)| reached(*t)) {
+            let snapshot = cpu.snapshot();
+            let at = cpu.absolute_committed();
+            for kind in kinds {
+                if *kind == KIND_INTERVAL {
+                    open.push_back((at, cpu.stats(), at + measure));
+                }
+                checkpoints.push(GeneratedCheckpoint {
+                    key: checkpoint_key(workload, scheme, physical_regs, exp, kind, *target),
+                    committed: at,
+                    cycle: cpu.cycle(),
+                    trace_cursor: cpu.trace().emitted(),
+                    config_hash: hash,
+                    snapshot: snapshot.clone(),
+                });
+            }
+            next += 1;
+        }
+    }
+    WarmPass {
+        checkpoints,
+        windows,
+    }
 }
 
 /// A checkpoint directory opened for reading: the manifest plus the path
@@ -330,6 +377,10 @@ pub struct CheckpointStore {
     pub dir: PathBuf,
     /// Its parsed manifest.
     pub manifest: Manifest,
+    /// Packs that lost a manifest row to a newer pack since the last
+    /// flush; [`CheckpointStore::flush`] deletes each one no row points
+    /// at any more.
+    orphans: Vec<String>,
 }
 
 /// Moves a torn/corrupt artefact out of the way by renaming it to
@@ -412,6 +463,7 @@ impl CheckpointStore {
         Ok(Self {
             dir: dir.to_path_buf(),
             manifest: Manifest::load(dir)?,
+            orphans: Vec::new(),
         })
     }
 
@@ -444,6 +496,7 @@ impl CheckpointStore {
                     Self {
                         dir: dir.to_path_buf(),
                         manifest: Manifest::default(),
+                        orphans: Vec::new(),
                     },
                     Some(note),
                 )
@@ -468,8 +521,11 @@ impl CheckpointStore {
 
     /// Writes `generated` as one pack — the envelopes back to back, in one
     /// crash-safe [`vpr_snap::atomic_write`] — without touching the
-    /// manifest; `None` for an empty batch. Packs of different passes have
-    /// different names, so concurrent jobs may each write their own.
+    /// manifest; `None` for an empty batch. Checkpoints taken at one pause
+    /// of the pass (the warm checkpoint and the first interval start) share
+    /// one envelope: their rows point at the same offset. Packs of
+    /// different passes have different names, so concurrent jobs may each
+    /// write their own.
     pub(crate) fn write_pack(
         &self,
         generated: &[GeneratedCheckpoint],
@@ -480,10 +536,21 @@ impl CheckpointStore {
         let file = pack_file_name(generated);
         let len = generated.iter().map(|g| g.snapshot.envelope_len()).sum();
         let mut bytes = Vec::with_capacity(len);
-        let mut rows = Vec::with_capacity(generated.len());
+        let mut rows: Vec<ManifestEntry> = Vec::with_capacity(generated.len());
+        let mut previous: Option<&GeneratedCheckpoint> = None;
         for g in generated {
-            rows.push(g.manifest_entry(file.clone(), bytes.len() as u64));
-            g.snapshot.append_to(&mut bytes);
+            let same =
+                previous.is_some_and(|p| p.committed == g.committed && p.snapshot == g.snapshot);
+            let offset = match rows.last() {
+                Some(row) if same => row.offset,
+                _ => {
+                    let offset = bytes.len() as u64;
+                    g.snapshot.append_to(&mut bytes);
+                    offset
+                }
+            };
+            rows.push(g.manifest_entry(file.clone(), offset));
+            previous = Some(g);
         }
         std::fs::create_dir_all(&self.dir)?;
         vpr_snap::atomic_write(&self.dir.join(&file), &bytes)?;
@@ -492,21 +559,60 @@ impl CheckpointStore {
 
     /// Files a written pack in the in-memory manifest: every row that
     /// pointed into the file it replaced goes, then its own rows are
-    /// upserted in file order.
+    /// upserted in file order. A pack whose last row moves into this one
+    /// (an exact run's warm-only pack, re-filed by a sampled pass of the
+    /// same configuration) is deleted at the next flush.
     pub(crate) fn record(&mut self, pack: WrittenPack) {
         self.manifest.entries.retain(|e| e.file != pack.file);
         for row in pack.rows {
+            if let Some(old) = self.manifest.find(&row.key) {
+                if old.file != pack.file && !self.orphans.contains(&old.file) {
+                    self.orphans.push(old.file.clone());
+                }
+            }
             self.manifest.upsert(row);
         }
     }
 
-    /// Persists the manifest (`checkpoints.json`).
+    /// Persists the manifest (`checkpoints.json`), then deletes each pack
+    /// whose last row moved into a newer pack since the last flush — only
+    /// once the written manifest no longer points at it, so a crash in
+    /// between leaves an unreferenced file (`checkpoint repair` sweeps
+    /// those), never a dangling row.
     ///
     /// # Errors
     ///
-    /// Propagates the underlying I/O error.
-    pub fn flush(&self) -> std::io::Result<()> {
-        self.manifest.store(&self.dir)
+    /// Propagates the underlying I/O error of the manifest write; a pack
+    /// that cannot be deleted stays for `checkpoint repair`.
+    pub fn flush(&mut self) -> std::io::Result<()> {
+        self.manifest.store(&self.dir)?;
+        for file in std::mem::take(&mut self.orphans) {
+            if !self.manifest.entries.iter().any(|e| e.file == file) {
+                let _ = std::fs::remove_file(self.dir.join(file));
+            }
+        }
+        Ok(())
+    }
+
+    /// Deletes every `.vprsnap` pack in the directory that no manifest row
+    /// points at, returning the deleted paths — `checkpoint repair`'s sweep
+    /// for packs a crash, a failed sweep or an older build left behind.
+    pub fn sweep_unreferenced(&self) -> Vec<PathBuf> {
+        let Ok(dir) = std::fs::read_dir(&self.dir) else {
+            return Vec::new();
+        };
+        let mut swept: Vec<PathBuf> = dir
+            .flatten()
+            .map(|entry| entry.path())
+            .filter(|path| path.extension().is_some_and(|e| e == "vprsnap"))
+            .filter(|path| {
+                let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+                !self.manifest.entries.iter().any(|e| e.file == name)
+            })
+            .filter(|path| std::fs::remove_file(path).is_ok())
+            .collect();
+        swept.sort();
+        swept
     }
 
     /// Loads and validates the checkpoint under `key` for a run whose
@@ -730,7 +836,8 @@ mod tests {
     fn warm_checkpoint_restores_to_the_uninterrupted_run() {
         let exp = quick();
         let generated =
-            generate_checkpoints(Benchmark::Swim, RenameScheme::Conventional, 64, &exp, None);
+            generate_checkpoints(Benchmark::Swim, RenameScheme::Conventional, 64, &exp, None)
+                .checkpoints;
         assert_eq!(generated.len(), 1);
         assert_eq!(generated[0].key.kind, KIND_WARM);
         assert!(generated[0].committed >= exp.warmup);
@@ -750,7 +857,8 @@ mod tests {
         let dir = std::env::temp_dir().join("vpr-bench-ckpt-store-test");
         let _ = std::fs::remove_dir_all(&dir);
         let generated =
-            generate_checkpoints(Benchmark::Go, RenameScheme::Conventional, 64, &exp, None);
+            generate_checkpoints(Benchmark::Go, RenameScheme::Conventional, 64, &exp, None)
+                .checkpoints;
         let mut store = CheckpointStore::open(&dir).unwrap();
         store.save_all(&generated).unwrap();
         store.flush().unwrap();
@@ -795,7 +903,8 @@ mod tests {
         let dir = std::env::temp_dir().join("vpr-bench-ckpt-quarantine-test");
         let _ = std::fs::remove_dir_all(&dir);
         let generated =
-            generate_checkpoints(Benchmark::Swim, RenameScheme::Conventional, 64, &exp, None);
+            generate_checkpoints(Benchmark::Swim, RenameScheme::Conventional, 64, &exp, None)
+                .checkpoints;
         let mut store = CheckpointStore::open(&dir).unwrap();
         store.save_all(&generated).unwrap();
         store.flush().unwrap();

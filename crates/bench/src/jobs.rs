@@ -314,6 +314,7 @@ pub(crate) fn run_job<O: PipeObserver + Clone>(
         None,
     );
     let warm = generated
+        .checkpoints
         .iter()
         .find(|g| g.key.kind == KIND_WARM)
         .expect("warm pass always yields a warm checkpoint");
@@ -324,7 +325,9 @@ pub(crate) fn run_job<O: PipeObserver + Clone>(
         uninterrupted(obs)
     });
     let mut guard = lock(store);
-    let saved = guard.save_all(&generated).and_then(|()| guard.flush());
+    let saved = guard
+        .save_all(&generated.checkpoints)
+        .and_then(|()| guard.flush());
     let persist_note = saved
         .err()
         .map(|e| format!("checkpoint persist failed: {e}"));

@@ -49,9 +49,10 @@
 //! ## Sampled simulation and checkpoint artefacts
 //!
 //! The [`sampling`] module estimates arbitrarily long runs from
-//! **checkpoint-seeded** detailed windows: each window restores the exact
-//! machine state from a `.vprsnap` interval checkpoint, and a per-phase
-//! regression prices the gaps between windows. The [`checkpoints`] module
+//! **checkpoint-seeded** detailed windows: each window is an exact slice
+//! of the uninterrupted run — measured by the warm pass that checkpoints
+//! it, or restored from its `.vprsnap` interval checkpoint — and a
+//! per-phase regression prices the gaps between windows. The [`checkpoints`] module
 //! manages the artefacts: `--bin checkpoint` creates/inspects/verifies
 //! checkpoint directories, the experiment binaries consume them via
 //! `--checkpoint-dir`, and `table2 --sampled --check-exact PCT` gates the

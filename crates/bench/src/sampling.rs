@@ -10,15 +10,16 @@
 //! |--offset--|==window==|---gap---|==window==|---gap---| ... |
 //! ```
 //!
-//! * Each window **restores the exact machine state** of the
-//!   uninterrupted run from a `.vprsnap` interval checkpoint written by
-//!   one warm serial *detailed* pass (`vpr_bench::checkpoints`,
-//!   `Processor::checkpoint_at_commits`). Windows are therefore true
-//!   slices of the full run — no warm-up, no cold-start bias — and only
-//!   gap extrapolation remains. The serial pass is an artefact, paid once
-//!   per configuration and reused by every later sampled run
-//!   (`--sampled --checkpoint-dir` on the figure/table binaries).
-//! * Windows are mutually independent, so they fan out over
+//! * Each window is an exact slice of the uninterrupted run. One warm
+//!   serial *detailed* pass (`vpr_bench::checkpoints::generate_checkpoints`)
+//!   checkpoints every window start and measures every window on its way;
+//!   a later run **restores the exact machine state** from the `.vprsnap`
+//!   interval checkpoint and re-runs the window bit-identically. No
+//!   warm-up, no cold-start bias — only gap extrapolation remains. The
+//!   serial pass is an artefact, paid once per configuration and reused
+//!   by every later sampled run (`--sampled --checkpoint-dir` on the
+//!   figure/table binaries).
+//! * Restored windows are mutually independent, so they fan out over
 //!   [`vpr_core::par`] with the same submission-order merge as the figure
 //!   sweeps — sampled results are byte-identical for any `--jobs`.
 //! * The **per-phase regression estimator** ([`CheckpointedReport::ipc`])
@@ -63,9 +64,10 @@ impl SamplingPlan {
     /// The plan used against [`ExperimentConfig::quick`]'s full run
     /// (warm-up 2 000 + measure 30 000): 48 windows of 310 commits. 46.5 %
     /// of the region is simulated in detail: the windows are the *only*
-    /// simulation a sampled run pays (the serial pass that produced the
-    /// checkpoints is a reusable artefact), and windows this dense are
-    /// what pushes the worst per-configuration error under 2 %
+    /// simulation a warm rerun pays (the serial pass that produced the
+    /// checkpoints is a reusable artefact, and measures the windows
+    /// itself), and windows this dense are what pushes the worst
+    /// per-configuration error under 2 %
     /// (empirically −1.5 % on the quick table2 grid).
     pub fn quick() -> Self {
         Self {
@@ -452,10 +454,10 @@ fn profile_spans(
     let mut pos = 0u64;
     let mut out = Vec::with_capacity(spans.len());
     for &(begin, end) in spans {
-        // Consecutive windows can overlap by up to commit-width − 1 when a
-        // window's achieved end runs past the next checkpoint's start; the
-        // single forward pass then profiles the later span from where it
-        // stands (≤ a few instructions short — covariates only).
+        // Consecutive windows overlap when a window's achieved end runs
+        // past the next interval's start; the single forward pass then
+        // profiles the later span from where it stands (≤ a few
+        // instructions short — covariates only).
         let begin = begin.max(pos);
         let end = end.max(begin);
         while pos < begin {
@@ -485,12 +487,17 @@ fn profile_spans(
     out
 }
 
+/// One measured detailed window: `(begin, end, stats)` — the absolute
+/// committed positions where it began and ended, and its [`SimStats`].
+pub type Window = (u64, u64, SimStats);
+
 /// Runs a **checkpoint-seeded** sampled estimate: every interval restores
 /// the exact machine state of the uninterrupted run from its checkpoint
 /// (`checkpoints[i] = (interval start, snapshot)`, as produced by
 /// `vpr_bench::checkpoints::generate_checkpoints` or loaded from a
 /// `.vprsnap` directory) and simulates only the measured window. Window
-/// runs fan out over [`vpr_core::par`] with submission-order determinism.
+/// runs fan out over [`vpr_core::par`] with submission-order determinism;
+/// [`estimate_from_windows`] assembles the estimate.
 ///
 /// # Panics
 ///
@@ -513,8 +520,7 @@ pub fn sample_from_checkpoints(
         plan.intervals,
         "need one checkpoint per interval"
     );
-    let config = crate::checkpoints::sim_config(scheme, physical_regs, exp);
-    let windows: Vec<(u64, u64, SimStats)> = par::par_map(
+    let windows: Vec<Window> = par::par_map(
         jobs.max(1),
         checkpoints.to_vec(),
         move |_, (_, snapshot)| {
@@ -556,13 +562,45 @@ pub fn sample_from_checkpoints(
             (begin, cpu.absolute_committed(), stats)
         },
     );
+    estimate_from_windows(workload, scheme, physical_regs, exp, plan, windows)
+}
+
+/// Assembles a sampled estimate from the plan's measured windows, in
+/// interval order — restored from checkpoints
+/// ([`sample_from_checkpoints`]) or measured by the warm pass itself
+/// (`vpr_bench::checkpoints::generate_checkpoints`); the two are
+/// bit-identical for the pass's own scheme. One functional pass profiles
+/// the windows and the gaps between them.
+///
+/// # Panics
+///
+/// Panics if the plan is invalid or the window count does not match its
+/// interval count.
+pub fn estimate_from_windows(
+    workload: impl Into<Workload>,
+    scheme: RenameScheme,
+    physical_regs: usize,
+    exp: &ExperimentConfig,
+    plan: &SamplingPlan,
+    windows: Vec<Window>,
+) -> CheckpointedReport {
+    let workload = workload.into();
+    plan.validate();
+    assert_eq!(
+        windows.len(),
+        plan.intervals,
+        "need one window per interval"
+    );
+    let config = crate::checkpoints::sim_config(scheme, physical_regs, exp);
     // Span accounting: windows are exact slices of the uninterrupted run;
     // the gaps between them (and the tail out to the region end) are what
-    // the estimator predicts. Consecutive windows can overlap by up to
-    // commit-width − 1 instructions when an interval's achieved end runs
-    // past the next checkpoint's achieved start — the overlapped commits
-    // are counted in both windows (numerator and denominator alike, a
-    // ≤0.1 % effect at quick scale), and the gap in between is empty.
+    // the estimator predicts. Consecutive windows overlap by a few
+    // instructions when a window runs past the next interval's achieved
+    // start: a plan may leave no slack between windows, and every pause
+    // overshoots its commit target by up to commit-width − 1. The
+    // overlapped commits are counted in both windows (numerator and
+    // denominator alike, a ≤0.1 % effect at quick scale), and the gap in
+    // between is empty.
     let region_end = (plan.offset + plan.region).max(windows.last().map_or(0, |w| w.1));
     let mut gap_spans = Vec::with_capacity(windows.len());
     for (i, &(_, end, _)) in windows.iter().enumerate() {
@@ -680,6 +718,7 @@ mod tests {
         let scheme = RenameScheme::Conventional;
         let checkpoints: Vec<(u64, vpr_snap::Snapshot)> =
             generate_checkpoints(Benchmark::Swim, scheme, 64, &exp, Some(&plan))
+                .checkpoints
                 .into_iter()
                 .filter(|c| c.key.kind == KIND_INTERVAL)
                 .map(|c| (c.key.target, c.snapshot))

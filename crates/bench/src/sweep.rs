@@ -25,7 +25,7 @@ use crate::checkpoints::{
     WrittenPack, KIND_INTERVAL,
 };
 use crate::jobs::{lock, run_job, JobSpec};
-use crate::sampling::{sample_from_checkpoints, SamplingPlan};
+use crate::sampling::{estimate_from_windows, sample_from_checkpoints, SamplingPlan, Window};
 use crate::workloads::{scheme_label, Workload};
 use crate::ExperimentConfig;
 use std::collections::HashMap;
@@ -670,11 +670,14 @@ fn run_exact(
 }
 
 /// One sharing group's interval checkpoints, loaded from the store or
-/// produced by the group's warm pass; `loaded` says which, and `pack` is
-/// what a warm pass wrote to the store, if it wrote anything.
+/// produced by the group's warm pass. `windows` holds the pass's own
+/// measured windows when this sweep simulated the pass (`None` when the
+/// set was loaded), `set` the checkpoints the group's re-targeted points
+/// restore (empty when no point needs them), and `pack` what a warm pass
+/// wrote to the store, if it wrote anything.
 struct GroupPass {
     set: Vec<(u64, vpr_snap::Snapshot)>,
-    loaded: bool,
+    windows: Option<Vec<Window>>,
     pack: Option<WrittenPack>,
 }
 
@@ -695,7 +698,9 @@ fn group_key(s: &JobSpec) -> String {
 }
 
 /// The sampled stages: one warm pass per sharing group, then every point
-/// estimated from its group's interval checkpoints. A warm pass writes
+/// estimated from its group's windows — measured by the pass itself for
+/// the pass's own scheme when this sweep ran it, restored from the
+/// group's interval checkpoints otherwise. A warm pass writes
 /// its checkpoints to the store as one pack inside its own job; the
 /// calling thread files the packs' rows in group order and writes the
 /// manifest once. The stages only read the manifest, so they share the
@@ -757,7 +762,7 @@ fn run_sampled(
                 Ok(set) => {
                     let value = GroupPass {
                         set,
-                        loaded: true,
+                        windows: None,
                         pack: None,
                     };
                     let outcome = JobOutcome::CacheHit;
@@ -777,20 +782,31 @@ fn run_sampled(
         // Persist the pass just paid for, so the next sampled run reuses
         // it. A write failure never affects results — note and continue.
         let pack = store.as_ref().and_then(|s| {
-            s.write_pack(&generated).unwrap_or_else(|e| {
+            s.write_pack(&generated.checkpoints).unwrap_or_else(|e| {
                 notes.push(("persist", format!("cannot write checkpoints: {e}")));
                 None
             })
         });
-        let set = generated
-            .into_iter()
-            .filter(|c| c.key.kind == KIND_INTERVAL)
-            .map(|c| (c.key.target, c.snapshot))
-            .collect();
+        // Points of the pass's own scheme take its windows; only
+        // re-targeted points restore the interval checkpoints.
+        let restores = specs
+            .iter()
+            .zip(&group_of)
+            .any(|(s, &of)| of == gi && s.scheme != pass);
+        let set = if restores {
+            generated
+                .checkpoints
+                .into_iter()
+                .filter(|c| c.key.kind == KIND_INTERVAL)
+                .map(|c| (c.key.target, c.snapshot))
+                .collect()
+        } else {
+            Vec::new()
+        };
         Ok(StageDone {
             value: GroupPass {
                 set,
-                loaded: false,
+                windows: Some(generated.windows),
                 pack,
             },
             notes,
@@ -803,27 +819,27 @@ fn run_sampled(
     // A group that fails for good is reported by each of its points.
     stages.failures.retain(|f| f.recovered);
 
-    // Stage 2: measure every point against its group's set; each point's
-    // windows run serially inside it (jobs = 1) so the pool is not nested.
-    // Points whose group pass failed are blocked without simulating. The
-    // first point of each group "owns" the stage-1 pass (already counted
-    // there); every further point reuses the shared artefact — the
-    // cross-NRR reuse the telemetry counts.
+    // Stage 2: estimate every point. A point of its group's pass scheme
+    // takes the windows the pass measured, when this sweep ran the pass;
+    // every other point restores its group's set and runs its windows
+    // serially (jobs = 1) so the pool is not nested. Points whose group
+    // pass failed are blocked without simulating. The first point of each
+    // group "owns" the stage-1 pass (already counted there); every further
+    // point reuses the shared artefact — the cross-NRR reuse the telemetry
+    // counts.
     let shared = |i: usize| group_of[..i].contains(&group_of[i]);
     let results = stages.run("sample", specs.iter().map(JobSpec::label).collect(), |i| {
         let pass = sets[group_of[i]]
             .as_ref()
             .map_err(|f| ("warm-pass", f.clone()))?;
         let s = &specs[i];
-        let report = sample_from_checkpoints(
-            s.workload,
-            s.scheme,
-            s.physical_regs,
-            exp,
-            &plan,
-            &pass.set,
-            1,
-        );
+        let (w, scheme, regs) = (s.workload, s.scheme, s.physical_regs);
+        let report = match &pass.windows {
+            Some(windows) if scheme == passes[group_of[i]] => {
+                estimate_from_windows(w, scheme, regs, exp, &plan, windows.clone())
+            }
+            _ => sample_from_checkpoints(w, scheme, regs, exp, &plan, &pass.set, 1),
+        };
         progress.point_done();
         Ok(StageDone {
             value: PointMetrics {
@@ -844,7 +860,9 @@ fn run_sampled(
         .map(|r| r.unwrap_or_else(|_| PointMetrics::failed()))
         .collect();
 
-    let all_from_disk = sets.iter().all(|r| matches!(r, Ok(pass) if pass.loaded));
+    let all_from_disk = sets
+        .iter()
+        .all(|r| matches!(r, Ok(pass) if pass.windows.is_none()));
     // File the written packs in group order, so the manifest does not
     // depend on which job finished first, and write it once.
     if let Some(mut store) = store {

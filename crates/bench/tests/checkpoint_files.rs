@@ -48,7 +48,7 @@ fn warm_checkpoint_through_disk_matches_golden() {
 
     let mut store = CheckpointStore::open(&dir).unwrap();
     for scheme in THROUGHPUT_SCHEMES {
-        let generated = generate_checkpoints(benchmark, scheme, 64, &exp, None);
+        let generated = generate_checkpoints(benchmark, scheme, 64, &exp, None).checkpoints;
         store.save_all(&generated).unwrap();
     }
     store.flush().unwrap();
@@ -95,7 +95,7 @@ fn stale_and_corrupt_artefacts_are_rejected() {
     let benchmark = Benchmark::Go;
     let scheme = RenameScheme::Conventional;
 
-    let generated = generate_checkpoints(benchmark, scheme, 64, &exp, None);
+    let generated = generate_checkpoints(benchmark, scheme, 64, &exp, None).checkpoints;
     let mut store = CheckpointStore::open(&dir).unwrap();
     store.save_all(&generated).unwrap();
     store.flush().unwrap();

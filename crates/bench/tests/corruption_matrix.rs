@@ -38,7 +38,7 @@ fn seeded_store(tag: &str) -> (PathBuf, PathBuf, vpr_snap::manifest::CheckpointK
     let dir = temp_dir(tag);
     let benchmark = Benchmark::Li;
     let scheme = RenameScheme::Conventional;
-    let generated = generate_checkpoints(benchmark, scheme, 64, &exp, None);
+    let generated = generate_checkpoints(benchmark, scheme, 64, &exp, None).checkpoints;
     let mut store = CheckpointStore::open(&dir).unwrap();
     store.save_all(&generated).unwrap();
     store.flush().unwrap();
@@ -106,7 +106,8 @@ fn every_envelope_region_fails_typed_and_quarantines() {
     // Quarantine-and-regenerate: write the artefact set afresh and the
     // store serves it again under the original name.
     let exp = quick_exp();
-    let generated = generate_checkpoints(Benchmark::Li, RenameScheme::Conventional, 64, &exp, None);
+    let generated =
+        generate_checkpoints(Benchmark::Li, RenameScheme::Conventional, 64, &exp, None).checkpoints;
     let mut store = CheckpointStore::open(&dir).unwrap();
     store.save_all(&generated).unwrap();
     store.flush().unwrap();

@@ -1805,39 +1805,6 @@ impl<S: InstStream + vpr_snap::Resumable, O: PipeObserver> Processor<S, O> {
         vpr_snap::Snapshot::new(enc.into_bytes())
     }
 
-    /// The checkpoint-at-commit hook: advances the machine to each target
-    /// in `targets` (absolute committed-instruction positions, strictly
-    /// increasing) and hands the caller a borrow of the paused machine —
-    /// typically to call [`Processor::snapshot`] and write a `.vprsnap`
-    /// artefact. This is how one warm serial pass produces the per-interval
-    /// checkpoints the sampled experiment binaries seed from.
-    ///
-    /// Each pause lands at the first cycle boundary at or after its target
-    /// (a run can overshoot a commit target by up to commit-width − 1); the
-    /// achieved position is [`Processor::absolute_committed`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `targets` is not strictly increasing, or if a target lies
-    /// behind the machine's current position.
-    pub fn checkpoint_at_commits(&mut self, targets: &[u64], mut sink: impl FnMut(&Self, u64)) {
-        let mut previous = None;
-        for &target in targets {
-            assert!(
-                previous.is_none_or(|p| p < target),
-                "checkpoint targets must be strictly increasing ({previous:?} then {target})"
-            );
-            assert!(
-                target >= self.raw.committed,
-                "checkpoint target {target} is behind the machine (at {})",
-                self.raw.committed
-            );
-            previous = Some(target);
-            self.run_to_commit(target);
-            sink(self, target);
-        }
-    }
-
     /// Rebuilds a processor from a snapshot taken by
     /// [`Processor::snapshot`], attaching lifecycle observer `obs` (which
     /// starts empty — observers are never serialised). The unobserved

@@ -58,7 +58,8 @@ fn a_created_directory_seeds_a_sampled_run_without_a_warm_pass() {
         RenameScheme::Conventional,
         RenameScheme::VirtualPhysicalWriteback { nrr: 32 },
     ] {
-        let generated = generate_checkpoints(Benchmark::Swim, scheme, 64, &exp, Some(&plan));
+        let generated =
+            generate_checkpoints(Benchmark::Swim, scheme, 64, &exp, Some(&plan)).checkpoints;
         store.save_all(&generated).unwrap();
     }
     store.flush().unwrap();

@@ -3,7 +3,9 @@
 //! bad envelope quarantines its whole pack, the run regenerates it
 //! bit-identically, and every row into a quarantined pack leaves the
 //! manifest; a directory written one envelope per file, with manifest
-//! rows that carry no `offset`, still seeds a sampled run.
+//! rows that carry no `offset`, still seeds a sampled run; the warm and
+//! first interval checkpoint, one snapshot, are one envelope; and a pack
+//! that loses its last row is deleted.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -83,8 +85,17 @@ fn a_sampled_run_writes_one_pack_per_warm_pass_and_a_rerun_writes_none() {
     assert_eq!(packs.len(), passes, "one file per warm pass: {packs:?}");
     let store = CheckpointStore::open(&dir).unwrap();
     for pack in &packs {
-        let rows = store.manifest.entries.iter().filter(|e| &e.file == pack);
-        assert_eq!(rows.count(), 49, "{pack}: the warm + 48 interval rows");
+        let rows: Vec<_> = store
+            .manifest
+            .entries
+            .iter()
+            .filter(|e| &e.file == pack)
+            .collect();
+        assert_eq!(rows.len(), 49, "{pack}: the warm + 48 interval rows");
+        let mut offsets: Vec<u64> = rows.iter().map(|e| e.offset).collect();
+        offsets.sort_unstable();
+        offsets.dedup();
+        assert_eq!(offsets.len(), 48, "{pack}: warm@W is interval@W's envelope");
     }
 
     let before = listing(&dir);
@@ -120,6 +131,8 @@ fn one_bad_envelope_quarantines_its_pack_and_the_run_regenerates_it() {
         .map(|e| e.offset)
         .collect();
     offsets.sort_unstable();
+    // `warm@W` and `interval@W` share the first envelope.
+    offsets.dedup();
     assert_eq!(offsets[0], 0, "a pack starts with its first envelope");
     // One payload byte of the second envelope.
     let path = dir.join(&pack);
@@ -178,7 +191,8 @@ fn repair_drops_every_row_of_a_torn_pack() {
         RenameScheme::Conventional,
         RenameScheme::VirtualPhysicalWriteback { nrr: 32 },
     ] {
-        let generated = generate_checkpoints(Benchmark::Swim, scheme, 64, &exp, Some(&plan));
+        let generated =
+            generate_checkpoints(Benchmark::Swim, scheme, 64, &exp, Some(&plan)).checkpoints;
         store.save_all(&generated).unwrap();
     }
     store.flush().unwrap();
@@ -232,7 +246,7 @@ fn a_directory_with_one_envelope_per_file_still_seeds_a_sampled_run() {
             RenameScheme::Conventional,
             RenameScheme::VirtualPhysicalWriteback { nrr: 32 },
         ] {
-            for g in generate_checkpoints(workload, scheme, 64, &exp, Some(&plan)) {
+            for g in generate_checkpoints(workload, scheme, 64, &exp, Some(&plan)).checkpoints {
                 let k = &g.key;
                 let file = format!(
                     "{}_{}_{}r_s{}_mp{}_w{}_{}{}.vprsnap",
@@ -265,4 +279,51 @@ fn a_directory_with_one_envelope_per_file_still_seeds_a_sampled_run() {
     assert_eq!(listing(&dir), before, "a seeded run writes no file");
     assert_eq!(results(&seeded), results(&sampled(None)));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_sampled_run_deletes_the_warm_only_packs_it_supersedes() {
+    let dir = temp_dir("exact-then-sampled");
+    let swim = [Workload::from(Benchmark::Swim)];
+    let exp = ExperimentConfig::quick();
+    let exact = table2_for(&swim, &exp, &SweepContext::new(false, Some(&dir)));
+    assert!(exact.failures.is_empty(), "{:?}", exact.failures);
+    let warm_only = files_ending(&dir, ".vprsnap");
+    assert_eq!(warm_only.len(), 2, "conventional and vp-wb-nrr32");
+
+    let cold = sampled_swim(&dir, &exp);
+    let packs = files_ending(&dir, ".vprsnap");
+    assert_eq!(packs.len(), 2, "no orphan pack: {packs:?}");
+    assert!(packs.iter().all(|p| !warm_only.contains(p)), "{packs:?}");
+    let store = CheckpointStore::open(&dir).unwrap();
+    assert_eq!(store.manifest.entries.len(), 2 * 49);
+    assert!(store
+        .manifest
+        .entries
+        .iter()
+        .all(|e| packs.contains(&e.file)));
+    // The exact run's warm rows moved into the sampled packs, so a rerun
+    // still seeds from the directory alone.
+    let warm = sampled_swim(&dir, &exp);
+    assert!(warm
+        .to_json()
+        .contains("\"seeded_from\": \"checkpoint-dir\""));
+    assert_eq!(results(&warm), results(&cold));
+
+    // Repair's sweep: a pack no row points at goes; the others stay.
+    let stray = dir.join("stray.vprsnap");
+    std::fs::copy(dir.join(&packs[0]), &stray).unwrap();
+    assert_eq!(store.sweep_unreferenced(), [stray]);
+    assert_eq!(files_ending(&dir, ".vprsnap"), packs);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn sampled_swim(dir: &Path, exp: &ExperimentConfig) -> Table2 {
+    let table = table2_for(
+        &[Benchmark::Swim.into()],
+        exp,
+        &SweepContext::new(true, Some(dir)),
+    );
+    assert!(table.failures.is_empty(), "{:?}", table.failures);
+    table
 }
