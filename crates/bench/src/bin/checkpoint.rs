@@ -12,7 +12,6 @@
 //!     [--dir DIR]                      # checkpoint directory (default: checkpoints)
 //!     [--workload a,b,...]             # workload names (synthetic or asm:NAME);
 //!                                      #   default: all nine synthetic benchmarks
-//!                                      #   (--benchmarks is an accepted alias)
 //!     [--schemes l1,l2,...]            # scheme labels; default: conventional,vp-wb-nrr32
 //!     [--regs N]                       # physical registers per class (default 64)
 //!     [--intervals]                    # create: also write per-interval checkpoints
@@ -92,14 +91,8 @@ fn parse_cli() -> Cli {
     let dir: PathBuf = or_exit(cli::value(&mut args, "--dir"))
         .unwrap_or_else(|| "checkpoints".into())
         .into();
-    // `--workload` is the canonical spelling; `--benchmarks` stays as an
-    // alias from before assembled programs joined the workload set.
-    let workloads = match or_exit(cli::workloads(&mut args, "--workload")) {
-        Some(workloads) => workloads,
-        None => {
-            or_exit(cli::workloads(&mut args, "--benchmarks")).unwrap_or_else(Workload::synthetic)
-        }
-    };
+    let workloads =
+        or_exit(cli::workloads(&mut args, "--workload")).unwrap_or_else(Workload::synthetic);
     let schemes =
         or_exit(cli::schemes(&mut args, "--schemes")).unwrap_or_else(|| TABLE2_SCHEMES.to_vec());
     let regs = or_exit(cli::number(&mut args, "--regs")).unwrap_or(64);

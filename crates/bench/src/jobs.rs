@@ -185,16 +185,6 @@ impl JobOutput {
             note: obj.get("note").and_then(Value::as_str).map(str::to_string),
         })
     }
-
-    /// Renders the metrics the way the batch tables do (4 decimals, NaN
-    /// as `null`) — the representation CI compares against `table2.json`.
-    pub fn table_cells(&self) -> (String, String, String) {
-        (
-            json::fixed(self.metrics.ipc, 4),
-            json::fixed(self.metrics.miss_ratio, 4),
-            json::fixed(self.metrics.executions_per_commit, 4),
-        )
-    }
 }
 
 /// Locks the shared checkpoint store, recovering from poisoning: every

@@ -55,8 +55,8 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// Retry discipline for [`par_try_map`] and the sweep service: a bounded
 /// retry budget plus capped exponential backoff between attempts.
 ///
-/// The historical `par_try_map` behaviour — at most one immediate retry —
-/// is `RetryPolicy::immediate(1)`. A long-running daemon wants a larger
+/// Batch sweeps allow at most one immediate retry:
+/// `RetryPolicy::immediate(1)`. A long-running daemon wants a larger
 /// budget with growing delays so a struggling resource (a contended
 /// checkpoint store, a worker that keeps being preempted) is not hammered
 /// at full rate: `RetryPolicy::backoff(budget, base_ms, cap_ms)` delays
@@ -116,14 +116,6 @@ impl RetryPolicy {
             self.base_ms.saturating_mul(1u64 << doublings)
         };
         raw.min(self.cap_ms.max(self.base_ms))
-    }
-}
-
-/// `retries: u32` call sites keep working: a bare count means immediate
-/// retries, exactly the pre-`RetryPolicy` semantics.
-impl From<u32> for RetryPolicy {
-    fn from(budget: u32) -> Self {
-        RetryPolicy::immediate(budget)
     }
 }
 
@@ -304,11 +296,10 @@ pub struct JobResult<R> {
 /// Retries happen on the same worker, after the policy's backoff delay
 /// (batch sweeps pass an immediate policy: injected faults and transient
 /// I/O races clear by the second attempt; a deterministic logic bug
-/// simply exhausts the budget and reports). A bare `u32` still converts
-/// into an immediate policy, preserving the historical call shape.
+/// simply exhausts the budget and reports).
 pub fn par_try_map<T, R, F>(
     jobs: usize,
-    policy: impl Into<RetryPolicy>,
+    policy: RetryPolicy,
     items: Vec<T>,
     f: F,
 ) -> Vec<JobResult<R>>
@@ -317,7 +308,6 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    let policy = policy.into();
     let run_one = |idx: usize, item: &T| -> JobResult<R> {
         let mut failures = Vec::new();
         for attempt in 1..=policy.attempts() {
@@ -443,7 +433,7 @@ mod tests {
 
     #[test]
     fn try_map_isolates_failures_per_job() {
-        let out = par_try_map(4, 0, (0..20u64).collect(), |_, &x| {
+        let out = par_try_map(4, RetryPolicy::none(), (0..20u64).collect(), |_, &x| {
             if x % 7 == 3 {
                 panic!("bad item {x}");
             }
@@ -469,12 +459,17 @@ mod tests {
         // Fails on the first attempt only: one retry must recover it, and
         // the recovered panic must be visible to the caller.
         let first = AtomicUsize::new(0);
-        let out = par_try_map(2, 1, vec![10u64, 20, 30], |i, &x| {
-            if i == 1 && first.fetch_add(1, Ordering::SeqCst) == 0 {
-                panic!("transient");
-            }
-            x + 1
-        });
+        let out = par_try_map(
+            2,
+            RetryPolicy::immediate(1),
+            vec![10u64, 20, 30],
+            |i, &x| {
+                if i == 1 && first.fetch_add(1, Ordering::SeqCst) == 0 {
+                    panic!("transient");
+                }
+                x + 1
+            },
+        );
         let values: Vec<u64> = out.iter().map(|r| *r.result.as_ref().unwrap()).collect();
         assert_eq!(values, vec![11, 21, 31]);
         assert!(out[0].recovered.is_empty());
@@ -485,7 +480,9 @@ mod tests {
 
     #[test]
     fn try_map_exhausts_retry_budget_and_reports_attempts() {
-        let out = par_try_map(1, 2, vec![0u8], |_, _| -> u8 { panic!("always") });
+        let out = par_try_map(1, RetryPolicy::immediate(2), vec![0u8], |_, _| -> u8 {
+            panic!("always")
+        });
         let err = out[0].result.as_ref().unwrap_err();
         assert_eq!(err.attempts, 3);
         assert_eq!(err.message, "always");
@@ -498,8 +495,12 @@ mod tests {
 
     #[test]
     fn try_map_is_order_deterministic_across_jobs() {
-        let serial = par_try_map(1, 0, (0..50u64).collect(), |i, &x| x + i as u64);
-        let parallel = par_try_map(8, 0, (0..50u64).collect(), |i, &x| x + i as u64);
+        let serial = par_try_map(1, RetryPolicy::none(), (0..50u64).collect(), |i, &x| {
+            x + i as u64
+        });
+        let parallel = par_try_map(8, RetryPolicy::none(), (0..50u64).collect(), |i, &x| {
+            x + i as u64
+        });
         assert_eq!(serial, parallel);
     }
 
@@ -522,7 +523,6 @@ mod tests {
             assert_eq!(p.delay_ms(n), 0);
         }
         assert_eq!(RetryPolicy::none().attempts(), 1);
-        assert_eq!(RetryPolicy::from(2), RetryPolicy::immediate(2));
     }
 
     #[test]

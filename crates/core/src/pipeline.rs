@@ -166,9 +166,9 @@ enum IdleTick {
 
 /// A cycle-accurate, trace-driven out-of-order processor.
 ///
-/// Drive it with [`Processor::run`] (commit budget),
-/// [`Processor::run_cycles`], or [`Processor::run_to_completion`]; read
-/// results with [`Processor::stats`]. A warm-up window can be excluded
+/// Drive it with [`Processor::run`] (commit budget) or
+/// [`Processor::run_to_completion`]; read results with
+/// [`Processor::stats`]. A warm-up window can be excluded
 /// from measurement with [`Processor::reset_window`].
 ///
 /// ```
@@ -384,18 +384,7 @@ impl<S: InstStream, O: PipeObserver> Processor<S, O> {
     pub fn run_profiled(&mut self, commits: u64, prof: &mut StageProfile) -> SimStats {
         let target = self.raw.committed + commits;
         while self.raw.committed < target && !self.is_done() {
-            self.step_limited(u64::MAX, prof);
-        }
-        self.stats()
-    }
-
-    /// Runs for `n` cycles (or until the trace drains).
-    pub fn run_cycles(&mut self, n: u64) -> SimStats {
-        let target = self.cycle + n;
-        while self.cycle < target && !self.is_done() {
-            // Cap idle fast-forwarding at the target so the machine stops
-            // on exactly the requested cycle, mid-idle-stretch included.
-            self.step_limited(target, &mut NoObs);
+            self.step_probed(prof);
         }
         self.stats()
     }
@@ -525,7 +514,7 @@ impl<S: InstStream, O: PipeObserver> Processor<S, O> {
     /// the cycle counter jumps straight to it (statistics included,
     /// bit-identically), so `cycle()` may advance by more than one.
     pub fn step(&mut self) {
-        self.step_limited(u64::MAX, &mut NoObs);
+        self.step_probed(&mut NoObs);
     }
 
     /// Advances the machine by exactly one cycle, running every pipeline
@@ -538,21 +527,12 @@ impl<S: InstStream, O: PipeObserver> Processor<S, O> {
         self.run_phases(&mut NoObs);
     }
 
-    /// [`Processor::step`] with the governor's jump capped at `max_cycle`
-    /// (used by [`Processor::run_cycles`] to stop exactly on a cycle
-    /// budget), every phase bracketed by `probe`.
-    fn step_limited<P: PhaseProbe>(&mut self, max_cycle: u64, probe: &mut P) {
+    /// [`Processor::step`] with every phase bracketed by `probe`.
+    fn step_probed<P: PhaseProbe>(&mut self, probe: &mut P) {
         let mark = probe.begin();
         let cycle_before = P::count(|| self.cycle);
-        self.governor_skip(max_cycle);
+        self.governor_skip();
         probe.end(Stage::Governor, mark, self.cycle - cycle_before);
-        if self.cycle >= max_cycle {
-            // The jump was capped by the cycle budget: the machine now
-            // stands *at* the budget boundary mid-idle-stretch, with the
-            // skipped cycles' counters already replayed. Executing the
-            // phases here would simulate one cycle past the budget.
-            return;
-        }
         self.run_phases(probe);
     }
 
@@ -693,7 +673,7 @@ impl<S: InstStream, O: PipeObserver> Processor<S, O> {
     /// bit-identical to stepping cycle by cycle, which the exact-count
     /// gate (`tests/exact_counts.rs`, which also pins the skipped-cycle
     /// count) and the governor equivalence proptest pin down.
-    fn governor_skip(&mut self, max_cycle: u64) {
+    fn governor_skip(&mut self) {
         if self.rob.head_hot().is_some_and(|h| h.completed()) {
             return;
         }
@@ -852,7 +832,6 @@ impl<S: InstStream, O: PipeObserver> Processor<S, O> {
         // Nothing pending at all: no skip target. (A genuinely stuck
         // machine reaches the deadlock watchdog exactly as before.)
         let Some(target) = target else { return };
-        let target = target.min(max_cycle);
         if target <= self.cycle {
             return;
         }
@@ -2612,61 +2591,6 @@ mod edge_case_tests {
             let cfg = SimConfig::builder().scheme(scheme).build();
             let stats = Processor::new(cfg, std::iter::empty()).run_to_completion();
             assert_eq!(stats.committed, 0, "{scheme:?}");
-        }
-    }
-
-    #[test]
-    fn run_cycles_stops_on_time() {
-        let trace: Vec<DynInst> = (0..100_000).map(|i| alu(i * 4, 1, 1)).collect();
-        let cfg = SimConfig::builder()
-            .scheme(RenameScheme::Conventional)
-            .build();
-        let mut cpu = Processor::new(cfg, trace.into_iter());
-        let stats = cpu.run_cycles(500);
-        assert_eq!(stats.cycles, 500);
-        assert!(!cpu.is_done());
-    }
-
-    #[test]
-    fn run_cycles_stops_on_time_inside_an_idle_stretch() {
-        // A missing load plus a dependent consumer: once the load's EA
-        // resolves, the machine is fully quiescent until the 50-cycle
-        // fill returns, so idle fast-forwarding engages. A cycle budget
-        // that lands inside that stretch must still be honoured exactly
-        // (and repeatedly: a second capped run must not double-count).
-        for scheme in all_schemes() {
-            let trace = vec![
-                DynInst::new(
-                    0x0,
-                    Inst::new(OpClass::Load)
-                        .with_dest(LogicalReg::int(1))
-                        .with_src1(LogicalReg::int(30)),
-                )
-                .with_mem(MemAccess::word(0x20000)),
-                alu(0x4, 2, 1),
-            ];
-            let cfg = SimConfig::builder().scheme(scheme).build();
-            let mut cpu = Processor::new(cfg, trace.clone().into_iter());
-            let stats = cpu.run_cycles(20);
-            assert_eq!(stats.cycles, 20, "{scheme:?}: capped mid-idle");
-            assert!(!cpu.is_done(), "{scheme:?}");
-            let stats = cpu.run_cycles(10);
-            assert_eq!(
-                stats.cycles, 30,
-                "{scheme:?}: second cap accumulates exactly"
-            );
-            // The budget-capped path must agree with an uncapped run of
-            // the same trace cycle for cycle.
-            let full = Processor::new(
-                SimConfig::builder().scheme(scheme).build(),
-                trace.into_iter(),
-            )
-            .run_to_completion();
-            let rest = cpu.run_to_completion();
-            assert_eq!(
-                full, rest,
-                "{scheme:?}: capped stepping must not perturb stats"
-            );
         }
     }
 

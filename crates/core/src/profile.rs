@@ -1,6 +1,6 @@
 //! Per-subsystem host-cost attribution for the simulator kernel.
 //!
-//! The step loop (`Processor::step_limited` / `run_phases`) is generic
+//! The step loop (`Processor::step_probed` / `run_phases`) is generic
 //! over a `PhaseProbe` that brackets every pipeline phase.
 //! [`Processor::step`](crate::Processor::step) passes the disabled probe
 //! ([`NoObs`]), whose `ENABLED = false` compiles every probe site out;

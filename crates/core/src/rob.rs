@@ -523,13 +523,6 @@ impl Rob {
         (0..self.len)
             .map(move |k| self.assemble(self.wrap(self.head_idx + k), self.head_seq + k as u64))
     }
-
-    /// Iterates assembled entries younger than `seq`, oldest first.
-    pub fn iter_younger_than(&self, seq: u64) -> impl Iterator<Item = RobEntry> + '_ {
-        let start = (seq + 1).saturating_sub(self.head_seq).min(self.len as u64) as usize;
-        (start..self.len)
-            .map(move |k| self.assemble(self.wrap(self.head_idx + k), self.head_seq + k as u64))
-    }
 }
 
 impl vpr_snap::Snap for MemPhase {
@@ -689,18 +682,6 @@ mod tests {
         let mut rob = Rob::new(1);
         rob.push(entry(0));
         rob.push(entry(1));
-    }
-
-    #[test]
-    fn iter_younger_than() {
-        let mut rob = Rob::new(8);
-        for s in 0..6 {
-            rob.push(entry(s));
-        }
-        let seqs: Vec<u64> = rob.iter_younger_than(2).map(|e| e.seq).collect();
-        assert_eq!(seqs, vec![3, 4, 5]);
-        let seqs: Vec<u64> = rob.iter_younger_than(10).map(|e| e.seq).collect();
-        assert!(seqs.is_empty());
     }
 
     #[test]

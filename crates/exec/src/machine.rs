@@ -64,11 +64,6 @@ impl SparseMem {
         }
         fnv1a(&bytes)
     }
-
-    /// Number of touched 4 KiB pages.
-    pub fn page_count(&self) -> usize {
-        self.pages.len()
-    }
 }
 
 impl Snap for SparseMem {

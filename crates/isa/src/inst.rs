@@ -1,6 +1,6 @@
 //! Static instructions: opcode plus register operands.
 
-use crate::{LogicalReg, OpClass, RegClass};
+use crate::{LogicalReg, OpClass};
 use std::fmt;
 
 /// A static instruction: an operation class plus up to one destination and
@@ -105,12 +105,6 @@ impl Inst {
     pub fn sources(&self) -> impl Iterator<Item = LogicalReg> + '_ {
         self.src1.into_iter().chain(self.src2)
     }
-
-    /// The class of the destination register, if the instruction has one.
-    #[inline]
-    pub fn dest_class(&self) -> Option<RegClass> {
-        self.dest.map(LogicalReg::class)
-    }
 }
 
 impl vpr_snap::Snap for Inst {
@@ -173,16 +167,6 @@ mod tests {
     #[should_panic(expected = "cannot have a destination")]
     fn branch_rejects_destination() {
         let _ = Inst::new(OpClass::BranchCond).with_dest(LogicalReg::int(1));
-    }
-
-    #[test]
-    fn load_may_write_fp_file() {
-        // load f2, 0(r6): destination class is authoritative, not the op's
-        // "natural" class.
-        let i = Inst::new(OpClass::Load)
-            .with_dest(LogicalReg::fp(2))
-            .with_src1(LogicalReg::int(6));
-        assert_eq!(i.dest_class(), Some(RegClass::Fp));
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Operation classes and the functional-unit kinds that execute them.
 
-use crate::RegClass;
 use std::fmt;
 
 /// Coarse operation class of an instruction.
@@ -100,24 +99,6 @@ impl OpClass {
     #[inline]
     pub fn is_unpipelined(self) -> bool {
         matches!(self, OpClass::IntDiv | OpClass::FpDiv | OpClass::FpSqrt)
-    }
-
-    /// The register class a destination of this operation would belong to.
-    ///
-    /// Loads may write either file; this returns the *typical* class and is
-    /// only used by generators (the authoritative class is the destination
-    /// register of the concrete [`Inst`](crate::Inst)).
-    #[inline]
-    pub fn natural_dest_class(self) -> Option<RegClass> {
-        match self {
-            OpClass::IntAlu | OpClass::IntMul | OpClass::IntDiv | OpClass::Load => {
-                Some(RegClass::Int)
-            }
-            OpClass::FpAdd | OpClass::FpMul | OpClass::FpDiv | OpClass::FpSqrt => {
-                Some(RegClass::Fp)
-            }
-            OpClass::Store | OpClass::BranchCond | OpClass::BranchUncond | OpClass::Nop => None,
-        }
     }
 }
 
@@ -271,14 +252,6 @@ mod tests {
         assert!(OpClass::FpSqrt.is_unpipelined());
         assert!(!OpClass::IntMul.is_unpipelined());
         assert!(!OpClass::FpMul.is_unpipelined());
-    }
-
-    #[test]
-    fn natural_dest_classes() {
-        assert_eq!(OpClass::Load.natural_dest_class(), Some(RegClass::Int));
-        assert_eq!(OpClass::FpDiv.natural_dest_class(), Some(RegClass::Fp));
-        assert_eq!(OpClass::Store.natural_dest_class(), None);
-        assert_eq!(OpClass::BranchCond.natural_dest_class(), None);
     }
 
     #[test]

@@ -14,10 +14,7 @@
 //!   [`DynInst`](vpr_isa::DynInst) iterator for a benchmark;
 //! * [`Program`]/[`LoopSpec`]/[`SynthOp`] — the building blocks, public so
 //!   users can model their own workloads;
-//! * [`paper_example_chain`] — the §3.1 motivating code;
-//! * [`write_trace`] / [`TraceFile`] — record any stream to a compact
-//!   binary file and replay it later (the repeatability role Atom traces
-//!   played in the paper).
+//! * [`paper_example_chain`] — the §3.1 motivating code.
 //!
 //! ## Example
 //!
@@ -38,10 +35,8 @@ mod models;
 pub mod ops;
 mod paper_example;
 mod program;
-mod trace_file;
 
 pub use gen::TraceGen;
 pub use models::{Benchmark, ParseBenchmarkError, TraceBuilder};
 pub use paper_example::{paper_example_chain, paper_example_trace};
 pub use program::{LoopSpec, Program, StreamKind, StreamSpec, SynthOp};
-pub use trace_file::{open_trace, read_trace, read_trace_file, write_trace, TraceFile};

@@ -99,11 +99,6 @@ pub fn imul(d: usize, a: usize, b: usize) -> SynthOp {
     int3(OpClass::IntMul, d, a, b)
 }
 
-/// `div r<d>, r<a>, r<b>`.
-pub fn idiv(d: usize, a: usize, b: usize) -> SynthOp {
-    int3(OpClass::IntDiv, d, a, b)
-}
-
 /// A conditional branch that resolves on its own (no source operand):
 /// taken with probability `p`, skipping `skip` body slots when taken.
 pub fn br(p: f64, skip: usize) -> SynthOp {
