@@ -109,10 +109,11 @@ fn parse_cli() -> Cli {
         };
         (a, b)
     });
-    // Remaining flags override the quick defaults (matching the other
-    // artefact-producing binaries: checkpoints default to the quick
-    // workload every test and smoke gate runs).
-    let mut exp = ExperimentConfig::quick();
+    // Remaining flags override the default scale, the one every
+    // experiment binary starts from, so that `create` with no scale flags
+    // writes the checkpoints a flag-less `--sampled --checkpoint-dir` run
+    // looks up.
+    let mut exp = ExperimentConfig::default();
     if let Err(e) = exp.apply_args(args) {
         eprintln!("{e}");
         usage();

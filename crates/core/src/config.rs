@@ -19,8 +19,7 @@ pub enum RenameScheme {
     /// complementary technique the paper cites as eliminating its "second
     /// source of register waste" (§3.1, refs \[8\]/\[10\]): a register frees
     /// as soon as it is superseded, fully read, and its producer has
-    /// committed, instead of waiting for the next writer's commit.
-    /// Incompatible with wrong-path injection (see
+    /// committed, instead of waiting for the next writer's commit (see
     /// [`rename::EarlyReleaseRenamer`](crate::rename::EarlyReleaseRenamer)).
     ConventionalEarlyRelease,
     /// Virtual-physical registers, physical allocation at **issue**
@@ -215,9 +214,6 @@ pub struct SimConfig {
     pub fu_counts: [usize; 6],
     /// Execution latencies.
     pub latencies: Latencies,
-    /// Fabricate wrong-path instructions after mispredictions instead of
-    /// stalling fetch (exercises recovery; off in the paper's methodology).
-    pub wrong_path_injection: bool,
     /// Model the possible one-cycle commit delay of the virtual-physical
     /// scheme caused by the PMT look-up (paper §3.2.2; off by default).
     pub vp_commit_delay: bool,
@@ -243,7 +239,6 @@ impl Default for SimConfig {
             // SimpleInt, ComplexInt, EffAddr, SimpleFp, FpMul, FpDiv
             fu_counts: [3, 2, 3, 3, 2, 2],
             latencies: Latencies::default(),
-            wrong_path_injection: false,
             vp_commit_delay: false,
         }
     }
@@ -319,13 +314,6 @@ impl SimConfig {
         if !self.bht_entries.is_power_of_two() {
             return Err("bht_entries must be a power of two".into());
         }
-        if self.scheme == RenameScheme::ConventionalEarlyRelease && self.wrong_path_injection {
-            return Err(
-                "early release needs checkpointed read counters to survive wrong-path \
-                 squashes; disable wrong_path_injection"
-                    .into(),
-            );
-        }
         Ok(())
     }
 }
@@ -348,7 +336,6 @@ impl vpr_snap::Snap for SimConfig {
         self.cache.save(enc);
         self.fu_counts.save(enc);
         self.latencies.save(enc);
-        enc.put_bool(self.wrong_path_injection);
         enc.put_bool(self.vp_commit_delay);
     }
 
@@ -370,7 +357,6 @@ impl vpr_snap::Snap for SimConfig {
             cache: CacheConfig::load(dec),
             fu_counts: <[usize; 6]>::load(dec),
             latencies: Latencies::load(dec),
-            wrong_path_injection: dec.take_bool(),
             vp_commit_delay: dec.take_bool(),
         }
     }
@@ -452,12 +438,6 @@ impl SimConfigBuilder {
     /// Sets the functional-unit count for one kind.
     pub fn fu_count(&mut self, kind: FuKind, count: usize) -> &mut Self {
         self.config.fu_counts[kind.index()] = count;
-        self
-    }
-
-    /// Enables wrong-path injection after mispredictions.
-    pub fn wrong_path_injection(&mut self, enabled: bool) -> &mut Self {
-        self.config.wrong_path_injection = enabled;
         self
     }
 

@@ -340,8 +340,8 @@ impl Iq {
         }
     }
 
-    /// Removes an instruction (at issue or squash). Unknown sequence
-    /// numbers are ignored so recovery can sweep blindly.
+    /// Removes an instruction (at issue). Returns `None` for a sequence
+    /// number not in the queue.
     pub fn remove(&mut self, seq: u64) -> Option<IqEntry> {
         let slot = self.find_slot(seq)?;
         let lookup_at = (seq & self.lookup_mask) as usize;
@@ -366,20 +366,6 @@ impl Iq {
             self.ready.remove(rpos);
         }
         Some(entry)
-    }
-
-    /// Removes every entry younger than `seq` (branch recovery).
-    pub fn squash_younger_than(&mut self, seq: u64) {
-        let doomed: Vec<u64> = self
-            .meta
-            .iter()
-            .zip(&self.entries)
-            .filter(|(m, e)| m.live && e.seq > seq)
-            .map(|(_, e)| e.seq)
-            .collect();
-        for seq in doomed {
-            self.remove(seq);
-        }
     }
 
     /// Conventional-scheme wake-up: physical register `preg` of `class`
@@ -458,7 +444,7 @@ impl Iq {
     }
 
     /// Iterates entries oldest → youngest (age order). Cold path
-    /// (snapshots, recovery, tests): the age order is derived by sorting
+    /// (snapshots, tests): the age order is derived by sorting
     /// the live slab entries rather than being maintained per operation —
     /// the hot insert/remove paths pay nothing for it.
     pub fn iter(&self) -> impl Iterator<Item = &IqEntry> {
@@ -674,22 +660,6 @@ mod tests {
     }
 
     #[test]
-    fn squash_younger() {
-        let mut iq = Iq::new(8);
-        for seq in 0..6 {
-            iq.insert(IqEntry {
-                seq,
-                op: OpClass::IntAlu,
-                srcs: [None, None],
-                alloc_class: None,
-            });
-        }
-        iq.squash_younger_than(2);
-        let order: Vec<u64> = iq.iter().map(|e| e.seq).collect();
-        assert_eq!(order, vec![0, 1, 2]);
-    }
-
-    #[test]
     fn read_port_needs_count_classes() {
         let e = IqEntry {
             seq: 0,
@@ -724,7 +694,7 @@ mod tests {
     #[test]
     fn stale_waiters_do_not_wake_slot_reusers() {
         let mut iq = Iq::new(4);
-        // Entry 0 waits on p7, then leaves the queue (squash) before the
+        // Entry 0 waits on p7, then leaves the queue (issue) before the
         // broadcast; its slot is reused by entry 1 waiting on p8.
         iq.insert(IqEntry {
             seq: 0,

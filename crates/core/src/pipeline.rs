@@ -191,7 +191,7 @@ enum IdleTick {
 /// ## Observation
 ///
 /// The second type parameter is a [`PipeObserver`] receiving lifecycle
-/// hooks (fetch, rename, issue, complete, commit, squash, VP allocation
+/// hooks (fetch, rename, issue, complete, commit, VP allocation
 /// events, occupancy samples). It defaults to [`NoObs`]; every hook site
 /// is guarded by the observer's `ENABLED` associated constant, so the
 /// default monomorphises to exactly the unobserved pipeline. Observers
@@ -235,8 +235,8 @@ pub struct Processor<S, O = NoObs> {
     cycle: u64,
     next_seq: u64,
     /// Monotonic execution-generation counter; entries and events carry a
-    /// generation so stale events (from squashed executions, or from
-    /// recycled sequence numbers after wrong-path recovery) are dropped.
+    /// generation so stale events (from executions squashed for
+    /// re-execution) are dropped.
     gen_counter: u64,
     /// Write-back ports consumed this cycle, per register class.
     wb_ports_used: [u32; 2],
@@ -282,8 +282,7 @@ impl<S: InstStream, O: PipeObserver> Processor<S, O> {
             )),
         };
         Self {
-            fetch: FetchUnit::new(config.fetch_width)
-                .with_wrong_path_injection(config.wrong_path_injection),
+            fetch: FetchUnit::new(config.fetch_width),
             bht: BranchHistoryTable::new(config.bht_entries),
             cache: DataCache::new(config.cache),
             lsq: Lsq::new(config.lsq_size),
@@ -438,11 +437,11 @@ impl<S: InstStream, O: PipeObserver> Processor<S, O> {
     /// which future allocations are granted, but no map table, free
     /// list, binding or in-flight instruction encodes it. The reserved
     /// counters themselves are a pure function of the in-flight
-    /// destination window (the same invariant wrong-path recovery's
-    /// [`NrrState`](crate::NrrState) rebuild relies on), so re-deriving
-    /// them under the new NRR yields exactly the state an uninterrupted
-    /// run under that NRR would have *for this window* — re-targeting to
-    /// the machine's current NRR is a bit-exact no-op.
+    /// destination window (which [`NrrState`](crate::NrrState)'s rebuild
+    /// walks), so re-deriving them under the new NRR yields exactly the
+    /// state an uninterrupted run under that NRR would have *for this
+    /// window* — re-targeting to the machine's current NRR is a bit-exact
+    /// no-op.
     ///
     /// This is the cross-configuration checkpoint-reuse hook: fig4/fig5
     /// NRR sweeps restore one shared warm pass per (benchmark, seed,
@@ -488,8 +487,7 @@ impl<S: InstStream, O: PipeObserver> Processor<S, O> {
             unreachable!("a VP scheme implies the VP renamer")
         };
         // The per-class program-order dest index names exactly the
-        // in-flight destination-having instructions, oldest first — the
-        // same rebuild walk wrong-path recovery uses.
+        // in-flight destination-having instructions, oldest first.
         let windows = [RegClass::Int, RegClass::Fp].map(|class| {
             self.dest_seqs[class.index()]
                 .iter()
@@ -814,8 +812,7 @@ impl<S: InstStream, O: PipeObserver> Processor<S, O> {
                     resume_bound = Some(at);
                     IdleTick::FetchStall
                 }
-                // Fetch delivers this cycle (or injection mode fabricates
-                // wrong-path work every cycle): the cycle is active.
+                // Fetch delivers this cycle: the cycle is active.
                 Some(_) => return,
             }
         };
@@ -936,10 +933,6 @@ impl<S: InstStream, O: PipeObserver> Processor<S, O> {
             if !head.completed() {
                 break;
             }
-            debug_assert!(
-                !head.wrong_path(),
-                "wrong-path entries are squashed, not committed"
-            );
             // Optional PMT-lookup commit delay of the VP schemes (§3.2.2):
             // commit runs before the event phase, so a head that completed
             // last cycle would otherwise commit with no delay at all.
@@ -1184,7 +1177,6 @@ impl<S: InstStream, O: PipeObserver> Processor<S, O> {
             return;
         }
         let op = entry.op;
-        let wrong_path = entry.wrong_path();
         let mispredicted = entry.mispredicted();
         let mut dest = self.rob.dest(seq);
 
@@ -1274,19 +1266,14 @@ impl<S: InstStream, O: PipeObserver> Processor<S, O> {
             self.obs.on_complete(now, seq);
         }
 
-        if op.is_branch() && !wrong_path {
-            if op == OpClass::BranchCond {
-                // Branch resolution needs the PC and the recorded outcome
-                // — the one completion case that reads the cold ring.
-                let di = self.rob.di(seq);
-                let (pc, taken) = (di.pc(), di.branch().expect("trace records outcomes").taken);
-                self.bht.update(pc, taken);
-            }
+        if op == OpClass::BranchCond {
+            // Branch resolution needs the PC and the recorded outcome — the
+            // one completion case that reads the cold ring.
+            let di = self.rob.di(seq);
+            let (pc, taken) = (di.pc(), di.branch().expect("trace records outcomes").taken);
+            self.bht.update(pc, taken);
             if mispredicted {
                 self.fetch.resolve_branch(now);
-                if self.config.wrong_path_injection {
-                    self.squash_younger_than(seq, now);
-                }
             }
         }
     }
@@ -1513,7 +1500,7 @@ impl<S: InstStream, O: PipeObserver> Processor<S, O> {
             let fi = self.fetch_buffer.pop_front().expect("peeked above");
             let seq = self.next_seq;
             self.next_seq += 1;
-            let mut entry = RobEntry::new(seq, fi.di, fi.wrong_path, fi.mispredicted);
+            let mut entry = RobEntry::new(seq, fi.di, fi.mispredicted);
             entry.gen = self.fresh_gen();
             let inst = fi.di.inst();
             let srcs = [
@@ -1592,8 +1579,7 @@ impl<S: InstStream, O: PipeObserver> Processor<S, O> {
                 });
             }
             if O::ENABLED {
-                self.obs
-                    .on_rename(now, seq, fi.di.pc(), op.index() as u8, fi.wrong_path);
+                self.obs.on_rename(now, seq, fi.di.pc(), op.index() as u8);
             }
         }
     }
@@ -1621,86 +1607,11 @@ impl<S: InstStream, O: PipeObserver> Processor<S, O> {
                 self.config.fetch_width,
                 &mut |fi| {
                     if O::ENABLED {
-                        obs.on_fetch(now, fi.di.pc(), fi.wrong_path);
+                        obs.on_fetch(now, fi.di.pc());
                     }
                     buffer.push_back(fi);
                 },
             );
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Recovery (wrong-path injection mode)
-    // ------------------------------------------------------------------
-
-    /// Restores precise state after the mispredicted branch `branch_seq`
-    /// resolves: pops the reorder buffer from the tail, undoing each
-    /// mapping exactly as §3.2.2 describes, then rebuilds the NRR counters
-    /// and recycles the squashed sequence numbers.
-    fn squash_younger_than(&mut self, branch_seq: u64, now: u64) {
-        while let Some(seq) = self.rob.tail_seq().filter(|&t| t > branch_seq) {
-            // Squash reads the hot record and the destination array only;
-            // the cold `DynInst` is neither cloned nor moved — the tail
-            // drop just releases the ring slot.
-            let hot = *self.rob.hot(seq).expect("tail is in flight");
-            debug_assert!(
-                hot.wrong_path(),
-                "only wrong-path work follows a diverted fetch"
-            );
-            self.raw.wrong_path_squashed += 1;
-            if O::ENABLED {
-                self.obs.on_squash(now, seq);
-            }
-            self.iq.remove(seq);
-            self.retry_remove(seq);
-            if hot.op.is_mem() {
-                self.lsq.remove(seq);
-            }
-            if let Some(d) = self.rob.dest(seq) {
-                let popped = self.dest_seqs[d.class().index()].pop_back();
-                debug_assert_eq!(popped, Some(seq), "dest squashes pop from the tail");
-                match &mut self.renamer {
-                    Renamer::EarlyRelease(_) => unreachable!(
-                        "early release rejects wrong-path injection at configuration time"
-                    ),
-                    Renamer::Conventional(conv) => conv.on_squash_dest(
-                        d.logical,
-                        d.preg.expect("conventional allocates at rename"),
-                        d.prev_preg.expect("recorded at rename"),
-                        now,
-                    ),
-                    Renamer::Vp(vp) => vp.on_squash_dest(
-                        d.logical,
-                        d.vp.expect("VP rename assigns a tag"),
-                        d.prev_vp.expect("recorded at rename"),
-                        now,
-                    ),
-                }
-            }
-            self.rob.drop_tail();
-        }
-        // Un-renamed wrong-path instructions in the fetch buffer vanish.
-        self.fetch_buffer.retain(|f| !f.wrong_path);
-        // Sequence numbers above the branch are recycled; generations keep
-        // stale events harmless.
-        self.next_seq = branch_seq + 1;
-        if let Renamer::Vp(_) = &self.renamer {
-            for class in [RegClass::Int, RegClass::Fp] {
-                // The per-class program-order dest index names exactly the
-                // surviving destination-having instructions — no need to
-                // scan the whole reorder buffer.
-                let survivors: Vec<(u64, bool)> = self.dest_seqs[class.index()]
-                    .iter()
-                    .map(|&seq| {
-                        let d = self.rob.dest(seq).expect("indexed on dest");
-                        (seq, d.preg.is_some())
-                    })
-                    .collect();
-                let Renamer::Vp(vp) = &mut self.renamer else {
-                    unreachable!("checked above")
-                };
-                vp.nrr_rebuild(class, survivors.into_iter());
-            }
         }
     }
 }
@@ -2142,32 +2053,6 @@ mod tests {
     }
 
     #[test]
-    fn wrong_path_injection_recovers_precisely() {
-        let b = DynInst::new(0x100, Inst::new(OpClass::BranchCond)).with_branch(BranchInfo {
-            taken: true,
-            next_pc: 0x4000,
-        });
-        let mut trace = vec![b];
-        for i in 0..50 {
-            trace.push(alu(0x4000 + i * 4, (i % 8 + 1) as usize, 0));
-        }
-        for scheme in all_schemes() {
-            let c = SimConfig::builder()
-                .scheme(scheme)
-                .wrong_path_injection(true)
-                .build();
-            let mut cpu = Processor::new(c, trace.clone().into_iter());
-            let stats = cpu.run_to_completion();
-            assert_eq!(stats.committed, 51, "{scheme:?}");
-            assert!(
-                stats.wrong_path_squashed > 0,
-                "{scheme:?}: wrong path was fetched"
-            );
-            assert!(stats.fetch.wrong_path_fetched > 0, "{scheme:?}");
-        }
-    }
-
-    #[test]
     fn deterministic_across_runs() {
         for scheme in all_schemes() {
             let mk = || {
@@ -2372,14 +2257,6 @@ mod early_release_tests {
             vp.fp.hold_cycles,
             er.fp.hold_cycles
         );
-    }
-
-    #[test]
-    fn early_release_rejects_wrong_path_injection() {
-        let mut b = SimConfig::builder();
-        b.scheme(RenameScheme::ConventionalEarlyRelease)
-            .wrong_path_injection(true);
-        assert!(b.try_build().is_err());
     }
 
     #[test]

@@ -105,25 +105,6 @@ impl ConventionalRenamer {
         self.free[class.index()].release(prev_preg.0, now)
     }
 
-    /// Squash of an un-committed instruction (newest first): return its
-    /// register to the free list and restore the previous mapping.
-    pub fn on_squash_dest(
-        &mut self,
-        logical: LogicalReg,
-        preg: PhysReg,
-        prev_preg: PhysReg,
-        now: u64,
-    ) {
-        let c = logical.class().index();
-        debug_assert_eq!(
-            self.map[c][logical.index()],
-            preg,
-            "squash must unwind newest-first"
-        );
-        self.free[c].release(preg.0, now);
-        self.map[c][logical.index()] = prev_preg;
-    }
-
     /// Free registers in `class`.
     #[inline]
     pub fn free_count(&self, class: RegClass) -> usize {
@@ -144,7 +125,7 @@ impl ConventionalRenamer {
     }
 
     /// The current physical mapping of a logical register (diagnostics and
-    /// recovery verification).
+    /// tests).
     pub fn mapping(&self, logical: LogicalReg) -> PhysReg {
         self.map[logical.class().index()][logical.index()]
     }
@@ -216,20 +197,6 @@ mod tests {
         // Second writer commits: frees the first writer's register.
         r.on_commit_dest(RegClass::Int, p2, 11);
         assert_eq!(r.free_count(RegClass::Int), 2);
-    }
-
-    #[test]
-    fn squash_restores_previous_mapping() {
-        let mut r = ConventionalRenamer::new(64);
-        let before = r.mapping(LogicalReg::int(3));
-        let (n1, p1) = r.try_rename_dest(LogicalReg::int(3), 0).unwrap();
-        let (n2, p2) = r.try_rename_dest(LogicalReg::int(3), 1).unwrap();
-        assert_eq!(p2, n1);
-        // Unwind newest first.
-        r.on_squash_dest(LogicalReg::int(3), n2, p2, 5);
-        r.on_squash_dest(LogicalReg::int(3), n1, p1, 5);
-        assert_eq!(r.mapping(LogicalReg::int(3)), before);
-        assert_eq!(r.free_count(RegClass::Int), 32);
     }
 
     #[test]

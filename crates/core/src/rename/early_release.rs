@@ -20,12 +20,12 @@
 //!    the value (re-executed consumers re-arm the counter);
 //! 3. *the producer has committed* — the value can no longer be
 //!    re-created, so the storage is genuinely dead. This gate is what
-//!    makes early release safe alongside load re-execution; it is also
-//!    why the scheme is restricted to committed-path simulation
-//!    (`wrong_path_injection` is rejected by `SimConfig::validate`):
-//!    squashed wrong-path consumers would otherwise need checkpointed
-//!    counters, which the referenced designs handle with extra hardware
-//!    this model does not reproduce.
+//!    makes early release safe alongside load re-execution. The model
+//!    relies on committed-path simulation (fetch stalls at a
+//!    misprediction, so no consumer is ever discarded): squashed
+//!    wrong-path consumers would need checkpointed counters, which the
+//!    referenced designs handle with extra hardware this model does not
+//!    reproduce.
 
 use super::{FreeList, PhysReg, RenamedSrc, SrcState};
 use vpr_isa::{LogicalReg, RegClass, NUM_LOGICAL_PER_CLASS};

@@ -81,9 +81,9 @@ pub struct RenamedSrc {
 }
 
 /// The renamed destination of an in-flight instruction, including the
-/// previous mappings needed for precise-state recovery (paper §3.2.2: the
-/// reorder buffer keeps the destination logical register and the previous
-/// virtual-physical mapping).
+/// previous mappings (paper §3.2.2: the reorder buffer keeps the
+/// destination logical register and the previous virtual-physical
+/// mapping), which commit frees.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RenamedDest {
     /// The architectural destination.
@@ -93,8 +93,8 @@ pub struct RenamedDest {
     /// The physical register: set at rename (conventional), issue
     /// (VP-issue) or completion (VP-writeback).
     pub preg: Option<PhysReg>,
-    /// The previous VP mapping of `logical` (VP schemes), for recovery and
-    /// commit-time freeing.
+    /// The previous VP mapping of `logical` (VP schemes), for commit-time
+    /// freeing.
     pub prev_vp: Option<VpReg>,
     /// The previous physical mapping of `logical` (conventional scheme).
     pub prev_preg: Option<PhysReg>,

@@ -177,9 +177,9 @@ impl NrrState {
         }
     }
 
-    /// Rebuilds the counters from scratch after a squash removed younger
-    /// instructions from the window. `survivors` yields `(seq,
-    /// has_allocated)` for every remaining destination-having instruction
+    /// Rebuilds the counters from scratch from the in-flight window (an
+    /// NRR re-target re-derives them this way). `survivors` yields `(seq,
+    /// has_allocated)` for every in-flight destination-having instruction
     /// of this class, oldest first.
     pub fn rebuild<I: Iterator<Item = (u64, bool)>>(&mut self, survivors: I) {
         self.reg = 0;

@@ -228,8 +228,7 @@ impl VpRenamer {
     /// Renames a destination at decode: takes a free VP tag, updates the
     /// GMT (new tag, valid bit reset) and registers the instruction with
     /// the NRR machinery. Returns `(new_vp, previous_vp)`; the previous
-    /// tag goes to the reorder buffer for recovery and commit-time
-    /// freeing.
+    /// tag goes to the reorder buffer for commit-time freeing.
     ///
     /// # Panics
     ///
@@ -318,7 +317,7 @@ impl VpRenamer {
         // O(1) valid-bit update through the inverse map: only the logical
         // register whose current mapping is `vp` (if any) learns the
         // binding; superseded mappings are reached through the PMT at
-        // commit/squash time instead.
+        // commit time instead.
         let owner = self.vp_owner[c][vp.0 as usize];
         if owner != NO_OWNER {
             let e = &mut self.gmt[c][owner as usize];
@@ -331,8 +330,8 @@ impl VpRenamer {
     /// Commit of an instruction that superseded `prev_vp`: frees the
     /// previous writer's VP tag and, through the PMT, its physical
     /// register (paper §3.2.2). Returns the cycles the physical register
-    /// was held, for pressure accounting (0 when the previous tag never
-    /// bound one, which happens when recovery already released it).
+    /// was held, for pressure accounting (0 when the previous tag holds
+    /// no physical register).
     pub fn on_commit_dest(&mut self, class: RegClass, prev_vp: VpReg, now: u64) -> u64 {
         let c = class.index();
         self.vp_free[c].release(prev_vp.0, now);
@@ -353,36 +352,10 @@ impl VpRenamer {
         self.nrr[class.index()].on_commit(committing_seq, entrant);
     }
 
-    /// Rebuilds a class's NRR counters after a squash (see
-    /// [`NrrState::rebuild`]).
+    /// Rebuilds a class's NRR counters from the in-flight window after
+    /// [`VpRenamer::retarget_nrr`] (see [`NrrState::rebuild`]).
     pub fn nrr_rebuild<I: Iterator<Item = (u64, bool)>>(&mut self, class: RegClass, survivors: I) {
         self.nrr[class.index()].rebuild(survivors);
-    }
-
-    /// Squash of an un-committed instruction (newest first, §3.2.2):
-    /// returns its VP tag — and its physical register if one was bound —
-    /// to the free pools, and restores the GMT entry to the previous
-    /// mapping (with the valid bit reflecting whether the previous tag has
-    /// a binding in the PMT).
-    pub fn on_squash_dest(&mut self, logical: LogicalReg, vp: VpReg, prev_vp: VpReg, now: u64) {
-        let c = logical.class().index();
-        debug_assert_eq!(
-            self.gmt[c][logical.index()].vp(),
-            vp,
-            "squash must unwind newest-first"
-        );
-        self.vp_free[c].release(vp.0, now);
-        if let Some(p) = self.pmt[c][vp.0 as usize].take() {
-            self.preg_free[c].release(p.0, now);
-        }
-        debug_assert_eq!(
-            self.vp_owner[c][vp.0 as usize],
-            logical.index() as u16,
-            "inverse map out of sync with the GMT"
-        );
-        self.vp_owner[c][vp.0 as usize] = NO_OWNER;
-        self.vp_owner[c][prev_vp.0 as usize] = logical.index() as u16;
-        self.gmt[c][logical.index()] = GmtEntry::new(prev_vp, self.pmt[c][prev_vp.0 as usize]);
     }
 
     /// Free physical registers in `class`.
@@ -411,7 +384,7 @@ impl VpRenamer {
     }
 
     /// The current GMT entry for a logical register (diagnostics and
-    /// recovery verification).
+    /// tests).
     pub fn gmt_entry(&self, logical: LogicalReg) -> GmtEntry {
         self.gmt[logical.class().index()][logical.index()]
     }
@@ -541,27 +514,6 @@ mod tests {
         assert_eq!(held, 10);
         assert_eq!(r.free_count(RegClass::Fp), before + 1);
         assert_eq!(r.pmt_entry(RegClass::Fp, prev_boot), None);
-    }
-
-    #[test]
-    fn squash_restores_gmt_with_valid_bit() {
-        let mut r = renamer();
-        let f2 = LogicalReg::fp(2);
-        let boot = r.gmt_entry(f2);
-        let (vp1, prev1) = r.rename_dest(f2, 0, 0);
-        let p1 = r.try_allocate(RegClass::Fp, 0, 2).unwrap();
-        r.bind(RegClass::Fp, vp1, p1);
-        let (vp2, prev2) = r.rename_dest(f2, 1, 3);
-        // Squash newest-first: the younger, unbound writer...
-        r.on_squash_dest(f2, vp2, prev2, 4);
-        let e = r.gmt_entry(f2);
-        assert_eq!(e.vp(), vp1);
-        assert_eq!(e.preg(), Some(p1), "restored mapping is bound: V bit set");
-        // ...then the older, bound one.
-        r.on_squash_dest(f2, vp1, prev1, 4);
-        assert_eq!(r.gmt_entry(f2), boot);
-        assert_eq!(r.free_count(RegClass::Fp), 32);
-        assert_eq!(r.free_vp_count(RegClass::Fp), 128);
     }
 
     #[test]

@@ -17,10 +17,9 @@
 //!   squash-for-re-execution, and diagnostics.
 //!
 //! [`RobEntry`] survives as the assembly/disassembly carrier for dispatch
-//! (`push`), squash (`pop_tail`), tests, and — crucially — serialisation:
-//! `Snap for Rob` encodes assembled entries in the **legacy field order**,
-//! so the on-disk `.vprsnap` layout is byte-identical to the monolithic
-//! representation and the format version does not bump (see
+//! (`push`), tests, and — crucially — serialisation: `Snap for Rob`
+//! encodes assembled entries in the **monolithic field order**, so the
+//! on-disk `.vprsnap` layout does not depend on the hot/cold split (see
 //! `docs/snapshot-format.md`).
 
 use crate::rename::{RenamedDest, RenamedSrc};
@@ -42,8 +41,7 @@ pub enum MemPhase {
 
 const F_COMPLETED: u8 = 1 << 0;
 const F_ISSUED: u8 = 1 << 1;
-const F_WRONG_PATH: u8 = 1 << 2;
-const F_MISPREDICTED: u8 = 1 << 3;
+const F_MISPREDICTED: u8 = 1 << 2;
 
 /// The hot per-entry record: everything the per-event paths read or
 /// write, packed into 32 bytes so two in-flight instructions share a
@@ -66,7 +64,7 @@ pub struct RobHot {
     pub executions: u32,
     /// The operation class (hoisted from the cold instruction).
     pub op: OpClass,
-    /// Status bits: completed / issued / wrong-path / mispredicted.
+    /// Status bits: completed / issued / mispredicted.
     flags: u8,
     /// Memory-pipeline progress for loads and stores.
     pub mem_phase: MemPhase,
@@ -91,9 +89,6 @@ impl RobHot {
         }
         if e.issued {
             flags |= F_ISSUED;
-        }
-        if e.wrong_path {
-            flags |= F_WRONG_PATH;
         }
         if e.mispredicted {
             flags |= F_MISPREDICTED;
@@ -143,13 +138,6 @@ impl RobHot {
         }
     }
 
-    /// True for synthesised wrong-path instructions (squashed, never
-    /// committed).
-    #[inline]
-    pub fn wrong_path(&self) -> bool {
-        self.flags & F_WRONG_PATH != 0
-    }
-
     /// True for a conditional branch whose predicted direction was wrong.
     #[inline]
     pub fn mispredicted(&self) -> bool {
@@ -190,17 +178,13 @@ struct RobCold {
 /// recovery state the paper requires (§3.2.2): the destination logical
 /// register and the previous mapping(s), plus the completion flag `C`.
 /// In memory the buffer stores these fields split across the hot/cold
-/// arrays; this carrier exists for dispatch, squash, tests and the
-/// legacy-order serialiser.
+/// arrays; this carrier exists for dispatch, tests and the serialiser.
 #[derive(Debug, Clone)]
 pub struct RobEntry {
     /// Global program-order sequence number.
     pub seq: u64,
     /// The fetched instruction.
     pub di: DynInst,
-    /// True for synthesised wrong-path instructions (squashed, never
-    /// committed).
-    pub wrong_path: bool,
     /// True for a conditional branch whose predicted direction was wrong.
     pub mispredicted: bool,
     /// Renamed destination, if the instruction writes a register.
@@ -228,11 +212,10 @@ pub struct RobEntry {
 
 impl RobEntry {
     /// Creates a fresh entry at dispatch.
-    pub fn new(seq: u64, di: DynInst, wrong_path: bool, mispredicted: bool) -> Self {
+    pub fn new(seq: u64, di: DynInst, mispredicted: bool) -> Self {
         Self {
             seq,
             di,
-            wrong_path,
             mispredicted,
             dest: None,
             srcs: [None, None],
@@ -250,10 +233,10 @@ impl RobEntry {
 /// addressable by sequence number, stored hot/cold split (see the module
 /// documentation).
 ///
-/// Dispatch pushes at the tail, commit drops from the head, and recovery
-/// drops from the tail — so the live sequence numbers are always
-/// contiguous, and lookup is O(1) arithmetic on the head sequence.
-/// Head/tail drops advance ring indices only; cold state never moves.
+/// Dispatch pushes at the tail and commit drops from the head — so the
+/// live sequence numbers are always contiguous, and lookup is O(1)
+/// arithmetic on the head sequence. Head drops advance ring indices only;
+/// cold state never moves.
 #[derive(Debug, Clone)]
 pub struct Rob {
     hot: Vec<RobHot>,
@@ -276,7 +259,7 @@ impl Rob {
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "ROB needs at least one entry");
-        let filler = RobEntry::new(0, DynInst::new(0, Inst::new(OpClass::Nop)), false, false);
+        let filler = RobEntry::new(0, DynInst::new(0, Inst::new(OpClass::Nop)), false);
         Self {
             hot: vec![RobHot::from_entry(&filler); capacity],
             dests: vec![None; capacity],
@@ -457,7 +440,6 @@ impl Rob {
         RobEntry {
             seq,
             di: c.di,
-            wrong_path: h.wrong_path(),
             mispredicted: h.mispredicted(),
             dest: self.dests[idx],
             srcs: c.srcs,
@@ -498,26 +480,6 @@ impl Rob {
         self.head_seq += 1;
     }
 
-    /// Removes and returns the youngest instruction, assembled (squash
-    /// diagnostics and tests; the squash hot path reads the split
-    /// accessors and calls [`Rob::drop_tail`]).
-    pub fn pop_tail(&mut self) -> Option<RobEntry> {
-        let seq = self.tail_seq()?;
-        let idx = self.wrap(self.head_idx + self.len - 1);
-        let e = self.assemble(idx, seq);
-        self.len -= 1;
-        Some(e)
-    }
-
-    /// Removes the youngest instruction without assembling it — the
-    /// wrong-path squash hot path: nothing moves, the slot is simply
-    /// released for reuse.
-    pub fn drop_tail(&mut self) {
-        if self.len > 0 {
-            self.len -= 1;
-        }
-    }
-
     /// Iterates assembled entries oldest → youngest (diagnostics/tests).
     pub fn iter(&self) -> impl Iterator<Item = RobEntry> + '_ {
         (0..self.len)
@@ -550,7 +512,6 @@ impl vpr_snap::Snap for RobEntry {
     fn save(&self, enc: &mut vpr_snap::Encoder) {
         enc.put_u64(self.seq);
         self.di.save(enc);
-        enc.put_bool(self.wrong_path);
         enc.put_bool(self.mispredicted);
         self.dest.save(enc);
         self.srcs.save(enc);
@@ -566,7 +527,6 @@ impl vpr_snap::Snap for RobEntry {
         Self {
             seq: dec.take_u64(),
             di: DynInst::load(dec),
-            wrong_path: dec.take_bool(),
             mispredicted: dec.take_bool(),
             dest: Option::<RenamedDest>::load(dec),
             srcs: <[Option<RenamedSrc>; 2]>::load(dec),
@@ -581,10 +541,10 @@ impl vpr_snap::Snap for RobEntry {
 }
 
 impl vpr_snap::Snap for Rob {
-    /// Serialises in the **legacy monolithic layout** — a `VecDeque`-style
+    /// Serialises in the **monolithic layout** — a `VecDeque`-style
     /// length prefix followed by assembled entries in age order, then the
     /// capacity and the head sequence — so the hot/cold split is invisible
-    /// on disk and the snapshot format version does not bump.
+    /// on disk.
     fn save(&self, enc: &mut vpr_snap::Encoder) {
         enc.put_usize(self.len);
         for entry in self.iter() {
@@ -620,7 +580,6 @@ mod tests {
             seq,
             DynInst::new(seq * 4, Inst::new(OpClass::IntAlu)),
             false,
-            false,
         )
     }
 
@@ -652,20 +611,6 @@ mod tests {
         rob.hot_mut(4).unwrap().set_completed(true);
         assert!(rob.hot(4).unwrap().completed());
         assert!(rob.hot(99).is_none());
-    }
-
-    #[test]
-    fn squash_pops_from_tail() {
-        let mut rob = Rob::new(8);
-        for s in 0..5 {
-            rob.push(entry(s));
-        }
-        assert_eq!(rob.pop_tail().unwrap().seq, 4);
-        assert_eq!(rob.pop_tail().unwrap().seq, 3);
-        assert_eq!(rob.tail_seq(), Some(2));
-        // Refill continues the sequence.
-        rob.push(entry(3));
-        assert_eq!(rob.len(), 4);
     }
 
     #[test]
@@ -721,31 +666,6 @@ mod tests {
     }
 
     #[test]
-    fn squash_tail_after_wrap() {
-        let mut rob = Rob::new(4);
-        for s in 0..4 {
-            rob.push(entry(s));
-        }
-        // Advance the head past the physical end of the ring.
-        for _ in 0..3 {
-            rob.drop_head();
-        }
-        for s in 4..7 {
-            rob.push(entry(s));
-        }
-        // Window is seqs 3..=6, physically wrapped. Squash back to 4.
-        assert_eq!(rob.pop_tail().unwrap().seq, 6);
-        rob.drop_tail();
-        assert_eq!(rob.tail_seq(), Some(4));
-        assert_eq!(rob.entry(4).unwrap().di.pc(), 16);
-        // Refill re-uses the released slots.
-        rob.push(entry(5));
-        rob.push(entry(6));
-        assert!(rob.is_full());
-        assert_eq!(rob.entry(6).unwrap().di.pc(), 24);
-    }
-
-    #[test]
     fn split_accessors_agree_with_assembled_entry() {
         let mut rob = Rob::new(4);
         let mut e = entry(5);
@@ -787,7 +707,7 @@ mod tests {
             size: 8,
         });
         let mut rob = Rob::new(2);
-        rob.push(RobEntry::new(3, di, false, false));
+        rob.push(RobEntry::new(3, di, false));
         let h = rob.hot(3).unwrap();
         assert_eq!(h.addr(), 0x9000);
         assert_eq!(

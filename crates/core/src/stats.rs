@@ -71,8 +71,6 @@ pub struct SimStats {
     pub lsq_full_stalls: u64,
     /// Commit stalls: store buffer full.
     pub store_buffer_stalls: u64,
-    /// Wrong-path instructions squashed (injection mode only).
-    pub wrong_path_squashed: u64,
     /// Registers released before the next writer's commit (the
     /// `ConventionalEarlyRelease` scheme's wins over the baseline).
     pub early_releases: u64,
@@ -136,7 +134,7 @@ impl SimStats {
     }
 
     /// Renders every counter as a small, stable JSON object
-    /// (`vpr-sim-stats/v1`), for machine-readable experiment artefacts.
+    /// (`vpr-sim-stats/v2`), for machine-readable experiment artefacts.
     /// Hand-rolled: the build environment has no serde.
     pub fn to_json(&self) -> String {
         use std::fmt::Write as _;
@@ -154,7 +152,7 @@ impl SimStats {
             )
         };
         let mut s = String::new();
-        s.push_str("{\"schema\": \"vpr-sim-stats/v1\",\n");
+        s.push_str("{\"schema\": \"vpr-sim-stats/v2\",\n");
         let _ = writeln!(
             s,
             " \"cycles\": {}, \"committed\": {}, \"committed_with_dest\": {}, \
@@ -179,22 +177,20 @@ impl SimStats {
         let _ = writeln!(
             s,
             " \"rob_full_stalls\": {}, \"iq_full_stalls\": {}, \"lsq_full_stalls\": {}, \
-             \"store_buffer_stalls\": {}, \"wrong_path_squashed\": {}, \"early_releases\": {},",
+             \"store_buffer_stalls\": {}, \"early_releases\": {},",
             self.rob_full_stalls,
             self.iq_full_stalls,
             self.lsq_full_stalls,
             self.store_buffer_stalls,
-            self.wrong_path_squashed,
             self.early_releases
         );
         let _ = writeln!(s, " \"int\": {},", class(&self.int));
         let _ = writeln!(s, " \"fp\": {},", class(&self.fp));
         let _ = writeln!(
             s,
-            " \"fetch\": {{\"fetched\": {}, \"wrong_path_fetched\": {}, \"cond_branches\": {}, \
-             \"mispredictions\": {}, \"taken_breaks\": {}, \"stall_cycles\": {}}},",
+            " \"fetch\": {{\"fetched\": {}, \"cond_branches\": {}, \"mispredictions\": {}, \
+             \"taken_breaks\": {}, \"stall_cycles\": {}}},",
             self.fetch.fetched,
-            self.fetch.wrong_path_fetched,
             self.fetch.cond_branches,
             self.fetch.mispredictions,
             self.fetch.taken_breaks,
@@ -261,13 +257,11 @@ impl SimStats {
             iq_full_stalls: self.iq_full_stalls - base.iq_full_stalls,
             lsq_full_stalls: self.lsq_full_stalls - base.lsq_full_stalls,
             store_buffer_stalls: self.store_buffer_stalls - base.store_buffer_stalls,
-            wrong_path_squashed: self.wrong_path_squashed - base.wrong_path_squashed,
             early_releases: self.early_releases - base.early_releases,
             int: class(&self.int, &base.int),
             fp: class(&self.fp, &base.fp),
             fetch: vpr_frontend::FetchStats {
                 fetched: self.fetch.fetched - base.fetch.fetched,
-                wrong_path_fetched: self.fetch.wrong_path_fetched - base.fetch.wrong_path_fetched,
                 cond_branches: self.fetch.cond_branches - base.fetch.cond_branches,
                 mispredictions: self.fetch.mispredictions - base.fetch.mispredictions,
                 taken_breaks: self.fetch.taken_breaks - base.fetch.taken_breaks,
@@ -330,7 +324,6 @@ impl vpr_snap::Snap for SimStats {
         enc.put_u64(self.iq_full_stalls);
         enc.put_u64(self.lsq_full_stalls);
         enc.put_u64(self.store_buffer_stalls);
-        enc.put_u64(self.wrong_path_squashed);
         enc.put_u64(self.early_releases);
         self.int.save(enc);
         self.fp.save(enc);
@@ -354,7 +347,6 @@ impl vpr_snap::Snap for SimStats {
             iq_full_stalls: dec.take_u64(),
             lsq_full_stalls: dec.take_u64(),
             store_buffer_stalls: dec.take_u64(),
-            wrong_path_squashed: dec.take_u64(),
             early_releases: dec.take_u64(),
             int: ClassStats::load(dec),
             fp: ClassStats::load(dec),

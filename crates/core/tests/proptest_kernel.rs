@@ -106,10 +106,6 @@ impl ReferenceIq {
         self.wakeup(|s| (s.class == class && s.state == SrcState::WaitVp(vp)).then_some(preg))
     }
 
-    fn squash_younger_than(&mut self, seq: u64) {
-        self.entries.split_off(&(seq + 1));
-    }
-
     fn all(&self) -> Vec<IqEntry> {
         self.entries.values().copied().collect()
     }
@@ -131,15 +127,13 @@ enum IqOp {
     Insert([(u8, bool, u16); 2]),
     /// Remove the entry with the n-th smallest live sequence (mod len).
     Remove(u8),
-    /// Re-insert the removed entry under a *recycled* sequence number
-    /// (wrong-path recovery reuses sequence numbers).
+    /// Re-insert the removed entry under its own, *recycled* sequence
+    /// number (re-execution returns an instruction to the queue).
     Reinsert,
     /// Broadcast a physical-register wake-up.
     WakePhys(bool, u16),
     /// Broadcast a VP-tag binding wake-up.
     WakeVp(bool, u16, u16),
-    /// Squash everything younger than the n-th smallest live sequence.
-    Squash(u8),
 }
 
 fn class_of(bit: bool) -> RegClass {
@@ -179,7 +173,6 @@ fn op_strategy() -> impl Strategy<Value = IqOp> {
         Just(IqOp::Reinsert),
         (any::<bool>(), 0u16..24).prop_map(|(c, t)| IqOp::WakePhys(c, t)),
         (any::<bool>(), 0u16..24, 0u16..24).prop_map(|(c, t, p)| IqOp::WakeVp(c, t, p)),
-        (0u8..255).prop_map(IqOp::Squash),
     ]
 }
 
@@ -188,7 +181,7 @@ proptest! {
 
     /// Drive the slab/consumer-list queue and the scan-based reference
     /// through the same random script — inserts (fresh and recycled
-    /// sequence numbers), removals, both wake-up channels, squashes — and
+    /// sequence numbers), removals, both wake-up channels — and
     /// demand identical observable state after every operation: length,
     /// age-ordered contents, ready set, and per-broadcast woken counts.
     #[test]
@@ -246,18 +239,6 @@ proptest! {
                     let woke_a = iq.wakeup_vp(class, VpReg(tag), PhysReg(preg));
                     let woke_b = reference.wakeup_vp(class, VpReg(tag), PhysReg(preg));
                     prop_assert_eq!(woke_a, woke_b, "vp wake {:?} v{}", class, tag);
-                }
-                IqOp::Squash(pick) => {
-                    let live: Vec<u64> = iq.iter().map(|e| e.seq).collect();
-                    if live.is_empty() {
-                        continue;
-                    }
-                    let seq = live[pick as usize % live.len()];
-                    iq.squash_younger_than(seq);
-                    reference.squash_younger_than(seq);
-                    // Recycled sequence numbers after a squash.
-                    next_seq = seq + 1;
-                    parked = None;
                 }
             }
             // Full observable-state agreement after every operation.

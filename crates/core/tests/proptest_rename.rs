@@ -1,6 +1,6 @@
 //! Property tests for the renaming machinery in isolation: random but
-//! well-formed event sequences (rename → allocate → bind → commit /
-//! squash) must keep the map tables and free lists consistent.
+//! well-formed event sequences (rename → allocate → bind → commit) must
+//! keep the map tables and free lists consistent.
 
 use proptest::prelude::*;
 use vpr_core::rename::VpRenamer;

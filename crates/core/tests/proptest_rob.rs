@@ -1,8 +1,8 @@
 //! Property tests for the hot/cold-split reorder buffer: for arbitrary
 //! push / pop / drop / mutate scripts, the ring-indexed parallel-array
 //! implementation must behave exactly like a naive `VecDeque<RobEntry>`
-//! oracle — including across ring wrap-around, tail squashes after a
-//! wrap, and interleaved hot-record mutation.
+//! oracle — including across ring wrap-around and interleaved hot-record
+//! mutation.
 
 use proptest::prelude::*;
 use std::collections::VecDeque;
@@ -19,10 +19,6 @@ enum Op {
     PopHead,
     /// Commit the oldest entry via the index-only hot path.
     DropHead,
-    /// Squash the youngest entry, comparing the assembled view.
-    PopTail,
-    /// Squash the youngest entry via the index-only hot path.
-    DropTail,
     /// Flip hot-record state (completed/issued, bump gen/executions) on a
     /// live entry picked by the offset from the head.
     Mutate(u64),
@@ -39,8 +35,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         Just(Op::Push),
         Just(Op::PopHead),
         Just(Op::DropHead),
-        Just(Op::PopTail),
-        Just(Op::DropTail),
         (0u64..16).prop_map(Op::Mutate),
         (0u64..16).prop_map(Op::Lookup),
     ]
@@ -61,14 +55,13 @@ fn fresh_entry(seq: u64) -> RobEntry {
             size: 4,
         });
     }
-    RobEntry::new(seq, di, seq.is_multiple_of(5), seq.is_multiple_of(7))
+    RobEntry::new(seq, di, seq.is_multiple_of(7))
 }
 
 fn assert_entries_eq(got: &RobEntry, want: &RobEntry) -> Result<(), TestCaseError> {
     prop_assert_eq!(got.seq, want.seq);
     prop_assert_eq!(got.di.pc(), want.di.pc());
     prop_assert_eq!(got.di.op(), want.di.op());
-    prop_assert_eq!(got.wrong_path, want.wrong_path);
     prop_assert_eq!(got.mispredicted, want.mispredicted);
     prop_assert_eq!(got.completed, want.completed);
     prop_assert_eq!(got.completed_at, want.completed_at);
@@ -98,7 +91,7 @@ proptest! {
                 Op::Push => {
                     if !rob.is_full() {
                         // Keep sequences contiguous: continue after the
-                        // current tail (squashes rewind next_seq).
+                        // current tail.
                         let seq = oracle.back().map_or(next_seq, |e| e.seq + 1);
                         next_seq = seq + 1;
                         rob.push(fresh_entry(seq));
@@ -116,18 +109,6 @@ proptest! {
                 Op::DropHead => {
                     rob.drop_head();
                     oracle.pop_front();
-                }
-                Op::PopTail => {
-                    let got = rob.pop_tail();
-                    let want = oracle.pop_back();
-                    prop_assert_eq!(got.is_some(), want.is_some());
-                    if let (Some(g), Some(w)) = (got, want) {
-                        assert_entries_eq(&g, &w)?;
-                    }
-                }
-                Op::DropTail => {
-                    rob.drop_tail();
-                    oracle.pop_back();
                 }
                 Op::Mutate(off) => {
                     if !oracle.is_empty() {

@@ -1,6 +1,6 @@
 //! The fetch unit.
 
-use crate::{BranchHistoryTable, WrongPathSynth};
+use crate::BranchHistoryTable;
 use vpr_isa::{DynInst, InstStream, OpClass};
 
 /// One instruction delivered by the fetch unit.
@@ -14,18 +14,13 @@ pub struct FetchedInst {
     /// branch and the core must call [`FetchUnit::resolve_branch`] when it
     /// executes.
     pub mispredicted: bool,
-    /// True for synthesised wrong-path instructions (never committed; the
-    /// core squashes them when the triggering branch resolves).
-    pub wrong_path: bool,
 }
 
 /// Fetch-engine counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FetchStats {
-    /// Correct-path instructions delivered.
+    /// Instructions delivered.
     pub fetched: u64,
-    /// Wrong-path instructions delivered (injection mode only).
-    pub wrong_path_fetched: u64,
     /// Conditional branches fetched.
     pub cond_branches: u64,
     /// Conditional branches whose predicted direction was wrong.
@@ -44,18 +39,12 @@ pub struct FetchStats {
 /// ### Trace-driven misprediction handling
 ///
 /// The stream contains only the committed path. When the predictor
-/// disagrees with the recorded outcome of a conditional branch, the machine
-/// would fetch down the wrong path; this unit models that in one of two
-/// ways:
-///
-/// * **Stall mode** (default, matches the paper's methodology): fetch
-///   delivers the branch and then nothing until the core reports the branch
-///   resolved ([`FetchUnit::resolve_branch`]); fetch resumes the following
-///   cycle (one-cycle redirect, R10000-style checkpoint repair).
-/// * **Injection mode** ([`FetchUnit::with_wrong_path_injection`]): fetch
-///   delivers synthesised wrong-path instructions (flagged
-///   [`FetchedInst::wrong_path`]) that consume decode/rename resources and
-///   rename registers until the branch resolves.
+/// disagrees with the recorded outcome of a conditional branch, fetch
+/// stalls, as in the paper's trace-driven methodology: it delivers the
+/// branch and then nothing until the core reports the branch resolved
+/// ([`FetchUnit::resolve_branch`]); fetch resumes the following cycle
+/// (one-cycle redirect, R10000-style checkpoint repair). No wrong-path
+/// instruction ever enters the core.
 ///
 /// A correctly-predicted taken branch simply ends the fetch block
 /// (instructions must be consecutive; the target block starts next cycle).
@@ -69,8 +58,6 @@ pub struct FetchUnit {
     wait_resolve: bool,
     /// Fetch may resume at this cycle (set by `resolve_branch`).
     resume_at: u64,
-    injection: bool,
-    synth: Option<WrongPathSynth>,
     end_of_stream: bool,
     stats: FetchStats,
 }
@@ -89,17 +76,9 @@ impl FetchUnit {
             pending: None,
             wait_resolve: false,
             resume_at: 0,
-            injection: false,
-            synth: None,
             end_of_stream: false,
             stats: FetchStats::default(),
         }
-    }
-
-    /// Enables wrong-path injection (builder style).
-    pub fn with_wrong_path_injection(mut self, enabled: bool) -> Self {
-        self.injection = enabled;
-        self
     }
 
     /// Counters.
@@ -115,9 +94,8 @@ impl FetchUnit {
         self.end_of_stream && self.pending.is_none()
     }
 
-    /// True while fetch is blocked behind an unresolved mispredicted branch
-    /// (stall mode) or fabricating wrong-path instructions (injection
-    /// mode).
+    /// True while fetch is blocked behind an unresolved mispredicted
+    /// branch.
     #[inline]
     pub fn is_diverted(&self) -> bool {
         self.wait_resolve
@@ -140,15 +118,9 @@ impl FetchUnit {
     /// until some *external* event changes its state (end of stream, or a
     /// stalled mispredicted branch that only
     /// [`FetchUnit::resolve_branch`] can release).
-    ///
-    /// Injection mode fabricates wrong-path work every cycle, so a
-    /// diverted injecting unit is active `now`.
     pub fn next_activity(&self, now: u64) -> Option<u64> {
-        if self.is_done() {
+        if self.is_done() || self.wait_resolve {
             return None;
-        }
-        if self.wait_resolve {
-            return self.injection.then_some(now);
         }
         Some(self.resume_at.max(now))
     }
@@ -167,7 +139,6 @@ impl FetchUnit {
     pub fn resolve_branch(&mut self, now: u64) {
         debug_assert!(self.wait_resolve, "no unresolved branch outstanding");
         self.wait_resolve = false;
-        self.synth = None;
         self.resume_at = now + 1;
     }
 
@@ -203,27 +174,7 @@ impl FetchUnit {
         if limit == 0 {
             return;
         }
-        if self.wait_resolve {
-            if self.injection {
-                let synth = self
-                    .synth
-                    .as_mut()
-                    .expect("injection mode always arms the synthesiser");
-                for _ in 0..limit {
-                    sink(FetchedInst {
-                        di: synth.next_inst(),
-                        predicted_taken: None,
-                        mispredicted: false,
-                        wrong_path: true,
-                    });
-                }
-                self.stats.wrong_path_fetched += limit as u64;
-            } else {
-                self.stats.stall_cycles += 1;
-            }
-            return;
-        }
-        if now < self.resume_at {
+        if self.wait_resolve || now < self.resume_at {
             self.stats.stall_cycles += 1;
             return;
         }
@@ -237,7 +188,6 @@ impl FetchUnit {
                 di,
                 predicted_taken: None,
                 mispredicted: false,
-                wrong_path: false,
             };
             let mut end_block = false;
             match di.op() {
@@ -252,9 +202,6 @@ impl FetchUnit {
                         fetched.mispredicted = true;
                         self.stats.mispredictions += 1;
                         self.wait_resolve = true;
-                        if self.injection {
-                            self.synth = Some(WrongPathSynth::new(di.pc()));
-                        }
                         end_block = true;
                     } else if outcome.taken {
                         self.stats.taken_breaks += 1;
@@ -284,7 +231,6 @@ impl vpr_snap::Snap for FetchedInst {
         self.di.save(enc);
         self.predicted_taken.save(enc);
         enc.put_bool(self.mispredicted);
-        enc.put_bool(self.wrong_path);
     }
 
     fn load(dec: &mut vpr_snap::Decoder<'_>) -> Self {
@@ -292,7 +238,6 @@ impl vpr_snap::Snap for FetchedInst {
             di: DynInst::load(dec),
             predicted_taken: Option::<bool>::load(dec),
             mispredicted: dec.take_bool(),
-            wrong_path: dec.take_bool(),
         }
     }
 }
@@ -300,7 +245,6 @@ impl vpr_snap::Snap for FetchedInst {
 impl vpr_snap::Snap for FetchStats {
     fn save(&self, enc: &mut vpr_snap::Encoder) {
         enc.put_u64(self.fetched);
-        enc.put_u64(self.wrong_path_fetched);
         enc.put_u64(self.cond_branches);
         enc.put_u64(self.mispredictions);
         enc.put_u64(self.taken_breaks);
@@ -310,7 +254,6 @@ impl vpr_snap::Snap for FetchStats {
     fn load(dec: &mut vpr_snap::Decoder<'_>) -> Self {
         Self {
             fetched: dec.take_u64(),
-            wrong_path_fetched: dec.take_u64(),
             cond_branches: dec.take_u64(),
             mispredictions: dec.take_u64(),
             taken_breaks: dec.take_u64(),
@@ -325,8 +268,6 @@ impl vpr_snap::Snap for FetchUnit {
         self.pending.save(enc);
         enc.put_bool(self.wait_resolve);
         enc.put_u64(self.resume_at);
-        enc.put_bool(self.injection);
-        self.synth.save(enc);
         enc.put_bool(self.end_of_stream);
         self.stats.save(enc);
     }
@@ -337,8 +278,6 @@ impl vpr_snap::Snap for FetchUnit {
             pending: Option::<DynInst>::load(dec),
             wait_resolve: dec.take_bool(),
             resume_at: dec.take_u64(),
-            injection: dec.take_bool(),
-            synth: Option::<WrongPathSynth>::load(dec),
             end_of_stream: dec.take_bool(),
             stats: FetchStats::load(dec),
         }
@@ -436,24 +375,6 @@ mod tests {
     }
 
     #[test]
-    fn injection_mode_fabricates_wrong_path() {
-        let mut fu = FetchUnit::new(8).with_wrong_path_injection(true);
-        let bht = BranchHistoryTable::default();
-        let insts = vec![branch(0x2000, true), alu(0x2100)];
-        let mut stream = insts.into_iter();
-        let b = fu.fetch_block(0, &mut stream, &bht, 8);
-        assert!(b[0].mispredicted);
-        let wp = fu.fetch_block(1, &mut stream, &bht, 8);
-        assert_eq!(wp.len(), 8);
-        assert!(wp.iter().all(|f| f.wrong_path));
-        assert_eq!(fu.stats().wrong_path_fetched, 8);
-        fu.resolve_branch(3);
-        let b = fu.fetch_block(4, &mut stream, &bht, 8);
-        assert_eq!(b.len(), 1);
-        assert!(!b[0].wrong_path);
-    }
-
-    #[test]
     fn unconditional_branch_breaks_block_without_prediction() {
         let mut fu = FetchUnit::new(8);
         let bht = BranchHistoryTable::default();
@@ -495,13 +416,6 @@ mod tests {
         assert!(fu.fetch_block(7, &mut stream, &bht, 8).is_empty());
         assert!(fu.is_done());
         assert_eq!(fu.next_activity(8), None);
-
-        // Injection mode fabricates work every cycle while diverted.
-        let mut fu = FetchUnit::new(4).with_wrong_path_injection(true);
-        let mut stream = vec![branch(0x2000, true), alu(0x2100)].into_iter();
-        let b = fu.fetch_block(0, &mut stream, &bht, 4);
-        assert!(b[0].mispredicted);
-        assert_eq!(fu.next_activity(1), Some(1));
     }
 
     #[test]

@@ -8,18 +8,13 @@
 //!   cycle from a perfect instruction cache (i.e. straight from the trace),
 //!   ending a block at a taken branch. Being trace-driven, a mispredicted
 //!   conditional branch stalls fetch until the branch resolves in the core
-//!   (plus a one-cycle redirect, as with R10000-style checkpoint repair);
-//!   optionally the unit synthesises *wrong-path* instructions instead of
-//!   stalling, which exercises the renamer's recovery machinery and the
-//!   register pressure of mis-speculated work.
+//!   (plus a one-cycle redirect, as with R10000-style checkpoint repair).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod bht;
 mod fetch;
-mod wrong_path;
 
 pub use bht::{BhtStats, BranchHistoryTable};
 pub use fetch::{FetchStats, FetchUnit, FetchedInst};
-pub use wrong_path::WrongPathSynth;

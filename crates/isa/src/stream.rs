@@ -4,11 +4,12 @@ use crate::DynInst;
 
 /// A source of dynamic instructions in program order.
 ///
-/// Implemented by the synthetic workload generators in `vpr-trace` and by
-/// anything else that can replay a committed-path instruction stream (a
-/// recorded trace file, a hand-written snippet in a test). The stream is
-/// the *correct* execution path: trace-driven simulation never sees
-/// wrong-path instructions unless the frontend synthesises them.
+/// Implemented by the synthetic workload generators in `vpr-trace`, the
+/// emulator-driven streams in `vpr-exec`, and anything else that can
+/// replay a committed-path instruction stream (a hand-written snippet in a
+/// test). The stream is the *correct* execution path: trace-driven
+/// simulation never sees wrong-path instructions, because fetch stalls at
+/// a mispredicted branch until it resolves.
 ///
 /// Any iterator over [`DynInst`] is automatically a stream:
 ///

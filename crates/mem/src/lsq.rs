@@ -17,8 +17,8 @@
 //! relative to program order. It is stored as a `VecDeque` of
 //! `(seq, entry)` pairs kept sorted by sequence number, not a search tree:
 //! dispatch appends at the tail (sequence numbers arrive in program
-//! order), commit removes at or near the head, squash pops the tail, and
-//! the disambiguation scans ([`Lsq::resolve_load`] walking older stores
+//! order), commit removes at or near the head, and the disambiguation
+//! scans ([`Lsq::resolve_load`] walking older stores
 //! youngest→oldest, [`Lsq::resolve_store`] walking younger loads
 //! oldest→youngest) are contiguous slice traversals from a binary-searched
 //! pivot. Those scans are inherently O(older/younger entries) — that *is*
@@ -169,7 +169,7 @@ impl LoadRec {
 /// The load/store queue: program-ordered memory operations in flight.
 ///
 /// Entries are inserted at dispatch (program order), updated when effective
-/// addresses resolve, and removed at commit or squash. The queue has a
+/// addresses resolve, and removed at commit. The queue has a
 /// finite capacity; dispatch must stall when [`Lsq::is_full`].
 ///
 /// ```
@@ -451,10 +451,9 @@ impl Lsq {
         l.forwarded_from = NO_FORWARD;
     }
 
-    /// Removes an operation at commit (or at squash during recovery).
-    /// Unknown sequence numbers are ignored so recovery can blindly sweep.
-    /// Commit removes at (or near) the head, so the shift is O(1) in the
-    /// common case.
+    /// Removes an operation at commit. Unknown sequence numbers are
+    /// ignored. Commit removes at (or near) the head, so the shift is O(1)
+    /// in the common case.
     pub fn remove(&mut self, seq: u64) {
         if let Some(idx) = self.position(seq) {
             if self.entries[idx].1.is_store {
@@ -465,20 +464,6 @@ impl Lsq {
                 self.loads.remove(lpos);
             }
             self.entries.remove(idx);
-        }
-    }
-
-    /// Removes every operation younger than `seq` (exclusive), for branch
-    /// misprediction / exception recovery.
-    pub fn squash_younger_than(&mut self, seq: u64) {
-        while self.entries.back().is_some_and(|&(s, _)| s > seq) {
-            self.entries.pop_back();
-        }
-        while self.stores.back().is_some_and(|r| r.seq > seq) {
-            self.stores.pop_back();
-        }
-        while self.loads.back().is_some_and(|r| r.seq > seq) {
-            self.loads.pop_back();
         }
     }
 
@@ -670,17 +655,6 @@ mod tests {
     }
 
     #[test]
-    fn squash_younger_drops_wrong_path_entries() {
-        let mut lsq = Lsq::new(8);
-        lsq.insert_store(1);
-        lsq.insert_load(2);
-        lsq.insert_load(3);
-        lsq.squash_younger_than(1);
-        assert_eq!(lsq.len(), 1);
-        assert!(lsq.address_of(1).is_none());
-    }
-
-    #[test]
     fn commit_removes_entries() {
         let mut lsq = Lsq::new(2);
         lsq.insert_load(1);
@@ -701,7 +675,7 @@ mod tests {
     }
 
     #[test]
-    fn stores_index_survives_commit_and_squash() {
+    fn stores_index_survives_commit() {
         let mut lsq = Lsq::new(16);
         lsq.insert_store(1);
         lsq.insert_load(2);
@@ -720,11 +694,6 @@ mod tests {
                 speculative: false
             }
         );
-        // Squash the youngest store; a re-resolved load must not see it.
-        lsq.squash_younger_than(4);
-        lsq.resolve_store(3, MemAccess::word(0x200));
-        let d = lsq.resolve_load(4, MemAccess::word(0x100));
-        assert_eq!(d, LoadDisposition::Cache { speculative: false });
     }
 
     #[test]

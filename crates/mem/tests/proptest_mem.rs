@@ -67,14 +67,14 @@ proptest! {
     }
 
     /// The loads-only secondary index vs. the linear-walk oracle: replay a
-    /// random operation soup (inserts, load/store resolutions, commits,
-    /// squashes) against a shadow model that stores every entry in one
+    /// random operation soup (inserts, load/store resolutions, commits)
+    /// against a shadow model that stores every entry in one
     /// flat program-ordered list, and check that `resolve_store` — which
     /// walks only the loads index — reports exactly the victims the
     /// oracle's full linear walk over *all* entries finds.
     #[test]
     fn loads_index_matches_linear_walk_oracle(
-        ops in prop::collection::vec((0u8..6, 0u64..48, 0u64..12), 10..120),
+        ops in prop::collection::vec((0u8..5, 0u64..48, 0u64..12), 10..120),
     ) {
         #[derive(Clone, Copy)]
         struct ShadowEntry {
@@ -143,19 +143,10 @@ proptest! {
                     }
                 }
                 // Commit (remove) the oldest entry.
-                4 => {
+                _ => {
                     if shadow.is_empty() { continue; }
                     let seq = shadow.remove(0).seq;
                     lsq.remove(seq);
-                }
-                // Squash the youngest few entries (at least one survives:
-                // `squash_younger_than` keeps its boundary entry).
-                _ => {
-                    if shadow.len() < 2 { continue; }
-                    let keep = shadow.len().saturating_sub(1 + pick as usize % 3).max(1);
-                    let boundary = shadow[keep - 1].seq;
-                    shadow.truncate(keep);
-                    lsq.squash_younger_than(boundary);
                 }
             }
         }

@@ -7,7 +7,7 @@
 //!   pipeline's observer hooks, exported as a JSON `metrics` block and as
 //!   Prometheus-style text exposition;
 //! * [`trace`] — a ring-buffered per-instruction pipeline lifecycle trace
-//!   (fetch → rename → issue → complete → commit/squash, plus the VP
+//!   (fetch → rename → issue → complete → commit, plus the VP
 //!   scheme's bind/alloc events) emitted as compact JSONL or
 //!   Konata-compatible text, with a last-N anomaly dump;
 //! * [`telemetry`] — per-sweep run telemetry (per-job wall clock and queue
@@ -66,10 +66,10 @@ pub trait PipeObserver {
 
     /// An instruction entered the fetch buffer.
     #[inline]
-    fn on_fetch(&mut self, _cycle: u64, _pc: u64, _wrong_path: bool) {}
+    fn on_fetch(&mut self, _cycle: u64, _pc: u64) {}
     /// An instruction was renamed into the ROB/IQ (allocated `seq`).
     #[inline]
-    fn on_rename(&mut self, _cycle: u64, _seq: u64, _pc: u64, _op: u8, _wrong_path: bool) {}
+    fn on_rename(&mut self, _cycle: u64, _seq: u64, _pc: u64, _op: u8) {}
     /// An instruction was issued to a functional unit (counts
     /// re-executions too — one event per execution).
     #[inline]
@@ -80,9 +80,6 @@ pub trait PipeObserver {
     /// An instruction committed.
     #[inline]
     fn on_commit(&mut self, _cycle: u64, _seq: u64, _op: u8) {}
-    /// An instruction was squashed by a mispredicted branch.
-    #[inline]
-    fn on_squash(&mut self, _cycle: u64, _seq: u64) {}
     /// An instruction was sent back for re-execution. `register` is true
     /// for VP register-pressure re-executions (no physical register at
     /// write-back), false for memory-order violations.
@@ -167,35 +164,18 @@ impl PipeObserver for SimObserver {
     const ENABLED: bool = true;
 
     #[inline]
-    fn on_fetch(&mut self, cycle: u64, pc: u64, wrong_path: bool) {
+    fn on_fetch(&mut self, cycle: u64, pc: u64) {
         self.metrics.fetched += 1;
-        if wrong_path {
-            self.metrics.wrong_path_fetched += 1;
-        }
         if let Some(t) = &mut self.trace {
-            t.push(TraceRec::new(
-                cycle,
-                0,
-                TraceKind::Fetch,
-                pc,
-                0,
-                wrong_path as u8,
-            ));
+            t.push(TraceRec::new(cycle, 0, TraceKind::Fetch, pc, 0, 0));
         }
     }
 
     #[inline]
-    fn on_rename(&mut self, cycle: u64, seq: u64, pc: u64, op: u8, wrong_path: bool) {
+    fn on_rename(&mut self, cycle: u64, seq: u64, pc: u64, op: u8) {
         self.metrics.renamed += 1;
         if let Some(t) = &mut self.trace {
-            t.push(TraceRec::new(
-                cycle,
-                seq,
-                TraceKind::Rename,
-                pc,
-                op,
-                wrong_path as u8,
-            ));
+            t.push(TraceRec::new(cycle, seq, TraceKind::Rename, pc, op, 0));
         }
     }
 
@@ -220,14 +200,6 @@ impl PipeObserver for SimObserver {
         self.metrics.committed += 1;
         if let Some(t) = &mut self.trace {
             t.push(TraceRec::new(cycle, seq, TraceKind::Commit, 0, op, 0));
-        }
-    }
-
-    #[inline]
-    fn on_squash(&mut self, cycle: u64, seq: u64) {
-        self.metrics.squashed += 1;
-        if let Some(t) = &mut self.trace {
-            t.push(TraceRec::new(cycle, seq, TraceKind::Squash, 0, 0, 0));
         }
     }
 

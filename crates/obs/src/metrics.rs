@@ -268,9 +268,11 @@ impl Registry {
 /// produce identical blocks.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SimMetrics {
-    /// Instructions entering the fetch buffer (right or wrong path).
+    /// Instructions entering the fetch buffer.
     pub fetched: u64,
-    /// Wrong-path instructions fetched past unresolved branches.
+    /// Always 0: fetch stalls at a mispredicted branch, so no wrong-path
+    /// instruction is fetched. Kept so the exported series keep their
+    /// names and order.
     pub wrong_path_fetched: u64,
     /// Instructions renamed into the window.
     pub renamed: u64,
@@ -280,7 +282,8 @@ pub struct SimMetrics {
     pub completed: u64,
     /// Committed instructions.
     pub committed: u64,
-    /// Squashed wrong-path instructions.
+    /// Always 0, like [`SimMetrics::wrong_path_fetched`]: nothing is
+    /// ever squashed by a mispredicted branch.
     pub squashed: u64,
     /// VP re-executions forced by physical-register scarcity.
     pub reexec_register: u64,

@@ -23,9 +23,9 @@ use vpr_snap::json;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum TraceKind {
-    /// Instruction entered the fetch buffer (`flag` = wrong-path).
+    /// Instruction entered the fetch buffer.
     Fetch,
-    /// Instruction renamed into ROB/IQ (`flag` = wrong-path).
+    /// Instruction renamed into ROB/IQ.
     Rename,
     /// Instruction issued to a functional unit.
     Issue,
@@ -33,8 +33,6 @@ pub enum TraceKind {
     Complete,
     /// Instruction committed.
     Commit,
-    /// Instruction squashed by a mispredicted branch.
-    Squash,
     /// Instruction re-dispatched (`flag` = register-pressure re-execution,
     /// else memory-order).
     Reexec,
@@ -55,7 +53,6 @@ impl TraceKind {
             TraceKind::Issue => "issue",
             TraceKind::Complete => "complete",
             TraceKind::Commit => "commit",
-            TraceKind::Squash => "squash",
             TraceKind::Reexec => "reexec",
             TraceKind::VpAlloc => "vp-alloc",
             TraceKind::VpBind => "vp-bind",
@@ -64,9 +61,9 @@ impl TraceKind {
     }
 
     /// All kind labels a valid JSONL line may carry.
-    pub const LABELS: [&'static str; 10] = [
-        "fetch", "rename", "issue", "complete", "commit", "squash", "reexec", "vp-alloc",
-        "vp-bind", "wb-stall",
+    pub const LABELS: [&'static str; 9] = [
+        "fetch", "rename", "issue", "complete", "commit", "reexec", "vp-alloc", "vp-bind",
+        "wb-stall",
     ];
 }
 
@@ -185,14 +182,13 @@ impl PipelineTrace {
         );
         match r.kind {
             TraceKind::Fetch => {
-                s.push_str(&format!(", \"pc\": \"{:#x}\", \"wp\": {}", r.pc, r.flag));
+                s.push_str(&format!(", \"pc\": \"{:#x}\"", r.pc));
             }
             TraceKind::Rename => {
                 s.push_str(&format!(
-                    ", \"pc\": \"{:#x}\", \"op\": \"{}\", \"wp\": {}",
+                    ", \"pc\": \"{:#x}\", \"op\": \"{}\"",
                     r.pc,
-                    json::escape(&self.op_name(r.op)),
-                    r.flag
+                    json::escape(&self.op_name(r.op))
                 ));
             }
             TraceKind::Issue | TraceKind::Commit => {
@@ -220,7 +216,7 @@ impl PipelineTrace {
                     if r.op == 0 { "int" } else { "fp" }
                 ));
             }
-            TraceKind::Complete | TraceKind::Squash | TraceKind::WbStall => {}
+            TraceKind::Complete | TraceKind::WbStall => {}
         }
         s.push('}');
         s
@@ -254,8 +250,8 @@ impl PipelineTrace {
     /// Writes the retained records as Konata-compatible pipeline-viewer
     /// text (`Kanata 0004` format). One lane per sequence number;
     /// instructions open at their rename record (where `seq` is
-    /// assigned), progress through `R`/`Is`/`Cp` stages, and retire (or
-    /// flush) at commit (or squash).
+    /// assigned), progress through `R`/`Is`/`Cp` stages, and retire at
+    /// commit.
     ///
     /// # Errors
     ///
@@ -289,7 +285,6 @@ impl PipelineTrace {
                     retired += 1;
                     writeln!(w, "R\t{}\t{}\t0", r.seq, retired)?;
                 }
-                TraceKind::Squash => writeln!(w, "R\t{}\t0\t1", r.seq)?,
                 TraceKind::Reexec => writeln!(w, "S\t{}\t0\tRx", r.seq)?,
                 TraceKind::VpAlloc => writeln!(w, "L\t{}\t1\tvp-alloc", r.seq)?,
                 TraceKind::VpBind => writeln!(w, "L\t{}\t1\tvp-bind", r.seq)?,
@@ -347,7 +342,6 @@ mod tests {
         t.push(TraceRec::new(3, 7, TraceKind::Issue, 0, 1, 0));
         t.push(TraceRec::new(5, 7, TraceKind::Complete, 0, 0, 0));
         t.push(TraceRec::new(6, 7, TraceKind::Commit, 0, 1, 0));
-        t.push(TraceRec::new(6, 8, TraceKind::Squash, 0, 0, 0));
         t.push(TraceRec::new(7, 9, TraceKind::Reexec, 0, 0, 1));
         t.push(TraceRec::new(7, 9, TraceKind::VpAlloc, 0, 1, 1));
         t.push(TraceRec::new(8, 9, TraceKind::VpBind, 0, 0, 0));
@@ -355,7 +349,7 @@ mod tests {
         let mut out = Vec::new();
         t.emit_jsonl(&mut out).unwrap();
         let text = String::from_utf8(out).unwrap();
-        assert_eq!(text.lines().count(), 10);
+        assert_eq!(text.lines().count(), 9);
         for line in text.lines() {
             validate_jsonl_line(line).unwrap_or_else(|e| panic!("{e}: {line}"));
         }

@@ -10,7 +10,7 @@
 //! renaming schemes, cache/MSHRs/LSQ/store buffer, branch state, trace
 //! generator position and statistics — into one payload, and
 //! `Processor::restore` rebuilds a processor that continues **bit-identically**
-//! to the uninterrupted run (pinned by `crates/bench/tests/snapshot_roundtrip.rs`).
+//! to the uninterrupted run (pinned by `tests/snapshot_roundtrip.rs`).
 //!
 //! ## Snapshot format
 //!
@@ -87,7 +87,7 @@ pub const MAGIC: [u8; 8] = *b"VPRSNAP\0";
 
 /// Payload-layout version. Bump on **any** change to any `Snap` impl's
 /// field set or ordering (see the module docs' versioning rules).
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Why a snapshot could not be opened.
 #[derive(Debug, Clone, PartialEq, Eq)]

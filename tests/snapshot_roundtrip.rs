@@ -11,8 +11,9 @@
 //! 2. `roundtrip_through_bytes_all_schemes` pushes the snapshot through
 //!    its serialised byte form (envelope, checksum) and across a fresh
 //!    trace generator.
-//! 3. A property test checkpoints at random commit counts and verifies
-//!    continuation equality each time.
+//! 3. A property test checkpoints at random commit counts, with and
+//!    without the VP commit delay, and verifies continuation equality
+//!    each time.
 
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -26,11 +27,13 @@ fn quick_processor(
     benchmark: Benchmark,
     scheme: RenameScheme,
     exp: &ExperimentConfig,
+    vp_commit_delay: bool,
 ) -> Processor<TraceGen> {
     let config = SimConfig::builder()
         .scheme(scheme)
         .physical_regs(64)
         .miss_penalty(exp.miss_penalty)
+        .vp_commit_delay(vp_commit_delay)
         .build();
     let trace = TraceBuilder::new(benchmark).seed(exp.seed).build();
     Processor::new(config, trace)
@@ -41,10 +44,10 @@ fn quick_processor(
 #[test]
 fn save_restore_run_matches_golden() {
     let exp = ExperimentConfig::quick();
-    let golden_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden");
+    let golden_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
     let benchmark = Benchmark::Swim;
     for scheme in THROUGHPUT_SCHEMES {
-        let mut cpu = quick_processor(benchmark, scheme, &exp);
+        let mut cpu = quick_processor(benchmark, scheme, &exp, false);
         cpu.warm_up(exp.warmup);
         // One third of the window, then checkpoint mid-flight. A run can
         // overshoot its commit target by up to commit-width − 1, so the
@@ -79,11 +82,11 @@ fn roundtrip_through_bytes_all_schemes() {
     let exp = ExperimentConfig::quick();
     for benchmark in [Benchmark::Go, Benchmark::Compress] {
         for scheme in THROUGHPUT_SCHEMES {
-            let mut uninterrupted = quick_processor(benchmark, scheme, &exp);
+            let mut uninterrupted = quick_processor(benchmark, scheme, &exp, false);
             uninterrupted.warm_up(500);
             uninterrupted.run(8_000);
 
-            let mut checkpointed = quick_processor(benchmark, scheme, &exp);
+            let mut checkpointed = quick_processor(benchmark, scheme, &exp, false);
             checkpointed.warm_up(500);
             let first = checkpointed.run(3_000).committed;
             let bytes = checkpointed.snapshot().to_bytes();
@@ -112,7 +115,7 @@ fn roundtrip_through_bytes_all_schemes() {
 #[test]
 fn snapshot_envelope_rejects_corruption() {
     let exp = ExperimentConfig::quick();
-    let mut cpu = quick_processor(Benchmark::Swim, RenameScheme::Conventional, &exp);
+    let mut cpu = quick_processor(Benchmark::Swim, RenameScheme::Conventional, &exp, false);
     cpu.run(1_000);
     let mut bytes = cpu.snapshot().to_bytes();
     let last = bytes.len() - 1;
@@ -131,16 +134,17 @@ proptest! {
         scheme_idx in 0usize..4,
         bench_idx in 0usize..3,
         seed in 0u64..1_000,
+        vp_commit_delay in any::<bool>(),
     ) {
         let scheme = THROUGHPUT_SCHEMES[scheme_idx];
         let benchmark = [Benchmark::Swim, Benchmark::Go, Benchmark::Wave5][bench_idx];
         let exp = ExperimentConfig { seed, ..ExperimentConfig::quick() };
         let tail = 4_000u64;
 
-        let mut uninterrupted = quick_processor(benchmark, scheme, &exp);
+        let mut uninterrupted = quick_processor(benchmark, scheme, &exp, vp_commit_delay);
         uninterrupted.run(checkpoint_commits + tail);
 
-        let mut checkpointed = quick_processor(benchmark, scheme, &exp);
+        let mut checkpointed = quick_processor(benchmark, scheme, &exp, vp_commit_delay);
         let first = checkpointed.run(checkpoint_commits).committed;
         let snapshot = checkpointed.snapshot();
         let fresh = TraceBuilder::new(benchmark).seed(seed).build();
@@ -150,10 +154,11 @@ proptest! {
         prop_assert_eq!(
             uninterrupted.stats(),
             restored.stats(),
-            "stats diverged (checkpoint at {} commits, {:?}, {})",
+            "stats diverged (checkpoint at {} commits, {:?}, {}, commit delay {})",
             checkpoint_commits,
             scheme,
-            benchmark
+            benchmark,
+            vp_commit_delay
         );
         prop_assert_eq!(uninterrupted.cycle(), restored.cycle());
     }
