@@ -617,9 +617,10 @@ impl CheckpointStore {
 
     /// Loads and validates the checkpoint under `key` for a run whose
     /// configuration hashes to `expected_hash`: the manifest entry must
-    /// exist, match the hash and snapshot format version, and the
-    /// envelope at its offset must hold the payload checksum the manifest
-    /// records. Only that envelope is read.
+    /// exist and match the hash and snapshot format version — checked
+    /// before any file is read — and the envelope at its offset must hold
+    /// the payload checksum the manifest records. Only that envelope is
+    /// read.
     ///
     /// # Errors
     ///
@@ -653,6 +654,11 @@ impl CheckpointStore {
             )))
         };
         let entry = self.manifest.find(key).ok_or_else(|| missing(""))?;
+        // Stale (config/format) rows point at *valid* artefacts of a
+        // different experiment or build: refuse them before their pack is
+        // read — an older format's envelope does not even decode — and
+        // leave them on disk.
+        Manifest::check_fresh(entry, expected_hash).map_err(CheckpointLoadError::Manifest)?;
         let path = self.dir.join(&entry.file);
         if open.as_ref().is_none_or(|(file, _)| *file != entry.file) {
             *open = None;
@@ -692,16 +698,12 @@ impl CheckpointStore {
                 CheckpointLoadError::Io(e)
             }
         })?;
-        match Manifest::validate(entry, expected_hash, snapshot.checksum()) {
-            Ok(()) => Ok((entry.clone(), snapshot)),
-            // The envelope is internally consistent but does not hold the
-            // payload the manifest row promised — same quarantine-and-
-            // regenerate treatment as a torn envelope.
-            Err(e @ ManifestError::ChecksumMismatch { .. }) => Err(corrupt(e.to_string())),
-            // Stale (config/format) entries are *valid* artefacts for a
-            // different experiment: refuse them but leave them on disk.
-            Err(e) => Err(CheckpointLoadError::Manifest(e)),
-        }
+        // The envelope is internally consistent but may not hold the
+        // payload the manifest row promised — same quarantine-and-
+        // regenerate treatment as a torn envelope.
+        Manifest::validate(entry, expected_hash, snapshot.checksum())
+            .map(|()| (entry.clone(), snapshot))
+            .map_err(|e| corrupt(e.to_string()))
     }
 
     /// Loads the full set of `scheme`'s interval checkpoints, in interval

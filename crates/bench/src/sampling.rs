@@ -19,9 +19,11 @@
 //!   serial pass is an artefact, paid once per configuration and reused
 //!   by every later sampled run (`--sampled --checkpoint-dir` on the
 //!   figure/table binaries).
-//! * Restored windows are mutually independent, so they fan out over
-//!   [`vpr_core::par`] with the same submission-order merge as the figure
-//!   sweeps — sampled results are byte-identical for any `--jobs`.
+//! * A point restores its windows serially into one machine
+//!   ([`vpr_core::Processor::restore_into`]), which keeps its
+//!   allocations from window to window; the sweep runs points in
+//!   parallel with the same submission-order merge as the figure sweeps,
+//!   so sampled results are byte-identical for any `--jobs`.
 //! * The **per-phase regression estimator** ([`CheckpointedReport::ipc`])
 //!   fits window CPI on each span's exact per-phase instruction
 //!   composition plus its functional miss/misprediction rates (from one
@@ -43,7 +45,7 @@
 
 use crate::harness::ExperimentConfig;
 use crate::workloads::{Workload, WorkloadStream};
-use vpr_core::{par, Processor, RenameScheme, SimConfig, SimStats};
+use vpr_core::{Processor, RenameScheme, SimConfig, SimStats};
 
 /// Shape of one sampled estimate: where the estimated region lies in the
 /// instruction stream and how much of it is simulated in detail.
@@ -495,9 +497,10 @@ pub type Window = (u64, u64, SimStats);
 /// the exact machine state of the uninterrupted run from its checkpoint
 /// (`checkpoints[i] = (interval start, snapshot)`, as produced by
 /// `vpr_bench::checkpoints::generate_checkpoints` or loaded from a
-/// `.vprsnap` directory) and simulates only the measured window. Window
-/// runs fan out over [`vpr_core::par`] with submission-order determinism;
-/// [`estimate_from_windows`] assembles the estimate.
+/// `.vprsnap` directory) and simulates only the measured window. The
+/// windows run serially, each restored into the one machine the first
+/// built ([`Processor::restore_into`]) — a sweep runs its points in
+/// parallel already; [`estimate_from_windows`] assembles the estimate.
 ///
 /// # Panics
 ///
@@ -511,7 +514,6 @@ pub fn sample_from_checkpoints(
     exp: &ExperimentConfig,
     plan: &SamplingPlan,
     checkpoints: &[(u64, vpr_snap::Snapshot)],
-    jobs: usize,
 ) -> CheckpointedReport {
     let workload = workload.into();
     plan.validate();
@@ -520,13 +522,21 @@ pub fn sample_from_checkpoints(
         plan.intervals,
         "need one checkpoint per interval"
     );
-    let windows: Vec<Window> = par::par_map(
-        jobs.max(1),
-        checkpoints.to_vec(),
-        move |_, (_, snapshot)| {
-            let fresh = workload.stream(exp.seed);
-            let mut cpu: Processor<WorkloadStream> =
-                Processor::restore(&snapshot, fresh).expect("interval checkpoint restores");
+    let mut machine: Option<Processor<WorkloadStream>> = None;
+    let windows: Vec<Window> = checkpoints
+        .iter()
+        .map(|(_, snapshot)| {
+            let cpu = match &mut machine {
+                Some(cpu) => {
+                    cpu.restore_into(snapshot)
+                        .expect("interval checkpoint restores");
+                    cpu
+                }
+                None => machine.insert(
+                    Processor::restore(snapshot, workload.stream(exp.seed))
+                        .expect("interval checkpoint restores"),
+                ),
+            };
             // Shared (canonical-NRR) checkpoints serve every NRR value of
             // their scheme family: re-price the NRR-dependent state for
             // the target configuration before measuring. Non-shared
@@ -560,8 +570,8 @@ pub fn sample_from_checkpoints(
             cpu.reset_window();
             let stats = cpu.run(plan.detailed_measure);
             (begin, cpu.absolute_committed(), stats)
-        },
-    );
+        })
+        .collect();
     estimate_from_windows(workload, scheme, physical_regs, exp, plan, windows)
 }
 
@@ -682,8 +692,6 @@ impl FunctionalModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checkpoints::{generate_checkpoints, KIND_INTERVAL};
-    use vpr_trace::Benchmark;
 
     #[test]
     fn plan_geometry() {
@@ -705,30 +713,6 @@ mod tests {
         });
         scaled.validate();
         assert!(scaled.detailed_fraction() <= 0.5);
-    }
-
-    #[test]
-    fn sampled_report_is_deterministic_across_jobs() {
-        let exp = ExperimentConfig {
-            warmup: 500,
-            measure: 6_000,
-            ..ExperimentConfig::default()
-        };
-        let plan = SamplingPlan::for_experiment(&exp);
-        let scheme = RenameScheme::Conventional;
-        let checkpoints: Vec<(u64, vpr_snap::Snapshot)> =
-            generate_checkpoints(Benchmark::Swim, scheme, 64, &exp, Some(&plan))
-                .checkpoints
-                .into_iter()
-                .filter(|c| c.key.kind == KIND_INTERVAL)
-                .map(|c| (c.key.target, c.snapshot))
-                .collect();
-        let run = |jobs| {
-            sample_from_checkpoints(Benchmark::Swim, scheme, 64, &exp, &plan, &checkpoints, jobs)
-        };
-        let serial = run(1);
-        assert_eq!(serial, run(4), "sampling must merge deterministically");
-        assert!(serial.ipc() > 0.0);
     }
 
     #[test]

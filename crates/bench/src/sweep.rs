@@ -822,10 +822,10 @@ fn run_sampled(
     // Stage 2: estimate every point. A point of its group's pass scheme
     // takes the windows the pass measured, when this sweep ran the pass;
     // every other point restores its group's set and runs its windows
-    // serially (jobs = 1) so the pool is not nested. Points whose group
-    // pass failed are blocked without simulating. The first point of each
-    // group "owns" the stage-1 pass (already counted there); every further
-    // point reuses the shared artefact — the cross-NRR reuse the telemetry
+    // serially, in one machine. Points whose group pass failed are
+    // blocked without simulating. The first point of each group "owns"
+    // the stage-1 pass (already counted there); every further point
+    // reuses the shared artefact — the cross-NRR reuse the telemetry
     // counts.
     let shared = |i: usize| group_of[..i].contains(&group_of[i]);
     let results = stages.run("sample", specs.iter().map(JobSpec::label).collect(), |i| {
@@ -838,7 +838,7 @@ fn run_sampled(
             Some(windows) if scheme == passes[group_of[i]] => {
                 estimate_from_windows(w, scheme, regs, exp, &plan, windows.clone())
             }
-            _ => sample_from_checkpoints(w, scheme, regs, exp, &plan, &pass.set, 1),
+            _ => sample_from_checkpoints(w, scheme, regs, exp, &plan, &pass.set),
         };
         progress.point_done();
         Ok(StageDone {

@@ -71,6 +71,16 @@ impl<E> CalendarQueue<E> {
         }
     }
 
+    /// Drops every scheduled event and the scan hint, leaving the queue
+    /// as [`CalendarQueue::with_horizon`] built it but with each bucket's
+    /// capacity kept.
+    pub fn clear(&mut self) {
+        self.buckets.iter_mut().for_each(Vec::clear);
+        self.overflow.clear();
+        self.len = 0;
+        self.ring_hint.set(0);
+    }
+
     /// Number of scheduled events.
     #[inline]
     pub fn len(&self) -> usize {
@@ -343,5 +353,23 @@ mod tests {
                 assert!(cap_before >= 8, "drained bucket retains its allocation");
             }
         }
+    }
+
+    #[test]
+    fn clear_forgets_events_and_the_hint_but_keeps_capacity() {
+        let mut q = CalendarQueue::with_horizon(8);
+        q.schedule(1_000, 1_003, "ring");
+        q.schedule(1_000, 1_100, "overflow");
+        assert_eq!(q.next_activity(1_000), Some(1_003), "hint parked at 1003");
+        q.clear();
+        assert!(q.is_empty());
+        assert_eq!(q.next_activity(0), None);
+        assert!(q.buckets[(1_003 & q.mask) as usize].capacity() >= 1);
+        // An earlier clock than the hint ever saw must still be scanned.
+        q.schedule(4, 6, "after");
+        assert_eq!(q.next_activity(5), Some(6));
+        let mut out = Vec::new();
+        q.drain_at(6, &mut out);
+        assert_eq!(out, vec!["after"]);
     }
 }

@@ -507,13 +507,33 @@ impl vpr_snap::Snap for Iq {
     }
 
     fn load(dec: &mut vpr_snap::Decoder<'_>) -> Self {
+        let mut iq = Iq::new(1);
+        iq.load_into(dec);
+        iq
+    }
+
+    /// Rebuilds the exact slab, free list, lookup table, consumer lists
+    /// and ready index a fresh load makes, keeping the allocations
+    /// (the lookup table is rebuilt only for a different capacity).
+    fn load_into(&mut self, dec: &mut vpr_snap::Decoder<'_>) {
         let capacity = dec.take_usize();
-        let mut iq = Iq::new(capacity);
+        if capacity == self.capacity {
+            self.entries.clear();
+            self.meta.clear();
+            self.free_slots.clear();
+            self.lookup.fill(VACANT);
+            self.live = 0;
+            self.ready.clear();
+            for lists in self.phys_waiters.iter_mut().chain(&mut self.vp_waiters) {
+                lists.iter_mut().for_each(Vec::clear);
+            }
+        } else {
+            *self = Iq::new(capacity);
+        }
         let n = dec.take_usize();
         for _ in 0..n {
-            iq.insert(IqEntry::load(dec));
+            self.insert(IqEntry::load(dec));
         }
-        iq
     }
 }
 

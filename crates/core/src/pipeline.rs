@@ -1697,8 +1697,9 @@ impl<S: InstStream + vpr_snap::Resumable, O: PipeObserver> Processor<S, O> {
 
     /// Rebuilds a processor from a snapshot taken by
     /// [`Processor::snapshot`], attaching lifecycle observer `obs` (which
-    /// starts empty — observers are never serialised). The unobserved
-    /// form is [`Processor::restore`].
+    /// starts empty — observers are never serialised): a machine built
+    /// for the snapshot's configuration, then [`Processor::restore_into`].
+    /// The unobserved form is [`Processor::restore`].
     ///
     /// `trace` must be a freshly built generator of the **same workload**
     /// the snapshotted processor ran (same program, same seed); its
@@ -1722,25 +1723,65 @@ impl<S: InstStream + vpr_snap::Resumable, O: PipeObserver> Processor<S, O> {
         obs: O,
     ) -> Result<Self, vpr_snap::SnapError> {
         use vpr_snap::Snap as _;
-        let dec = &mut vpr_snap::Decoder::new(snapshot.payload());
-        let config = SimConfig::load(dec);
+        let config = SimConfig::load(&mut vpr_snap::Decoder::new(snapshot.payload()));
         let mut cpu = Processor::with_observer(config, trace, obs);
-        cpu.cycle = dec.take_u64();
-        cpu.next_seq = dec.take_u64();
-        cpu.gen_counter = dec.take_u64();
-        cpu.last_commit_cycle = dec.take_u64();
-        cpu.wb_ports_used = <[u32; 2]>::load(dec);
-        cpu.raw = SimStats::load(dec);
-        cpu.base = SimStats::load(dec);
-        cpu.trace.restore_state(dec);
-        cpu.fetch = vpr_frontend::FetchUnit::load(dec);
-        cpu.bht = BranchHistoryTable::load(dec);
-        cpu.cache = DataCache::load(dec);
-        cpu.lsq = Lsq::load(dec);
-        cpu.store_buffer = StoreBuffer::load(dec);
-        cpu.renamer = Renamer::load(dec);
+        cpu.restore_into(snapshot)?;
+        Ok(cpu)
+    }
+
+    /// Restores a snapshot taken by [`Processor::snapshot`] into this
+    /// machine — the one decode path, which [`Processor::restore_with`]
+    /// runs on a new machine. A sampled run restores each of its windows
+    /// into one machine this way.
+    ///
+    /// Nothing of what the machine ran before survives but allocated
+    /// capacity: the configuration comes from the payload (it overrides
+    /// any earlier [`Processor::retarget_nrr`]), every component and the
+    /// trace position are decoded, the event calendar is rebuilt from the
+    /// snapshot's events, the per-cycle scratch buffers are emptied and
+    /// the observer is reset. The machine's trace must be a generator of
+    /// the **same workload** the snapshotted processor ran; it may stand
+    /// anywhere. The continuation is bit-identical to the uninterrupted
+    /// run, as from a new machine.
+    ///
+    /// # Errors
+    ///
+    /// [`vpr_snap::SnapError::Mismatch`] when the payload is inconsistent
+    /// (an invalid configuration, a renamer that disagrees with it, an
+    /// event not after the snapshot's cycle, or trailing bytes). The
+    /// machine is then half-restored and must be restored again before
+    /// it runs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the payload is malformed at the field level — the
+    /// envelope's checksum makes that a logic error, not an input error.
+    pub fn restore_into(
+        &mut self,
+        snapshot: &vpr_snap::Snapshot,
+    ) -> Result<(), vpr_snap::SnapError> {
+        use vpr_snap::Snap as _;
+        let dec = &mut vpr_snap::Decoder::new(snapshot.payload());
+        self.config = SimConfig::load(dec);
+        self.config
+            .validate()
+            .map_err(|e| vpr_snap::SnapError::Mismatch(format!("configuration: {e}")))?;
+        self.cycle = dec.take_u64();
+        self.next_seq = dec.take_u64();
+        self.gen_counter = dec.take_u64();
+        self.last_commit_cycle = dec.take_u64();
+        self.wb_ports_used.load_into(dec);
+        self.raw.load_into(dec);
+        self.base.load_into(dec);
+        self.trace.restore_state(dec);
+        self.fetch.load_into(dec);
+        self.bht.load_into(dec);
+        self.cache.load_into(dec);
+        self.lsq.load_into(dec);
+        self.store_buffer.load_into(dec);
+        self.renamer.load_into(dec);
         let renamer_fits = matches!(
-            (&cpu.renamer, cpu.config.scheme),
+            (&self.renamer, self.config.scheme),
             (Renamer::Conventional(_), RenameScheme::Conventional)
                 | (
                     Renamer::EarlyRelease(_),
@@ -1755,25 +1796,28 @@ impl<S: InstStream + vpr_snap::Resumable, O: PipeObserver> Processor<S, O> {
         if !renamer_fits {
             return Err(vpr_snap::SnapError::Mismatch(format!(
                 "renamer does not match scheme {:?}",
-                cpu.config.scheme
+                self.config.scheme
             )));
         }
-        cpu.rob = Rob::load(dec);
-        cpu.iq = Iq::load(dec);
-        cpu.fus = FuPool::load(dec);
-        cpu.fetch_buffer = VecDeque::<FetchedInst>::load(dec);
-        cpu.cache_retry = Vec::<u64>::load(dec);
-        cpu.retry_memo = Option::<(u64, (u64, u64))>::load(dec);
-        cpu.dest_seqs = <[VecDeque<u64>; 2]>::load(dec);
-        let events = Vec::<(u64, Event)>::load(dec);
-        let before = cpu.cycle.saturating_sub(1);
-        for (at, ev) in events {
+        self.rob.load_into(dec);
+        self.iq.load_into(dec);
+        self.fus.load_into(dec);
+        self.fetch_buffer.load_into(dec);
+        self.cache_retry.load_into(dec);
+        self.retry_memo.load_into(dec);
+        self.dest_seqs.load_into(dec);
+        // The events, as `snapshot` saved them (a `Vec<(u64, Event)>`),
+        // scheduled straight into the emptied calendar.
+        self.events.clear();
+        let before = self.cycle.saturating_sub(1);
+        for _ in 0..dec.take_usize() {
+            let (at, ev) = <(u64, Event)>::load(dec);
             if at <= before {
                 return Err(vpr_snap::SnapError::Mismatch(format!(
                     "event scheduled at cycle {at}, not after cycle {before}"
                 )));
             }
-            cpu.events.schedule(before, at, ev);
+            self.events.schedule(before, at, ev);
         }
         if dec.remaining() != 0 {
             return Err(vpr_snap::SnapError::Mismatch(format!(
@@ -1781,7 +1825,11 @@ impl<S: InstStream + vpr_snap::Resumable, O: PipeObserver> Processor<S, O> {
                 dec.remaining()
             )));
         }
-        Ok(cpu)
+        self.pending_issue_allocs.clear();
+        self.event_scratch.clear();
+        self.issued_scratch.clear();
+        self.obs.reset();
+        Ok(())
     }
 }
 

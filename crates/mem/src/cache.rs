@@ -513,7 +513,7 @@ impl vpr_snap::Snap for DataCache {
         // overlay the dynamic state.
         let config = CacheConfig::load(dec);
         let mut cache = DataCache::new(config);
-        cache.lines = Vec::<Line>::load(dec);
+        cache.lines.load_into(dec);
         cache.mshrs = MshrFile::load(dec);
         cache.bus = Bus::load(dec);
         cache.stats = CacheStats::load(dec);

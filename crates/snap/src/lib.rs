@@ -17,7 +17,7 @@
 //! A snapshot is a flat little-endian byte stream:
 //!
 //! ```text
-//! [ 8-byte magic "VPRSNAP\0" ][ u32 format version ][ u64 FNV-1a checksum of payload ]
+//! [ 8-byte magic "VPRSNAP\0" ][ u32 format version ][ u64 payload checksum ]
 //! [ u64 payload length ][ payload bytes ... ]
 //! ```
 //!
@@ -87,7 +87,7 @@ pub const MAGIC: [u8; 8] = *b"VPRSNAP\0";
 
 /// Payload-layout version. Bump on **any** change to any `Snap` impl's
 /// field set or ordering (see the module docs' versioning rules).
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Why a snapshot could not be opened.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -127,16 +127,53 @@ impl fmt::Display for SnapError {
 
 impl std::error::Error for SnapError {}
 
-/// FNV-1a over `bytes` — the envelope's corruption guard, public so the
-/// checkpoint manifest can record (and later re-derive) configuration
-/// hashes and payload checksums without a second hash implementation.
+/// FNV-1a offset basis.
+const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a 64-bit prime (odd, so multiplying by it is a bijection).
+const FNV_PRIME: u64 = 0x1_0000_0000_01b3;
+
+/// FNV-1a over `bytes`, one byte per step — the workspace's *identity*
+/// hash: configuration hashes, checkpoint pack names, assembled-program
+/// fingerprints and the emulator's memory checksum. Its values are pinned
+/// by artefacts and snapshot payloads, so it never changes. Envelopes are
+/// guarded by [`payload_checksum`] instead.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = FNV_BASIS;
     for &b in bytes {
         h ^= u64::from(b);
-        h = h.wrapping_mul(0x1_0000_0000_01b3);
+        h = h.wrapping_mul(FNV_PRIME);
     }
     h
+}
+
+/// The snapshot envelope's payload checksum (also recorded in the
+/// checkpoint manifest): FNV-1a's basis and prime, but one 64-bit
+/// little-endian word per step, then the `len % 8` tail bytes one per
+/// step, then the length:
+///
+/// ```text
+/// h = 0xcbf29ce484222325
+/// for each 8-byte word w (little endian):  h = (h ^ w)   * 0x100000001b3
+/// for each tail byte b:                    h = (h ^ b)   * 0x100000001b3
+/// finally:                                 h = (h ^ len) * 0x100000001b3
+/// ```
+///
+/// (all arithmetic mod 2^64). Every step is a bijection of `h` for a
+/// fixed input and of the input for a fixed `h`, so changing any single
+/// word (or tail byte) of a payload always changes the checksum, as
+/// byte-wise FNV-1a guarantees for any single byte — at eight bytes per
+/// multiply instead of one.
+pub fn payload_checksum(bytes: &[u8]) -> u64 {
+    let mut words = bytes.chunks_exact(8);
+    let mut h = FNV_BASIS;
+    for w in &mut words {
+        let w = u64::from_le_bytes(w.try_into().expect("8-byte chunk"));
+        h = (h ^ w).wrapping_mul(FNV_PRIME);
+    }
+    for &b in words.remainder() {
+        h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+    }
+    (h ^ bytes.len() as u64).wrapping_mul(FNV_PRIME)
 }
 
 // ----------------------------------------------------------------------
@@ -382,6 +419,13 @@ pub trait Snap: Sized {
     fn save(&self, enc: &mut Encoder);
     /// Reads a value previously written by [`Snap::save`].
     fn load(dec: &mut Decoder<'_>) -> Self;
+    /// Reads a value previously written by [`Snap::save`] over `self`,
+    /// leaving exactly what [`Snap::load`] would build. Containers
+    /// override it to keep their allocations, which is what makes
+    /// restoring many snapshots into one machine cheap.
+    fn load_into(&mut self, dec: &mut Decoder<'_>) {
+        *self = Self::load(dec);
+    }
 }
 
 macro_rules! snap_prim {
@@ -438,8 +482,15 @@ impl<T: Snap> Snap for Vec<T> {
     }
 
     fn load(dec: &mut Decoder<'_>) -> Self {
+        let mut v = Self::new();
+        v.load_into(dec);
+        v
+    }
+
+    fn load_into(&mut self, dec: &mut Decoder<'_>) {
         let n = dec.take_usize();
-        (0..n).map(|_| T::load(dec)).collect()
+        self.clear();
+        self.extend((0..n).map(|_| T::load(dec)));
     }
 }
 
@@ -452,8 +503,15 @@ impl<T: Snap> Snap for VecDeque<T> {
     }
 
     fn load(dec: &mut Decoder<'_>) -> Self {
+        let mut v = Self::new();
+        v.load_into(dec);
+        v
+    }
+
+    fn load_into(&mut self, dec: &mut Decoder<'_>) {
         let n = dec.take_usize();
-        (0..n).map(|_| T::load(dec)).collect()
+        self.clear();
+        self.extend((0..n).map(|_| T::load(dec)));
     }
 }
 
@@ -466,6 +524,12 @@ impl<T: Snap, const N: usize> Snap for [T; N] {
 
     fn load(dec: &mut Decoder<'_>) -> Self {
         std::array::from_fn(|_| T::load(dec))
+    }
+
+    fn load_into(&mut self, dec: &mut Decoder<'_>) {
+        for v in self {
+            v.load_into(dec);
+        }
     }
 }
 
@@ -562,11 +626,13 @@ impl Snapshot {
         &self.payload
     }
 
-    /// FNV-1a checksum of the payload — the same value the serialised
-    /// envelope carries, exposed so checkpoint manifests can pin the exact
-    /// artefact they were written against.
+    /// [`payload_checksum`] of the payload — the same value the
+    /// serialised envelope carries, exposed so checkpoint manifests can
+    /// pin the exact artefact they were written against.
     pub fn checksum(&self) -> u64 {
-        *self.checksum.get_or_init(|| fnv1a(&self.payload))
+        *self
+            .checksum
+            .get_or_init(|| payload_checksum(&self.payload))
     }
 
     /// Length of the serialised envelope ([`Snapshot::to_bytes`]).
@@ -622,7 +688,7 @@ impl Snapshot {
             .checked_add(len)
             .and_then(|end| bytes.get(HEADER_LEN..end))
             .ok_or(SnapError::Truncated)?;
-        if fnv1a(payload) != checksum {
+        if payload_checksum(payload) != checksum {
             return Err(SnapError::Checksum);
         }
         Ok(Self {
@@ -735,6 +801,62 @@ mod tests {
     }
 
     #[test]
+    fn containers_load_into_what_load_builds() {
+        let mut enc = Encoder::new();
+        vec![4u64, 5].save(&mut enc);
+        VecDeque::from([7u16]).save(&mut enc);
+        [vec![1u8], vec![]].save(&mut enc);
+        let bytes = enc.into_bytes();
+        let mut dec = Decoder::new(&bytes);
+        let mut v: Vec<u64> = Vec::with_capacity(64);
+        v.extend([9, 9, 9]);
+        v.load_into(&mut dec);
+        assert_eq!(v, [4, 5]);
+        assert!(v.capacity() >= 64, "the allocation is kept");
+        let mut d: VecDeque<u16> = VecDeque::from([1, 2, 3]);
+        d.load_into(&mut dec);
+        assert_eq!(d, [7]);
+        let mut a = [vec![3u8, 3], vec![3]];
+        a.load_into(&mut dec);
+        assert_eq!(a, [vec![1], vec![]]);
+        assert_eq!(dec.remaining(), 0);
+    }
+
+    #[test]
+    fn payload_checksum_is_word_fnv_with_tail_and_length() {
+        const B: u64 = 0xcbf2_9ce4_8422_2325;
+        const P: u64 = 0x1_0000_0000_01b3;
+        assert_eq!(payload_checksum(&[]), B.wrapping_mul(P));
+        let bytes: Vec<u8> = (1..=11).collect();
+        let word = u64::from_le_bytes(bytes[..8].try_into().unwrap());
+        let mut want = (B ^ word).wrapping_mul(P);
+        for &b in &bytes[8..] {
+            want = (want ^ u64::from(b)).wrapping_mul(P);
+        }
+        want = (want ^ 11).wrapping_mul(P);
+        assert_eq!(payload_checksum(&bytes), want);
+        // Trailing zero bytes change the length, so they change the sum.
+        assert_ne!(payload_checksum(&[0; 8]), payload_checksum(&[0; 16]));
+    }
+
+    #[test]
+    fn payload_checksum_sees_every_single_byte_change() {
+        // Words and tail alike: every value of every byte position.
+        let base: Vec<u8> = (0..21u8).map(|i| i.wrapping_mul(37)).collect();
+        let sum = payload_checksum(&base);
+        for i in 0..base.len() {
+            for v in 0..=255u8 {
+                if v == base[i] {
+                    continue;
+                }
+                let mut bad = base.clone();
+                bad[i] = v;
+                assert_ne!(payload_checksum(&bad), sum, "byte {i} = {v}");
+            }
+        }
+    }
+
+    #[test]
     fn envelope_round_trips_and_validates() {
         let snap = Snapshot::new(vec![1, 2, 3, 4, 5]);
         let bytes = snap.to_bytes();
@@ -787,7 +909,7 @@ mod tests {
         for (s, &offset) in snaps.iter().zip(&offsets).rev() {
             let back = Snapshot::read_at(&mut file, &path, offset).unwrap();
             assert_eq!(&back, s);
-            assert_eq!(back.checksum(), fnv1a(s.payload()));
+            assert_eq!(back.checksum(), payload_checksum(s.payload()));
         }
         let _ = std::fs::remove_file(&path);
     }

@@ -81,8 +81,9 @@ pub struct ManifestEntry {
     /// FNV-1a hash of the serialised simulator configuration + workload
     /// identity the checkpoint was taken under.
     pub config_hash: u64,
-    /// FNV-1a checksum of the artefact's snapshot payload (must match both
-    /// the envelope on disk and the manifest to be loadable).
+    /// [`crate::payload_checksum`] of the artefact's snapshot payload
+    /// (must match both the envelope on disk and the manifest to be
+    /// loadable).
     pub payload_checksum: u64,
     /// Snapshot [`FORMAT_VERSION`] the artefact was written with.
     pub format_version: u32,
@@ -174,17 +175,18 @@ impl Manifest {
         }
     }
 
-    /// Validates an entry against the configuration about to run and the
-    /// snapshot that was just read from disk.
+    /// Checks an entry against the configuration about to run, before its
+    /// envelope is read: a row written by another snapshot format, or
+    /// under another configuration, is stale — a valid artefact of a
+    /// different build or experiment — whatever its envelope holds (an
+    /// older build's envelope would not even decode).
     ///
     /// # Errors
     ///
-    /// [`ManifestError::StaleConfig`] / [`ManifestError::StaleFormat`] /
-    /// [`ManifestError::ChecksumMismatch`] as appropriate.
-    pub fn validate(
+    /// [`ManifestError::StaleFormat`] / [`ManifestError::StaleConfig`].
+    pub fn check_fresh(
         entry: &ManifestEntry,
         expected_config_hash: u64,
-        payload_checksum: u64,
     ) -> Result<(), ManifestError> {
         if entry.format_version != FORMAT_VERSION {
             return Err(ManifestError::StaleFormat {
@@ -198,6 +200,23 @@ impl Manifest {
                 expected: expected_config_hash,
             });
         }
+        Ok(())
+    }
+
+    /// Validates an entry against the configuration about to run
+    /// ([`Manifest::check_fresh`]) and the snapshot that was just read
+    /// from disk.
+    ///
+    /// # Errors
+    ///
+    /// [`ManifestError::StaleConfig`] / [`ManifestError::StaleFormat`] /
+    /// [`ManifestError::ChecksumMismatch`] as appropriate.
+    pub fn validate(
+        entry: &ManifestEntry,
+        expected_config_hash: u64,
+        payload_checksum: u64,
+    ) -> Result<(), ManifestError> {
+        Self::check_fresh(entry, expected_config_hash)?;
         if entry.payload_checksum != payload_checksum {
             return Err(ManifestError::ChecksumMismatch {
                 recorded: entry.payload_checksum,

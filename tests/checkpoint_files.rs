@@ -42,7 +42,7 @@ fn temp_dir(tag: &str) -> PathBuf {
 #[test]
 fn warm_checkpoint_through_disk_matches_golden() {
     let exp = ExperimentConfig::quick();
-    let golden_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden");
+    let golden_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
     let dir = temp_dir("golden");
     let benchmark = Benchmark::Swim;
 

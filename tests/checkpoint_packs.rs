@@ -4,8 +4,9 @@
 //! bit-identically, and every row into a quarantined pack leaves the
 //! manifest; a directory written one envelope per file, with manifest
 //! rows that carry no `offset`, still seeds a sampled run; the warm and
-//! first interval checkpoint, one snapshot, are one envelope; and a pack
-//! that loses its last row is deleted.
+//! first interval checkpoint, one snapshot, are one envelope; a pack
+//! that loses its last row is deleted; and an older build's directory is
+//! refused as stale, not quarantined as corrupt, and regenerated.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -16,6 +17,7 @@ use vpr_bench::{ExperimentConfig, SamplingPlan, SweepContext, Workload};
 use vpr_core::RenameScheme;
 use vpr_obs::{JobOutcome, RunTelemetry};
 use vpr_snap::manifest::MANIFEST_FILE;
+use vpr_snap::FORMAT_VERSION;
 use vpr_trace::Benchmark;
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -326,4 +328,63 @@ fn sampled_swim(dir: &Path, exp: &ExperimentConfig) -> Table2 {
     );
     assert!(table.failures.is_empty(), "{:?}", table.failures);
     table
+}
+
+#[test]
+fn an_older_builds_directory_is_refused_as_stale_and_regenerated() {
+    let dir = temp_dir("older-build");
+    let exp = ExperimentConfig::quick();
+    let fresh = sampled_swim(&dir, &exp);
+    // Put every envelope and row one snapshot format behind, as an older
+    // build left them: an envelope this build cannot even decode.
+    let (current, older) = (FORMAT_VERSION, FORMAT_VERSION - 1);
+    let store = CheckpointStore::open(&dir).unwrap();
+    for pack in files_ending(&dir, ".vprsnap") {
+        let path = dir.join(&pack);
+        let mut bytes = std::fs::read(&path).unwrap();
+        for e in store.manifest.entries.iter().filter(|e| e.file == pack) {
+            let at = e.offset as usize + 8;
+            bytes[at..at + 4].copy_from_slice(&older.to_le_bytes());
+        }
+        std::fs::write(&path, &bytes).unwrap();
+    }
+    let manifest = std::fs::read_to_string(dir.join(MANIFEST_FILE)).unwrap();
+    let row_version = |v: u32| format!("\"format_version\": {v}");
+    assert_eq!(manifest.matches(&row_version(current)).count(), 2 * 49);
+    let manifest = manifest.replace(&row_version(current), &row_version(older));
+    std::fs::write(dir.join(MANIFEST_FILE), manifest).unwrap();
+
+    // Verify keeps every row as stale and condemns no pack.
+    let mut store = CheckpointStore::open(&dir).unwrap();
+    let checks = store.prune();
+    assert_eq!(checks.len(), 2 * 49);
+    assert!(
+        checks.iter().all(|(_, c)| *c == RowCheck::Stale),
+        "{checks:?}"
+    );
+    assert!(files_ending(&dir, ".corrupt").is_empty());
+
+    // A run refuses the stale packs, quarantines nothing and regenerates
+    // both passes, bit-identically.
+    let rerun = table2_for(
+        &[Benchmark::Swim.into()],
+        &exp,
+        &SweepContext::new(true, Some(&dir)),
+    );
+    assert_eq!(warm_pass_misses(&rerun.telemetry), 2);
+    assert_eq!(rerun.failures.len(), 2, "{:?}", rerun.failures);
+    for f in &rerun.failures {
+        assert_eq!((f.stage, f.recovered), ("checkpoint-load", true));
+        assert!(f.error.contains("stale checkpoint"), "{}", f.error);
+    }
+    assert!(
+        files_ending(&dir, ".corrupt").is_empty(),
+        "stale is not corrupt"
+    );
+    assert_eq!(results(&rerun), results(&fresh));
+    let seeded = sampled_swim(&dir, &exp);
+    assert!(seeded
+        .to_json()
+        .contains("\"seeded_from\": \"checkpoint-dir\""));
+    let _ = std::fs::remove_dir_all(&dir);
 }

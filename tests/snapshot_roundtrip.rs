@@ -14,12 +14,19 @@
 //! 3. A property test checkpoints at random commit counts, with and
 //!    without the VP commit delay, and verifies continuation equality
 //!    each time.
+//! 4. `every_grid_checkpoint_restores_fresh_and_into_a_used_machine`
+//!    checkpoints every scheme × swim/go/wave5 × commit delay on/off at
+//!    five fixed positions, and continues each one twice: on a new
+//!    machine, and through `Processor::restore_into` on a machine that
+//!    already ran another window (and was re-targeted, where it has an
+//!    NRR). Both must match the uninterrupted run, and each other's
+//!    observer.
 
 use proptest::prelude::*;
 use std::path::PathBuf;
 use vpr_bench::workloads::{scheme_label, THROUGHPUT_SCHEMES};
 use vpr_bench::ExperimentConfig;
-use vpr_core::{Processor, RenameScheme, SimConfig};
+use vpr_core::{Processor, RenameScheme, SimConfig, SimObserver};
 use vpr_snap::Snapshot;
 use vpr_trace::{Benchmark, TraceBuilder, TraceGen};
 
@@ -121,6 +128,89 @@ fn snapshot_envelope_rejects_corruption() {
     let last = bytes.len() - 1;
     bytes[last] ^= 0x40;
     assert!(Snapshot::from_bytes(&bytes).is_err(), "corruption detected");
+}
+
+/// Where the grid checkpoints the uninterrupted run (committed
+/// instructions), and how far each continuation runs past its checkpoint.
+const GRID_POSITIONS: [u64; 5] = [300, 1_100, 1_900, 2_700, 3_500];
+const GRID_TAIL: u64 = 1_500;
+
+#[test]
+fn every_grid_checkpoint_restores_fresh_and_into_a_used_machine() {
+    let exp = ExperimentConfig {
+        seed: 7,
+        ..ExperimentConfig::quick()
+    };
+    for vp_commit_delay in [false, true] {
+        for benchmark in [Benchmark::Swim, Benchmark::Go, Benchmark::Wave5] {
+            for scheme in THROUGHPUT_SCHEMES {
+                let label = format!(
+                    "{benchmark}/{} (commit delay {vp_commit_delay})",
+                    scheme_label(scheme)
+                );
+                // One uninterrupted run takes every checkpoint and notes
+                // where every continuation must end.
+                let mut marks: Vec<(u64, usize, bool)> = GRID_POSITIONS
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(i, &at)| [(at, i, true), (at + GRID_TAIL, i, false)])
+                    .collect();
+                marks.sort_unstable();
+                let mut reference = quick_processor(benchmark, scheme, &exp, vp_commit_delay);
+                let mut snapshots = vec![None; GRID_POSITIONS.len()];
+                let mut ends = vec![None; GRID_POSITIONS.len()];
+                for (target, i, is_checkpoint) in marks {
+                    reference.run_to_commit(target);
+                    if is_checkpoint {
+                        snapshots[i] = Some(reference.snapshot());
+                    } else {
+                        ends[i] = Some((reference.stats(), reference.cycle()));
+                    }
+                }
+                let trace = || TraceBuilder::new(benchmark).seed(exp.seed).build();
+                let restore = |snapshot: &Snapshot| {
+                    Processor::<TraceGen, SimObserver>::restore_with(
+                        snapshot,
+                        trace(),
+                        SimObserver::new(),
+                    )
+                    .expect("restore")
+                };
+                // The used machine first runs the last window, so its
+                // first restore goes back in time.
+                let last = GRID_POSITIONS.len() - 1;
+                let mut used = restore(snapshots[last].as_ref().unwrap());
+                used.run_to_commit(GRID_POSITIONS[last] + GRID_TAIL);
+                for (i, &at) in GRID_POSITIONS.iter().enumerate() {
+                    let snapshot = snapshots[i].as_ref().unwrap();
+                    let end = ends[i].clone().unwrap();
+                    let mut fresh = restore(snapshot);
+                    fresh.run_to_commit(at + GRID_TAIL);
+                    assert_eq!(
+                        (fresh.stats(), fresh.cycle()),
+                        end,
+                        "{label}: fresh restore at {at}"
+                    );
+                    if let Some(nrr) = scheme.nrr() {
+                        used.retarget_nrr(nrr / 2);
+                    }
+                    used.restore_into(snapshot).expect("restore_into");
+                    assert_eq!(used.config(), reference.config(), "{label}");
+                    used.run_to_commit(at + GRID_TAIL);
+                    assert_eq!(
+                        (used.stats(), used.cycle()),
+                        end,
+                        "{label}: restore_into at {at}"
+                    );
+                    assert_eq!(
+                        used.observer().metrics,
+                        fresh.observer().metrics,
+                        "{label}: observer after restore_into at {at}"
+                    );
+                }
+            }
+        }
+    }
 }
 
 proptest! {
