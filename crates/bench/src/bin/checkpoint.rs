@@ -17,7 +17,6 @@
 //!     [--intervals]                    # create: also write per-interval checkpoints
 //!     [--run N]                        # verify: continue each restore by N commits
 //!                                      #         and compare against an exact rerun
-//!     [--cross-nrr N1,N2]              # verify: shared-pass re-target contract
 //!     [--max-age SECS]                 # repair: also reclaim *.corrupt quarantine
 //!                                      #         files at least SECS old (kept otherwise)
 //!     [--warmup N] [--measure N] [--seed N] [--miss-penalty N] [--jobs N]
@@ -36,17 +35,14 @@
 //! a sampled sweep at NRR 8–32 restores (see `docs/sampling.md` §1.2).
 //! Stale artefacts (different configuration, seed, or snapshot format)
 //! are rejected at load by the manifest's config hash — `verify` reports
-//! them, `create` replaces them.
-//!
-//! `verify --cross-nrr N1,N2` additionally pins the shared-pass contract
-//! on every interval checkpoint of a virtual-physical scheme at its
-//! configuration's maximum NRR: re-targeting to that NRR must be a
-//! bit-exact no-op, and for each requested NRR two independent restore +
-//! re-target + run passes must agree on every counter.
+//! them, `create` replaces them. The re-target contract itself (a
+//! re-target to the current NRR is a bit-exact no-op; two re-targets of
+//! one snapshot agree, and so do their continuations) is pinned by
+//! `tests/governor_equivalence.rs`.
 
 use std::path::PathBuf;
 use vpr_bench::checkpoints::{
-    generate_checkpoints, key_config_hash, sim_config, CheckpointStore, RowCheck, KIND_INTERVAL,
+    generate_checkpoints, key_config_hash, sim_config, CheckpointStore, RowCheck,
 };
 use vpr_bench::cli::{self, or_exit};
 use vpr_bench::sampling::SamplingPlan;
@@ -63,7 +59,6 @@ struct Cli {
     regs: usize,
     intervals: bool,
     run: Option<u64>,
-    cross_nrr: Option<(usize, usize)>,
     max_age: Option<u64>,
     exp: ExperimentConfig,
 }
@@ -71,8 +66,7 @@ struct Cli {
 fn usage() -> ! {
     eprintln!(
         "usage: checkpoint <create|inspect|verify|repair> [--dir DIR] [--workload a,b,...] \
-         [--schemes l1,l2,...] [--regs N] [--intervals] [--run N] \
-         [--cross-nrr N1,N2] [--max-age SECS] \
+         [--schemes l1,l2,...] [--regs N] [--intervals] [--run N] [--max-age SECS] \
          [--warmup N] [--measure N] [--seed N] [--miss-penalty N] [--jobs N]"
     );
     std::process::exit(2);
@@ -99,16 +93,6 @@ fn parse_cli() -> Cli {
     let intervals = cli::flag(&mut args, "--intervals");
     let run = or_exit(cli::number(&mut args, "--run"));
     let max_age = or_exit(cli::number(&mut args, "--max-age"));
-    let cross_nrr = or_exit(cli::list(&mut args, "--cross-nrr", |n| {
-        cli::parse_number("--cross-nrr", n)
-    }))
-    .map(|nrrs| {
-        let [a, b] = nrrs[..] else {
-            eprintln!("--cross-nrr needs exactly two comma-separated NRR values");
-            std::process::exit(2);
-        };
-        (a, b)
-    });
     // Remaining flags override the default scale, the one every
     // experiment binary starts from, so that `create` with no scale flags
     // writes the checkpoints a flag-less `--sampled --checkpoint-dir` run
@@ -126,7 +110,6 @@ fn parse_cli() -> Cli {
         regs,
         intervals,
         run,
-        cross_nrr,
         max_age,
         exp,
     }
@@ -248,54 +231,17 @@ struct Continuation {
     cycle: u64,
 }
 
-/// One manifest entry resolved for verification: the re-derived
-/// experiment coordinates plus the snapshot, loaded through the
-/// validating path (config hash, format version, payload checksum).
-struct ResolvedEntry {
-    workload: Workload,
-    exp: ExperimentConfig,
-    regs: usize,
-    snapshot: vpr_snap::Snapshot,
-}
-
-/// The experiment coordinates `entry` was taken under.
-fn entry_exp(cli: &Cli, entry: &ManifestEntry) -> ExperimentConfig {
-    ExperimentConfig {
-        warmup: entry.key.warmup,
-        seed: entry.key.seed,
-        miss_penalty: entry.key.miss_penalty,
-        ..cli.exp
-    }
-}
-
-/// Whether `entry` comes from a family's shared pass: a virtual-physical
-/// scheme at its configuration's maximum NRR.
-fn is_shared_pass(cli: &Cli, entry: &ManifestEntry) -> bool {
-    let regs = entry.key.physical_regs as usize;
-    parse_scheme(&entry.key.scheme).is_ok_and(|scheme| {
-        scheme.nrr() == Some(sim_config(scheme, regs, &entry_exp(cli, entry)).max_nrr())
-    })
-}
-
-/// Re-derives the configuration `entry` claims and loads its snapshot —
-/// the shared front half of both verification passes. `Err` carries the
-/// printable failure reason.
-fn resolve_and_load(
-    cli: &Cli,
+/// Re-derives the workload `entry` claims and loads its snapshot through
+/// the validating path (config hash, format version, payload checksum).
+/// `Err` carries the printable failure reason.
+fn load_entry(
     store: &CheckpointStore,
     entry: &ManifestEntry,
-) -> Result<ResolvedEntry, String> {
+) -> Result<(Workload, vpr_snap::Snapshot), String> {
     let workload = Workload::parse(&entry.key.benchmark)?;
-    let exp = entry_exp(cli, entry);
-    let regs = entry.key.physical_regs as usize;
     let hash = key_config_hash(&entry.key)?;
     let (_, snapshot) = store.load(&entry.key, hash).map_err(|e| e.to_string())?;
-    Ok(ResolvedEntry {
-        workload,
-        exp,
-        regs,
-        snapshot,
-    })
+    Ok((workload, snapshot))
 }
 
 fn verify(cli: &Cli) {
@@ -315,21 +261,15 @@ fn verify(cli: &Cli) {
             "{}/{} {}@{}",
             entry.key.benchmark, entry.key.scheme, entry.key.kind, entry.key.target
         );
-        let resolved = match resolve_and_load(cli, &store, entry) {
-            Ok(r) => r,
+        let (workload, snapshot) = match load_entry(&store, entry) {
+            Ok(loaded) => loaded,
             Err(e) => {
                 println!("FAIL {label}: {e}");
                 failures += 1;
                 continue;
             }
         };
-        let (workload, exp, regs, snapshot) = (
-            resolved.workload,
-            resolved.exp,
-            resolved.regs,
-            resolved.snapshot,
-        );
-        let fresh = workload.stream(exp.seed);
+        let fresh = workload.stream(entry.key.seed);
         let mut restored: Processor<WorkloadStream> = match Processor::restore(&snapshot, fresh) {
             Ok(cpu) => cpu,
             Err(e) => {
@@ -361,9 +301,9 @@ fn verify(cli: &Cli) {
                 .entry((
                     entry.key.benchmark.clone(),
                     entry.key.scheme.clone(),
-                    regs,
-                    exp.seed,
-                    exp.miss_penalty,
+                    entry.key.physical_regs as usize,
+                    entry.key.seed,
+                    entry.key.miss_penalty,
                 ))
                 .or_default()
                 .push(Continuation {
@@ -405,119 +345,14 @@ fn verify(cli: &Cli) {
             }
         }
     }
-    // --cross-nrr: the shared-pass contract. Each interval checkpoint of
-    // a family's shared pass (a virtual-physical scheme at its
-    // configuration's maximum NRR, `pass_scheme`) must (a) re-target to
-    // that NRR as a bit-exact no-op (snapshot equality), and (b) restore
-    // bit-identically for each requested NRR value: two independent
-    // restore + re-target + run passes must agree on every counter — the
-    // property that lets one warm serial pass serve a whole NRR sweep.
-    let mut shared_checked = 0usize;
-    if let Some((nrr_a, nrr_b)) = cli.cross_nrr {
-        for entry in &store.manifest.entries {
-            if entry.key.kind != KIND_INTERVAL || !is_shared_pass(cli, entry) {
-                continue;
-            }
-            let label = format!(
-                "{}/{} {}@{} x-nrr",
-                entry.key.benchmark, entry.key.scheme, entry.key.kind, entry.key.target
-            );
-            let resolved = match resolve_and_load(cli, &store, entry) {
-                Ok(r) => r,
-                Err(e) => {
-                    println!("FAIL {label}: {e}");
-                    failures += 1;
-                    continue;
-                }
-            };
-            let (workload, exp, snapshot) = (resolved.workload, resolved.exp, resolved.snapshot);
-            shared_checked += 1;
-            let restore = || {
-                let fresh = workload.stream(exp.seed);
-                Processor::<WorkloadStream>::restore(&snapshot, fresh)
-            };
-            let mut canonical = match restore() {
-                Ok(cpu) => cpu,
-                Err(e) => {
-                    println!("FAIL {label}: restore: {e}");
-                    failures += 1;
-                    continue;
-                }
-            };
-            let canonical_nrr = canonical.config().scheme.nrr().expect("shared implies VP");
-            // Re-targets are only legal downward from the canonical NRR
-            // (and never to zero): report out-of-range requests as
-            // failures instead of letting `retarget_nrr` abort the run.
-            if let Some(&bad) = [nrr_a, nrr_b]
-                .iter()
-                .find(|&&n| n == 0 || n > canonical_nrr)
-            {
-                println!(
-                    "FAIL {label}: --cross-nrr {bad} outside this artefact's legal \
-                     range 1..={canonical_nrr}"
-                );
-                failures += 1;
-                continue;
-            }
-            canonical.retarget_nrr(canonical_nrr);
-            if canonical.snapshot() != snapshot {
-                println!("FAIL {label}: canonical re-target is not a bit-exact no-op");
-                failures += 1;
-                continue;
-            }
-            let run = cli.run.unwrap_or(500);
-            let mut ok = true;
-            for nrr in [nrr_a, nrr_b] {
-                let (mut first, mut second) = match (restore(), restore()) {
-                    (Ok(a), Ok(b)) => (a, b),
-                    (Err(e), _) | (_, Err(e)) => {
-                        println!("FAIL {label}: restore: {e}");
-                        failures += 1;
-                        ok = false;
-                        continue;
-                    }
-                };
-                first.retarget_nrr(nrr);
-                second.retarget_nrr(nrr);
-                if first.snapshot() != second.snapshot() {
-                    println!("FAIL {label}: NRR {nrr} re-targets disagree at restore");
-                    failures += 1;
-                    ok = false;
-                    continue;
-                }
-                first.run(run);
-                second.run(run);
-                if first.stats() != second.stats() || first.cycle() != second.cycle() {
-                    println!("FAIL {label}: NRR {nrr} continuations diverge");
-                    failures += 1;
-                    ok = false;
-                }
-            }
-            if ok {
-                println!("ok   {label} (nrr {nrr_a}/{nrr_b})");
-            }
-        }
-        if shared_checked == 0 {
-            eprintln!(
-                "--cross-nrr: {} holds no shared interval artefacts",
-                cli.dir.display()
-            );
-            std::process::exit(1);
-        }
-    }
     if failures > 0 {
         eprintln!("{failures}/{checked} checkpoint(s) failed verification");
         std::process::exit(1);
     }
     println!(
-        "all {checked} checkpoint(s) verified{}{}",
+        "all {checked} checkpoint(s) verified{}",
         match cli.run {
             Some(n) => format!(" (with {n}-commit golden continuations)"),
-            None => String::new(),
-        },
-        match cli.cross_nrr {
-            Some((a, b)) =>
-                format!(" ({shared_checked} shared artefacts cross-checked at NRR {a}/{b})"),
             None => String::new(),
         }
     );

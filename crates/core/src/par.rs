@@ -145,7 +145,9 @@ impl fmt::Display for JobFailure {
     }
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// The text of a caught panic's payload: the `&str` or `String` that
+/// `panic!` carried, or a fixed note for any other payload type.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

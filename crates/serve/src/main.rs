@@ -4,7 +4,6 @@
 //! vpr-serve serve   --socket S --dir D [--workers N] [--lease-ms M]
 //!                   [--retries N] [--backoff-base-ms B] [--backoff-cap-ms C]
 //!                   [--abort-after-appends N]
-//!                   [--arm-service-fault SEED[:TARGET]]
 //! vpr-serve submit  --socket S [--json OUT] [--workloads a,b] [--schemes x,y]
 //!                   [--regs N] [--warmup N] [--measure N] [--seed N]
 //!                   [--miss-penalty N] [--timeout-s T]
@@ -15,11 +14,10 @@
 //! `submit` is idempotent: a spec the daemon already holds (and has not
 //! failed) comes back under its existing id and is not run again.
 //!
-//! `--abort-after-appends` and `--arm-service-fault` are drill hooks: the
-//! first aborts the process (SIGKILL-equivalent) after N journalled job
-//! records, the second arms one seeded service fault
-//! ([`vpr_snap::faults::FaultPlan::from_seed_service`]) at startup. CI
-//! uses them to rehearse the kill-and-restart contract.
+//! `--abort-after-appends N` is a drill hook: it aborts the process
+//! (SIGKILL-equivalent) after N journalled job records.
+//! `tests/daemon_lifecycle.rs` uses it to rehearse the kill-and-restart
+//! contract.
 
 use std::path::PathBuf;
 use std::time::Duration;
@@ -92,21 +90,7 @@ fn cmd_serve(mut args: Vec<String>) {
         numeric(&mut args, "--backoff-cap-ms").unwrap_or(cfg.retry.cap_ms),
     );
     cfg.abort_after_appends = numeric(&mut args, "--abort-after-appends");
-    let fault = or_exit(cli::value(&mut args, "--arm-service-fault"));
     reject_leftovers(&args);
-
-    if let Some(spec) = fault {
-        let (seed, target) = spec.split_once(':').unwrap_or((&spec, ""));
-        let seed: u64 = or_exit(cli::parse_number("--arm-service-fault", seed));
-        let plan = vpr_snap::faults::FaultPlan::from_seed_service(seed, target.to_string());
-        eprintln!(
-            "vpr-serve: arming service fault {}/{} nth={} (seed {seed})",
-            plan.kind.label(),
-            plan.op.label(),
-            plan.nth
-        );
-        vpr_snap::faults::arm(plan);
-    }
 
     let server = Server::start(cfg).unwrap_or_else(|e| {
         eprintln!("vpr-serve: start failed: {e}");

@@ -38,7 +38,7 @@ use std::time::{Duration, Instant};
 
 use vpr_bench::checkpoints::{CheckpointOutcome, CheckpointStore};
 use vpr_bench::jobs::{execute_job, JobOutput, JobSpec};
-use vpr_core::par::RetryPolicy;
+use vpr_core::par::{panic_message, RetryPolicy};
 use vpr_obs::telemetry::{JobOutcome, JobTelemetry, RunTelemetry};
 use vpr_obs::ServeMetrics;
 use vpr_snap::faults;
@@ -581,21 +581,11 @@ fn worker_loop(inner: &Arc<Inner>, _worker: usize) {
             faults::maybe_kill_worker(&label);
             execute_job(&spec, Some(&inner.store))
         }))
-        .map_err(|payload| panic_text(payload.as_ref()));
+        .map_err(|payload| panic_message(payload.as_ref()));
         match outcome {
             Ok(output) => complete_job(inner, id, &spec, output, attempt, queue_wait, begun),
             Err(message) => retry_or_fail(inner, id, &label, &message, attempt),
         }
-    }
-}
-
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }
 
