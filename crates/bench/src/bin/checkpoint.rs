@@ -28,17 +28,13 @@
 //! `--sampled --checkpoint-dir` experiment runs seed their windows from.
 //! Each configuration's checkpoints land in one `.vprsnap` pack; `inspect`
 //! lists one row per checkpoint, with the size of the pack it sits in.
-//! Every set is filed under the label of the scheme whose pass ran, and a
-//! sampled NRR sweep restores its family's pass at the maximum NRR for
-//! every NRR value it shares with, via `Processor::retarget_nrr` — so
-//! `create --intervals --schemes vp-wb-nrr32` at 64 registers is the set
-//! a sampled sweep at NRR 8–32 restores (see `docs/sampling.md` §1.2).
-//! Stale artefacts (different configuration, seed, or snapshot format)
-//! are rejected at load by the manifest's config hash — `verify` reports
-//! them, `create` replaces them. The re-target contract itself (a
-//! re-target to the current NRR is a bit-exact no-op; two re-targets of
-//! one snapshot agree, and so do their continuations) is pinned by
-//! `tests/governor_equivalence.rs`.
+//! Every set is filed under the label of the scheme whose pass ran, and
+//! every sampled point restores the set of its own configuration — so
+//! `create --intervals --schemes vp-wb-nrr16` at 64 registers is the set
+//! a sampled sweep's `vp-wb-nrr16@64r` point restores (see
+//! `docs/sampling.md` §1.2). Stale artefacts (different configuration,
+//! seed, or snapshot format) are rejected at load by the manifest's
+//! config hash — `verify` reports them, `create` replaces them.
 
 use std::path::PathBuf;
 use vpr_bench::checkpoints::{

@@ -21,10 +21,10 @@
 //! and two different sets never share one.
 //!
 //! Every artefact is filed under the scheme label of the configuration
-//! its pass ran. A sampled NRR sweep restores its family's pass at the
-//! maximum NRR ([`pass_scheme`]), so `vp-wb-nrr16@64r` reads the
-//! `vp-wb-nrr32` set — the same files `checkpoint create` and an exact
-//! `vp-wb-nrr32` run write. One pass, one name.
+//! its pass ran, and every sampled point reads the set of its own
+//! configuration: `vp-wb-nrr16@64r` reads the `vp-wb-nrr16` set — the
+//! same files `checkpoint create --schemes vp-wb-nrr16` and an exact
+//! `vp-wb-nrr16` run write. One pass, one name.
 //!
 //! This module stores and validates artefacts; it runs no measurement.
 //! Exact points restore (or deposit) their warm checkpoint through the
@@ -50,79 +50,6 @@ use vpr_snap::{Snap as _, Snapshot};
 pub const KIND_WARM: &str = "warm";
 /// Checkpoint kind label: taken at a sampling-interval start.
 pub const KIND_INTERVAL: &str = "interval";
-
-/// The scheme whose warm serial pass a point restores — and so the
-/// scheme every checkpoint of that pass is filed under. For a
-/// virtual-physical scheme that shares its family's pass
-/// ([`shares_group_pass`]), that is the same scheme at the
-/// configuration's **maximum** NRR ([`SimConfig::max_nrr`]): the NRR is
-/// an allocation-policy parameter only, so one warm pass per (benchmark,
-/// seed, scheme family) serves every NRR value via
-/// `Processor::retarget_nrr`. Every other scheme runs its own pass.
-///
-/// The shared NRR must be the maximum because re-targeting is only
-/// sound *downward*: the §3.3 invariant `free ≥ NRR − Used` survives
-/// shrinking the reserved set (removing a reserved slot removes at most
-/// one allocated one) but not growing it — a machine warmed under a
-/// small NRR may hold too few free registers to honour a larger reserved
-/// set's guarantee.
-pub fn pass_scheme(
-    scheme: RenameScheme,
-    physical_regs: usize,
-    exp: &ExperimentConfig,
-) -> RenameScheme {
-    if !shares_group_pass(scheme, physical_regs, exp) {
-        return scheme;
-    }
-    let nrr = sim_config(scheme, physical_regs, exp).max_nrr();
-    match scheme {
-        RenameScheme::VirtualPhysicalIssue { .. } => RenameScheme::VirtualPhysicalIssue { nrr },
-        RenameScheme::VirtualPhysicalWriteback { .. } => {
-            RenameScheme::VirtualPhysicalWriteback { nrr }
-        }
-        other => other,
-    }
-}
-
-/// Whether a point restores its family's shared canonical-NRR pass
-/// instead of paying its own: true for NRR values within 4× of the
-/// canonical (maximum) NRR. Deeper downshifts leave the canonical
-/// trajectory's operating regime entirely — a machine re-targeted from
-/// NRR 32 to NRR 1 settles into a register-re-execution equilibrium a
-/// from-scratch NRR-1 run never enters, and no affordable re-warm span
-/// escapes it (observed ≈ 22 % IPC bias on wave5) — so such points keep
-/// their own serial pass and stay exact-seeded.
-pub fn shares_group_pass(
-    scheme: RenameScheme,
-    physical_regs: usize,
-    exp: &ExperimentConfig,
-) -> bool {
-    match scheme.nrr() {
-        Some(nrr) => nrr * 4 >= sim_config(scheme, physical_regs, exp).max_nrr(),
-        None => false,
-    }
-}
-
-/// True when two schemes belong to the same sharing family (equal up to
-/// the NRR parameter).
-pub fn same_family(a: RenameScheme, b: RenameScheme) -> bool {
-    matches!(
-        (a, b),
-        (RenameScheme::Conventional, RenameScheme::Conventional)
-            | (
-                RenameScheme::ConventionalEarlyRelease,
-                RenameScheme::ConventionalEarlyRelease
-            )
-            | (
-                RenameScheme::VirtualPhysicalIssue { .. },
-                RenameScheme::VirtualPhysicalIssue { .. }
-            )
-            | (
-                RenameScheme::VirtualPhysicalWriteback { .. },
-                RenameScheme::VirtualPhysicalWriteback { .. }
-            )
-    )
-}
 
 /// Builds the simulator configuration for one sweep point (the same
 /// construction every experiment path uses).
@@ -707,9 +634,8 @@ impl CheckpointStore {
     }
 
     /// Loads the full set of `scheme`'s interval checkpoints, in interval
-    /// order — what a sampled sweep restores (for a family's shared pass,
-    /// pass [`pass_scheme`]; the windows re-target it). Each pack is
-    /// opened once.
+    /// order — what a sampled point of that configuration restores. Each
+    /// pack is opened once.
     ///
     /// # Errors
     ///

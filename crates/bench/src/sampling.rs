@@ -505,8 +505,9 @@ pub type Window = (u64, u64, SimStats);
 /// # Panics
 ///
 /// Panics if the checkpoint list does not match the plan's interval
-/// count, or if a snapshot fails to restore (a validated checkpoint that
-/// does not restore is a bug, not an input error).
+/// count, if a snapshot fails to restore (a validated checkpoint that
+/// does not restore is a bug, not an input error), or if a snapshot was
+/// taken under another scheme than `scheme`.
 pub fn sample_from_checkpoints(
     workload: impl Into<Workload>,
     scheme: RenameScheme,
@@ -537,35 +538,11 @@ pub fn sample_from_checkpoints(
                         .expect("interval checkpoint restores"),
                 ),
             };
-            // Shared (canonical-NRR) checkpoints serve every NRR value of
-            // their scheme family: re-price the NRR-dependent state for
-            // the target configuration before measuring. Non-shared
-            // checkpoints already carry the target scheme (a no-op here).
-            assert!(
-                crate::checkpoints::same_family(cpu.config().scheme, scheme),
-                "checkpoint scheme {:?} cannot seed a {scheme:?} window",
-                cpu.config().scheme
+            assert_eq!(
+                cpu.config().scheme,
+                scheme,
+                "an interval checkpoint seeds only its own scheme's windows"
             );
-            if let Some(target_nrr) = scheme.nrr() {
-                if cpu.config().scheme.nrr() != Some(target_nrr) {
-                    // Mild downshifts (the only re-targets the sharing
-                    // policy produces — `checkpoints::shares_group_pass`)
-                    // measure well as direct slices under write-back
-                    // allocation: the canonical operating point is close
-                    // enough that no settling span is needed (worst
-                    // observed +0.9 % over the exact-seeded error on the
-                    // quick fig4 grid). Issue allocation is touchier —
-                    // the NRR gates *waiting* instructions, so window
-                    // occupancy needs to re-equilibrate — and gets half a
-                    // window of discarded settling commits (10 % → 2.9 %
-                    // worst error on the quick fig5 grid; a full window
-                    // overshoots the stride and drifts li by ~3.5 %).
-                    cpu.retarget_nrr(target_nrr);
-                    if matches!(scheme, RenameScheme::VirtualPhysicalIssue { .. }) {
-                        cpu.run(plan.detailed_measure / 2);
-                    }
-                }
-            }
             let begin = cpu.absolute_committed();
             cpu.reset_window();
             let stats = cpu.run(plan.detailed_measure);
@@ -579,8 +556,8 @@ pub fn sample_from_checkpoints(
 /// interval order — restored from checkpoints
 /// ([`sample_from_checkpoints`]) or measured by the warm pass itself
 /// (`vpr_bench::checkpoints::generate_checkpoints`); the two are
-/// bit-identical for the pass's own scheme. One functional pass profiles
-/// the windows and the gaps between them.
+/// bit-identical. One functional pass profiles the windows and the gaps
+/// between them.
 ///
 /// # Panics
 ///

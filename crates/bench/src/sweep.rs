@@ -21,8 +21,7 @@
 //! host core, the default) to control the pool.
 
 use crate::checkpoints::{
-    generate_checkpoints, pass_scheme, CheckpointLoadError, CheckpointOutcome, CheckpointStore,
-    WrittenPack, KIND_INTERVAL,
+    generate_checkpoints, CheckpointLoadError, CheckpointOutcome, CheckpointStore, WrittenPack,
 };
 use crate::jobs::{lock, run_job, JobSpec};
 use crate::sampling::{estimate_from_windows, sample_from_checkpoints, SamplingPlan, Window};
@@ -669,42 +668,27 @@ fn run_exact(
     stages.finish(out, SamplingProvenance::Exact, metrics)
 }
 
-/// One sharing group's interval checkpoints, loaded from the store or
-/// produced by the group's warm pass. `windows` holds the pass's own
-/// measured windows when this sweep simulated the pass (`None` when the
-/// set was loaded), `set` the checkpoints the group's re-targeted points
-/// restore (empty when no point needs them), and `pack` what a warm pass
-/// wrote to the store, if it wrote anything.
-struct GroupPass {
-    set: Vec<(u64, vpr_snap::Snapshot)>,
-    windows: Option<Vec<Window>>,
-    pack: Option<WrittenPack>,
+/// Where one group's windows come from: the warm pass this sweep ran,
+/// which measured them on its way (with the pack it wrote to the store,
+/// if it wrote one), or the group's interval checkpoints loaded from the
+/// store, which its points restore.
+enum GroupPass {
+    Simulated {
+        windows: Vec<Window>,
+        pack: Option<WrittenPack>,
+    },
+    Loaded(Vec<(u64, vpr_snap::Snapshot)>),
 }
 
-/// A sampled sweep point's sharing-group key: the (workload, pass scheme,
-/// register count, seed, warm-up, miss penalty) coordinate of the warm
-/// pass it restores ([`pass_scheme`]). Family members that share a pass
-/// share a key.
-fn group_key(s: &JobSpec) -> String {
-    format!(
-        "{}/{}@{}r/s{}/w{}/mp{}",
-        s.workload.name(),
-        scheme_label(pass_scheme(s.scheme, s.physical_regs, &s.exp)),
-        s.physical_regs,
-        s.exp.seed,
-        s.exp.warmup,
-        s.exp.miss_penalty
-    )
-}
-
-/// The sampled stages: one warm pass per sharing group, then every point
-/// estimated from its group's windows — measured by the pass itself for
-/// the pass's own scheme when this sweep ran it, restored from the
-/// group's interval checkpoints otherwise. A warm pass writes
-/// its checkpoints to the store as one pack inside its own job; the
-/// calling thread files the packs' rows in group order and writes the
-/// manifest once. The stages only read the manifest, so they share the
-/// store without a lock.
+/// The sampled stages: one warm pass per distinct point, then every
+/// point estimated from its own configuration's windows — measured by
+/// the pass itself when this sweep ran it, restored from the point's
+/// interval checkpoints when the store held them. Identical points
+/// (`--workload swim,swim`) form one group and share its pass. A warm
+/// pass writes its checkpoints to the store as one pack inside its own
+/// job; the calling thread files the packs' rows in group order and
+/// writes the manifest once. The stages only read the manifest, so they
+/// share the store without a lock.
 fn run_sampled(
     mut stages: Stages,
     specs: &[JobSpec],
@@ -714,38 +698,21 @@ fn run_sampled(
     progress: &Progress,
 ) -> SweepMetrics {
     let plan = ctx.effective_plan(exp).expect("sampled mode has a plan");
-    // One warm serial pass per *sharing group* — (workload, scheme
-    // family, register-file size) — not per point: every NRR value of a
-    // virtual-physical family restores the same canonical interval
-    // checkpoints and re-prices only the NRR-dependent state
-    // (`Processor::retarget_nrr`), so an NRR sweep pays one pass per
-    // (benchmark, seed, family) instead of one per NRR value. Groups are
-    // keyed by [`group_key`], whose pass scheme already folds the NRR
-    // values together; each is represented by its first point.
     let mut groups: Vec<&JobSpec> = Vec::new();
     let group_of: Vec<usize> = specs
         .iter()
         .map(|s| {
-            let key = group_key(s);
-            groups
-                .iter()
-                .position(|g| group_key(g) == key)
-                .unwrap_or_else(|| {
-                    groups.push(s);
-                    groups.len() - 1
-                })
+            groups.iter().position(|g| *g == s).unwrap_or_else(|| {
+                groups.push(s);
+                groups.len() - 1
+            })
         })
-        .collect();
-    let passes: Vec<RenameScheme> = groups
-        .iter()
-        .map(|g| pass_scheme(g.scheme, g.physical_regs, exp))
         .collect();
     let group_labels = groups
         .iter()
-        .zip(&passes)
-        .map(|(g, &pass)| {
+        .map(|g| {
             let (workload, regs) = (g.workload.name(), g.physical_regs);
-            format!("group:{workload}/{}@{regs}r", scheme_label(pass))
+            format!("group:{workload}/{}@{regs}r", scheme_label(g.scheme))
         })
         .collect();
 
@@ -755,21 +722,15 @@ fn run_sampled(
     // warm pass — bit-identical, because the on-disk artefacts were
     // produced by the very same pass.
     let sets = stages.run("warm-pass", group_labels, |gi| {
-        let (g, pass) = (groups[gi], passes[gi]);
+        let g = groups[gi];
         let mut notes = Vec::new();
         if let Some(s) = &store {
-            match s.load_interval_set(g.workload, pass, g.physical_regs, exp, &plan) {
+            match s.load_interval_set(g.workload, g.scheme, g.physical_regs, exp, &plan) {
                 Ok(set) => {
-                    let value = GroupPass {
-                        set,
-                        windows: None,
-                        pack: None,
-                    };
-                    let outcome = JobOutcome::CacheHit;
                     return Ok(StageDone {
-                        value,
+                        value: GroupPass::Loaded(set),
                         notes,
-                        outcome,
+                        outcome: JobOutcome::CacheHit,
                     });
                 }
                 // An unpopulated directory is the normal cold start, not a
@@ -778,7 +739,8 @@ fn run_sampled(
                 Err(e) => notes.push(("checkpoint-load", e.to_string())),
             }
         }
-        let generated = generate_checkpoints(g.workload, pass, g.physical_regs, exp, Some(&plan));
+        let generated =
+            generate_checkpoints(g.workload, g.scheme, g.physical_regs, exp, Some(&plan));
         // Persist the pass just paid for, so the next sampled run reuses
         // it. A write failure never affects results — note and continue.
         let pack = store.as_ref().and_then(|s| {
@@ -787,26 +749,9 @@ fn run_sampled(
                 None
             })
         });
-        // Points of the pass's own scheme take its windows; only
-        // re-targeted points restore the interval checkpoints.
-        let restores = specs
-            .iter()
-            .zip(&group_of)
-            .any(|(s, &of)| of == gi && s.scheme != pass);
-        let set = if restores {
-            generated
-                .checkpoints
-                .into_iter()
-                .filter(|c| c.key.kind == KIND_INTERVAL)
-                .map(|c| (c.key.target, c.snapshot))
-                .collect()
-        } else {
-            Vec::new()
-        };
         Ok(StageDone {
-            value: GroupPass {
-                set,
-                windows: Some(generated.windows),
+            value: GroupPass::Simulated {
+                windows: generated.windows,
                 pack,
             },
             notes,
@@ -819,14 +764,11 @@ fn run_sampled(
     // A group that fails for good is reported by each of its points.
     stages.failures.retain(|f| f.recovered);
 
-    // Stage 2: estimate every point. A point of its group's pass scheme
-    // takes the windows the pass measured, when this sweep ran the pass;
-    // every other point restores its group's set and runs its windows
-    // serially, in one machine. Points whose group pass failed are
-    // blocked without simulating. The first point of each group "owns"
-    // the stage-1 pass (already counted there); every further point
-    // reuses the shared artefact — the cross-NRR reuse the telemetry
-    // counts.
+    // Stage 2: estimate every point from its group's windows, restoring
+    // them serially into one machine when the set came from the store.
+    // Points whose group pass failed are blocked without simulating. The
+    // first point of each group "owns" the stage-1 pass (already counted
+    // there); an identical later point reuses it.
     let shared = |i: usize| group_of[..i].contains(&group_of[i]);
     let results = stages.run("sample", specs.iter().map(JobSpec::label).collect(), |i| {
         let pass = sets[group_of[i]]
@@ -834,11 +776,11 @@ fn run_sampled(
             .map_err(|f| ("warm-pass", f.clone()))?;
         let s = &specs[i];
         let (w, scheme, regs) = (s.workload, s.scheme, s.physical_regs);
-        let report = match &pass.windows {
-            Some(windows) if scheme == passes[group_of[i]] => {
+        let report = match pass {
+            GroupPass::Simulated { windows, .. } => {
                 estimate_from_windows(w, scheme, regs, exp, &plan, windows.clone())
             }
-            _ => sample_from_checkpoints(w, scheme, regs, exp, &plan, &pass.set),
+            GroupPass::Loaded(set) => sample_from_checkpoints(w, scheme, regs, exp, &plan, set),
         };
         progress.point_done();
         Ok(StageDone {
@@ -860,15 +802,16 @@ fn run_sampled(
         .map(|r| r.unwrap_or_else(|_| PointMetrics::failed()))
         .collect();
 
-    let all_from_disk = sets
-        .iter()
-        .all(|r| matches!(r, Ok(pass) if pass.windows.is_none()));
+    let all_from_disk = sets.iter().all(|r| matches!(r, Ok(GroupPass::Loaded(_))));
     // File the written packs in group order, so the manifest does not
     // depend on which job finished first, and write it once.
     if let Some(mut store) = store {
         let mut dirty = false;
         for pass in sets.into_iter().flatten() {
-            if let Some(pack) = pass.pack {
+            if let GroupPass::Simulated {
+                pack: Some(pack), ..
+            } = pass
+            {
                 store.record(pack);
                 dirty = true;
             }
@@ -941,28 +884,33 @@ mod tests {
     }
 
     #[test]
-    fn group_key_coalesces_family_members() {
-        let a = JobSpec {
-            workload: Benchmark::Swim.into(),
-            scheme: RenameScheme::VirtualPhysicalWriteback { nrr: 32 },
-            physical_regs: 64,
-            exp: ExperimentConfig::quick(),
+    fn only_identical_points_share_a_warm_pass() {
+        let exp = ExperimentConfig {
+            warmup: 200,
+            measure: 2_000,
+            ..ExperimentConfig::default()
         };
-        let b = JobSpec {
-            scheme: RenameScheme::VirtualPhysicalWriteback { nrr: 16 },
-            ..a.clone()
-        };
-        // nrr 16 and 32 share a warm-pass family at 64 regs.
-        assert_eq!(group_key(&a), group_key(&b));
-        let c = JobSpec {
-            scheme: RenameScheme::Conventional,
-            ..a.clone()
-        };
-        assert_ne!(group_key(&a), group_key(&c));
-        let d = JobSpec {
-            exp: ExperimentConfig { seed: 7, ..a.exp },
-            ..a.clone()
-        };
-        assert_ne!(group_key(&a), group_key(&d));
+        let nrr32 = SweepPoint::at64(
+            Benchmark::Swim,
+            RenameScheme::VirtualPhysicalWriteback { nrr: 32 },
+        );
+        let nrr16 = SweepPoint::at64(
+            Benchmark::Swim,
+            RenameScheme::VirtualPhysicalWriteback { nrr: 16 },
+        );
+        let swept = run_sweep_metrics(&[nrr32, nrr16, nrr32], &exp, &SweepContext::new(true, None));
+        let passes: Vec<&str> = swept
+            .telemetry
+            .points
+            .iter()
+            .filter(|p| p.stage == "warm-pass")
+            .map(|p| p.label.as_str())
+            .collect();
+        assert_eq!(
+            passes,
+            ["group:swim/vp-wb-nrr32@64r", "group:swim/vp-wb-nrr16@64r"]
+        );
+        assert_eq!(swept.telemetry.shared_reuse_hits, 1);
+        assert_eq!(swept.points[0], swept.points[2]);
     }
 }

@@ -429,83 +429,6 @@ impl<S: InstStream, O: PipeObserver> Processor<S, O> {
         self.reset_window();
     }
 
-    /// Re-targets a virtual-physical machine to a different NRR
-    /// (§3.3 reserved-register count) **in place**, without disturbing
-    /// any other machine state.
-    ///
-    /// The NRR is purely an allocation-*policy* parameter: it decides
-    /// which future allocations are granted, but no map table, free
-    /// list, binding or in-flight instruction encodes it. The reserved
-    /// counters themselves are a pure function of the in-flight
-    /// destination window (which [`NrrState`](crate::NrrState)'s rebuild
-    /// walks), so re-deriving them under the new NRR yields exactly the
-    /// state an uninterrupted run under that NRR would have *for this
-    /// window* — re-targeting to the machine's current NRR is a bit-exact
-    /// no-op.
-    ///
-    /// This is the cross-configuration checkpoint-reuse hook: fig4/fig5
-    /// NRR sweeps restore one shared warm pass per (benchmark, seed,
-    /// scheme family) and re-price only the NRR-dependent state, instead
-    /// of paying one serial pass per NRR value (`vpr-bench`'s
-    /// `checkpoints` module).
-    ///
-    /// Re-targeting is only sound **downward** (or to the same value):
-    /// the §3.3 invariant `free ≥ NRR − Used` survives shrinking the
-    /// reserved set — dropping a reserved slot drops at most one
-    /// allocated one — but a machine warmed under a small NRR may hold
-    /// too few free registers to honour a larger reserved set's
-    /// guarantee, which would corrupt the deadlock-freedom argument.
-    /// Shared warm passes therefore run at the *maximum* NRR
-    /// (`vpr-bench`'s `pass_scheme`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the scheme has no NRR (not virtual-physical), `nrr` is
-    /// outside `1..=max_nrr` ([`SimConfig::max_nrr`]), or `nrr` exceeds
-    /// the machine's current NRR (upward re-targets are unsound, above).
-    pub fn retarget_nrr(&mut self, nrr: usize) {
-        let current =
-            self.config.scheme.nrr().unwrap_or_else(|| {
-                panic!("retarget_nrr: scheme {:?} has no NRR", self.config.scheme)
-            });
-        assert!(
-            nrr <= current,
-            "retarget_nrr: cannot raise NRR {current} to {nrr} (the free-register \
-             invariant only survives downward re-targets)"
-        );
-        self.config.scheme = match self.config.scheme {
-            RenameScheme::VirtualPhysicalIssue { .. } => RenameScheme::VirtualPhysicalIssue { nrr },
-            RenameScheme::VirtualPhysicalWriteback { .. } => {
-                RenameScheme::VirtualPhysicalWriteback { nrr }
-            }
-            other => panic!("retarget_nrr: scheme {other:?} has no NRR"),
-        };
-        self.config
-            .validate()
-            .expect("re-targeted configuration is invalid");
-        let Renamer::Vp(_) = &self.renamer else {
-            unreachable!("a VP scheme implies the VP renamer")
-        };
-        // The per-class program-order dest index names exactly the
-        // in-flight destination-having instructions, oldest first.
-        let windows = [RegClass::Int, RegClass::Fp].map(|class| {
-            self.dest_seqs[class.index()]
-                .iter()
-                .map(|&seq| {
-                    let d = self.rob.dest(seq).expect("indexed on dest");
-                    (seq, d.preg.is_some())
-                })
-                .collect::<Vec<(u64, bool)>>()
-        });
-        let Renamer::Vp(vp) = &mut self.renamer else {
-            unreachable!("checked above")
-        };
-        vp.retarget_nrr(nrr);
-        for (class, survivors) in [RegClass::Int, RegClass::Fp].into_iter().zip(windows) {
-            vp.nrr_rebuild(class, survivors.into_iter());
-        }
-    }
-
     /// Advances the machine by one *active* cycle. The next-event cycle
     /// governor first computes the earliest cycle at which *anything* can
     /// change (the governor, `governor_skip`); if that lies in the future,
@@ -1732,12 +1655,13 @@ impl<S: InstStream + vpr_snap::Resumable, O: PipeObserver> Processor<S, O> {
     /// Restores a snapshot taken by [`Processor::snapshot`] into this
     /// machine — the one decode path, which [`Processor::restore_with`]
     /// runs on a new machine. A sampled run restores each of its windows
-    /// into one machine this way.
+    /// into one machine this way, every window a checkpoint of the
+    /// point's own configuration.
     ///
     /// Nothing of what the machine ran before survives but allocated
-    /// capacity: the configuration comes from the payload (it overrides
-    /// any earlier [`Processor::retarget_nrr`]), every component and the
-    /// trace position are decoded, the event calendar is rebuilt from the
+    /// capacity: the configuration comes from the payload (the machine
+    /// may have run any other one before), every component and the trace
+    /// position are decoded, the event calendar is rebuilt from the
     /// snapshot's events, the per-cycle scratch buffers are emptied and
     /// the observer is reset. The machine's trace must be a generator of
     /// the **same workload** the snapshotted processor ran; it may stand

@@ -102,12 +102,6 @@ impl FreeList {
         self.capacity - self.free.len()
     }
 
-    /// Total registers managed.
-    #[inline]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// True when nothing is free.
     #[inline]
     pub fn is_exhausted(&self) -> bool {

@@ -176,23 +176,6 @@ impl NrrState {
             }
         }
     }
-
-    /// Rebuilds the counters from scratch from the in-flight window (an
-    /// NRR re-target re-derives them this way). `survivors` yields `(seq,
-    /// has_allocated)` for every in-flight destination-having instruction
-    /// of this class, oldest first.
-    pub fn rebuild<I: Iterator<Item = (u64, bool)>>(&mut self, survivors: I) {
-        self.reg = 0;
-        self.used = 0;
-        self.prr_seq = NO_SEQ;
-        for (seq, allocated) in survivors.take(self.nrr as usize) {
-            self.reg += 1;
-            self.prr_seq = seq;
-            if allocated {
-                self.used += 1;
-            }
-        }
-    }
 }
 
 impl vpr_snap::Snap for NrrState {
@@ -204,9 +187,8 @@ impl vpr_snap::Snap for NrrState {
         // Canonical form: with an empty reserved set the pointer is
         // semantically dead (`pointer()` guards on `reg > 0`), but the
         // incremental updates leave the last value behind. Serialising
-        // the *live* pointer instead makes every semantically-equal state
-        // byte-equal — the property the cross-NRR re-target contract
-        // (`retarget to the current NRR is a bit-exact no-op`) rests on.
+        // the *live* pointer instead makes equal states encode
+        // byte-equal.
         self.pointer().save(enc);
         enc.put_usize(self.reg as usize);
         enc.put_usize(self.used as usize);
@@ -316,30 +298,6 @@ mod tests {
         n.on_decode(1);
         n.on_allocate(1);
         n.on_commit(7, None);
-    }
-
-    #[test]
-    fn rebuild_after_squash() {
-        let mut n = NrrState::new(2);
-        n.on_decode(1);
-        n.on_decode(2);
-        n.on_allocate(1);
-        // Squash leaves instructions 1 (allocated) and 4 (not) in the
-        // window.
-        n.rebuild([(1, true), (4, false)].into_iter());
-        assert_eq!(n.reserved_in_window(), 2);
-        assert_eq!(n.used(), 1);
-        assert!(n.is_reserved(4));
-        assert!(!n.is_reserved(5));
-    }
-
-    #[test]
-    fn rebuild_caps_at_nrr() {
-        let mut n = NrrState::new(2);
-        n.rebuild([(1, false), (2, false), (3, false)].into_iter());
-        assert_eq!(n.reserved_in_window(), 2);
-        assert!(n.is_reserved(2));
-        assert!(!n.is_reserved(3));
     }
 
     #[test]

@@ -190,28 +190,6 @@ impl VpRenamer {
         }
     }
 
-    /// Re-targets the reserved-register machinery to a different NRR:
-    /// both classes' counters restart empty and the caller must rebuild
-    /// them from the in-flight window via [`VpRenamer::nrr_rebuild`] (it
-    /// owns the program-order destination index). The map tables, free
-    /// lists and bindings are untouched — the NRR is purely an
-    /// allocation-policy parameter, so everything else of the machine
-    /// state remains valid (see `Processor::retarget_nrr`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nrr` is out of `1..=phys_per_class − logical` (the same
-    /// range [`VpRenamer::new`] enforces).
-    pub fn retarget_nrr(&mut self, nrr: usize) {
-        let phys = self.preg_free[0].capacity();
-        assert!(
-            (1..=phys - NUM_LOGICAL_PER_CLASS).contains(&nrr),
-            "NRR {nrr} out of range 1..={}",
-            phys - NUM_LOGICAL_PER_CLASS
-        );
-        self.nrr = [NrrState::new(nrr), NrrState::new(nrr)];
-    }
-
     /// Renames a source operand (paper §3.2.2): if the GMT entry's valid
     /// bit is set the operand is the physical register and ready;
     /// otherwise the operand waits on the VP tag.
@@ -350,12 +328,6 @@ impl VpRenamer {
         entrant: Option<(u64, bool)>,
     ) {
         self.nrr[class.index()].on_commit(committing_seq, entrant);
-    }
-
-    /// Rebuilds a class's NRR counters from the in-flight window after
-    /// [`VpRenamer::retarget_nrr`] (see [`NrrState::rebuild`]).
-    pub fn nrr_rebuild<I: Iterator<Item = (u64, bool)>>(&mut self, class: RegClass, survivors: I) {
-        self.nrr[class.index()].rebuild(survivors);
     }
 
     /// Free physical registers in `class`.

@@ -7,8 +7,8 @@
 //! ([`Machine`]) whose architecturally-committed instruction stream
 //! ([`ExecStream`]) implements the same `InstStream` + `Resumable`
 //! contracts the synthetic generators do — so all four rename schemes,
-//! checkpointing, sampled simulation, and cross-NRR shared passes work
-//! on real control flow and real live ranges without modification.
+//! checkpointing and sampled simulation work on real control flow and
+//! real live ranges without modification.
 //!
 //! The crate is deliberately *functional-first*: the [`Machine`] computes
 //! real 64-bit register and memory values, and the differential tests

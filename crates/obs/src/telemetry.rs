@@ -2,8 +2,8 @@
 //!
 //! Where [`crate::metrics`] watches the *simulated machine*, this module
 //! watches the *sweep engine*: per-job wall clock and queue wait, worker
-//! utilisation, checkpoint-cache behaviour (including cross-NRR
-//! shared-pass reuse), and fault recoveries. The bench crate writes one
+//! utilisation, checkpoint-cache behaviour (including identical points
+//! sharing one warm pass), and fault recoveries. The bench crate writes one
 //! `run.telemetry.json` next to each experiment artefact from a
 //! [`RunTelemetry`]; unlike the metrics block, telemetry is wall-clock
 //! data and is *not* expected to be byte-identical across runs, which is
@@ -20,8 +20,8 @@ pub enum JobOutcome {
     /// No usable artefact existed; the job simulated (and possibly
     /// deposited) it.
     CacheMiss,
-    /// The job reused a shared group artefact already loaded for another
-    /// point (cross-NRR shared-pass reuse).
+    /// The job reused the warm pass of an identical earlier point of the
+    /// same sweep.
     SharedReuse,
     /// The sweep ran without a checkpoint store.
     NoStore,

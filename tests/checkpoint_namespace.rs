@@ -114,5 +114,31 @@ fn a_sampled_nrr_sweep_files_each_pass_once() {
             e.file
         );
     }
+    // One pack per configuration: conventional and six NRR values.
+    let packs: HashSet<&str> = store
+        .manifest
+        .entries
+        .iter()
+        .map(|e| e.file.as_str())
+        .collect();
+    assert_eq!(packs.len(), 7, "{packs:?}");
+    let on_disk = std::fs::read_dir(&dir)
+        .unwrap()
+        .filter(|f| f.as_ref().unwrap().path().extension() == Some("vprsnap".as_ref()))
+        .count();
+    assert_eq!(on_disk, 7);
+
+    // Every point of a rerun restores its own set from the directory.
+    let rerun = fig4_for(&swim(), &exp, &SweepContext::new(true, Some(&dir)));
+    let json = rerun.to_json();
+    assert!(
+        json.contains("\"seeded_from\": \"checkpoint-dir\""),
+        "{json}"
+    );
+    assert_eq!(warm_pass_misses(&rerun.telemetry), 0);
+    assert_eq!(
+        without_provenance(&json),
+        without_provenance(&swept.to_json())
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -2,8 +2,7 @@
 //! `generate_checkpoints` returns equals — begin, end and every
 //! `SimStats` field — restoring that interval's checkpoint and running
 //! `detailed_measure` commits, so a sampled run that simulated the pass
-//! can skip the restores for the pass's own scheme without changing a
-//! bit. Each interval snapshot must also equal an uninterrupted run
+//! can skip the restores without changing a bit. Each interval snapshot must also equal an uninterrupted run
 //! paused at its start, and the snapshots' checksums are pinned, so the
 //! pass provably takes every checkpoint where it belongs and never
 //! touches the machine it checkpoints (a `reset_window` would change

@@ -18,9 +18,9 @@
 //!    checkpoints every scheme × swim/go/wave5 × commit delay on/off at
 //!    five fixed positions, and continues each one twice: on a new
 //!    machine, and through `Processor::restore_into` on a machine that
-//!    already ran another window (and was re-targeted, where it has an
-//!    NRR). Both must match the uninterrupted run, and each other's
-//!    observer.
+//!    already ran another window (and, where the scheme has an NRR, was
+//!    just restored to a snapshot taken at half that NRR). Both must
+//!    match the uninterrupted run, and each other's observer.
 
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -167,6 +167,20 @@ fn every_grid_checkpoint_restores_fresh_and_into_a_used_machine() {
                         ends[i] = Some((reference.stats(), reference.cycle()));
                     }
                 }
+                // A decoy of the same benchmark at half the NRR, so that
+                // each real `restore_into` starts from another
+                // configuration.
+                let decoy = scheme.nrr().map(|nrr| {
+                    let half = match scheme {
+                        RenameScheme::VirtualPhysicalIssue { .. } => {
+                            RenameScheme::VirtualPhysicalIssue { nrr: nrr / 2 }
+                        }
+                        _ => RenameScheme::VirtualPhysicalWriteback { nrr: nrr / 2 },
+                    };
+                    let mut cpu = quick_processor(benchmark, half, &exp, vp_commit_delay);
+                    cpu.run_to_commit(GRID_POSITIONS[2]);
+                    cpu.snapshot()
+                });
                 let trace = || TraceBuilder::new(benchmark).seed(exp.seed).build();
                 let restore = |snapshot: &Snapshot| {
                     Processor::<TraceGen, SimObserver>::restore_with(
@@ -191,8 +205,8 @@ fn every_grid_checkpoint_restores_fresh_and_into_a_used_machine() {
                         end,
                         "{label}: fresh restore at {at}"
                     );
-                    if let Some(nrr) = scheme.nrr() {
-                        used.retarget_nrr(nrr / 2);
+                    if let Some(decoy) = &decoy {
+                        used.restore_into(decoy).expect("decoy restores");
                     }
                     used.restore_into(snapshot).expect("restore_into");
                     assert_eq!(used.config(), reference.config(), "{label}");
