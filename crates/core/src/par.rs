@@ -16,19 +16,28 @@
 //! pool schedules millisecond-scale simulations, not nanosecond tasks:
 //! one uncontended lock per job is noise.
 //!
+//! The deal also pins job `i` to worker `i % workers` until stealing
+//! starts, so a sweep stage whose job `i` reads what the previous stage's
+//! job `i` built finds that data in the same core's cache. A shared
+//! claim-the-next-index cursor loses that pairing: on a 2-core host whose
+//! neighbours contend for the shared cache, it made the sampled sweep's
+//! per-point latencies spread from run to run.
+//!
 //! Results land in a shared slot table keyed by job index, which is what
 //! makes the merge deterministic regardless of which worker ran which job
 //! and in which order.
 //!
-//! ### Panics and poisoning
+//! ### Panics, poisoning and retries
 //!
 //! All locking is poison-proof: a panic in one job must not turn into
 //! `PoisonError` panics in sibling workers, which would mask the original
 //! panic behind a cascade of secondary ones. [`par_map`] catches each
 //! job's panic, stops the pool, and re-raises the **first** panic payload
-//! after all workers join; [`par_try_map`] goes further and converts each
-//! job's panic into a per-job [`JobFailure`] with bounded retry, so one
-//! poisoned config cannot tear down a thousand-config sweep.
+//! after all workers join; [`par_try_map`] goes further and runs each job
+//! through [`run_one`], which converts each attempt's panic into a
+//! [`JobFailure`] with bounded retry, so one poisoned config cannot tear
+//! down a thousand-config sweep. The sweep daemon runs its jobs through
+//! the same [`run_one`].
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -286,7 +295,46 @@ pub struct JobResult<R> {
     pub recovered: Vec<JobFailure>,
 }
 
-/// Panic-isolated [`par_map`]: every job runs under `catch_unwind`, a
+/// Runs one job under `policy` on the calling thread: attempt `n`
+/// (1-based) calls `attempt(n)` under `catch_unwind`, a panicking
+/// attempt is retried after the policy's backoff delay, and the result
+/// carries the panics that a later attempt recovered from. `index` names
+/// the job in its [`JobFailure`]s.
+///
+/// This is the one retry loop in the workspace: batch sweeps reach it
+/// through [`par_try_map`], and the sweep daemon's workers call it for
+/// every job they pop.
+pub fn run_one<R>(policy: RetryPolicy, index: usize, attempt: impl Fn(u32) -> R) -> JobResult<R> {
+    let mut failures = Vec::new();
+    for n in 1..=policy.attempts() {
+        if n > 1 {
+            let delay = policy.delay_ms(n - 1);
+            if delay > 0 {
+                std::thread::sleep(std::time::Duration::from_millis(delay));
+            }
+        }
+        match catch_unwind(AssertUnwindSafe(|| attempt(n))) {
+            Ok(out) => {
+                return JobResult {
+                    result: Ok(out),
+                    recovered: failures,
+                }
+            }
+            Err(payload) => failures.push(JobFailure {
+                index,
+                attempts: n,
+                message: panic_message(payload.as_ref()),
+            }),
+        }
+    }
+    let last = failures.pop().expect("at least one attempt");
+    JobResult {
+        result: Err(last),
+        recovered: Vec::new(),
+    }
+}
+
+/// Panic-isolated [`par_map`]: every job runs through [`run_one`], so a
 /// panicking job is retried per the [`RetryPolicy`], and the merged
 /// output carries a per-job [`JobResult`] in submission order — a failing
 /// job never takes the pool (or its sibling jobs) down with it, and a
@@ -310,38 +358,9 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    let run_one = |idx: usize, item: &T| -> JobResult<R> {
-        let mut failures = Vec::new();
-        for attempt in 1..=policy.attempts() {
-            if attempt > 1 {
-                let delay = policy.delay_ms(attempt - 1);
-                if delay > 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(delay));
-                }
-            }
-            match catch_unwind(AssertUnwindSafe(|| f(idx, item))) {
-                Ok(out) => {
-                    return JobResult {
-                        result: Ok(out),
-                        recovered: failures,
-                    }
-                }
-                Err(payload) => {
-                    failures.push(JobFailure {
-                        index: idx,
-                        attempts: attempt,
-                        message: panic_message(payload.as_ref()),
-                    });
-                }
-            }
-        }
-        let last = failures.pop().expect("at least one attempt");
-        JobResult {
-            result: Err(last),
-            recovered: Vec::new(),
-        }
-    };
-    par_map(jobs, items, |idx, item| run_one(idx, &item))
+    par_map(jobs, items, |idx, item| {
+        run_one(policy, idx, |_| f(idx, &item))
+    })
 }
 
 #[cfg(test)]

@@ -23,13 +23,10 @@ pub struct ServeMetrics {
     /// Jobs that exhausted their retry budget and degraded to a
     /// structured failure.
     pub jobs_failed: u64,
-    /// Jobs currently queued or leased (gauge).
+    /// Jobs currently queued or on a worker (gauge).
     pub queue_depth: u64,
-    /// Leases reclaimed because their deadline passed (or an injected
-    /// lease fault fired).
-    pub lease_expiries: u64,
-    /// Retry attempts scheduled (lease reclaims and worker deaths both
-    /// land here).
+    /// Retry attempts started after a worker death: `attempts − 1` per
+    /// job.
     pub retries: u64,
     /// Jobs answered by another job's run: a submitted spec that reused
     /// an existing job's id, or a run that restored a warm checkpoint
@@ -48,7 +45,7 @@ impl ServeMetrics {
         let mut r = Registry::new();
         r.gauge(
             "vpr_serve_queue_depth",
-            "Jobs currently queued or leased in the sweep service",
+            "Jobs currently queued or on a worker in the sweep service",
             self.queue_depth as f64,
         );
         r.counter(
@@ -65,11 +62,6 @@ impl ServeMetrics {
             "vpr_serve_jobs_failed_total",
             "Jobs that exhausted their retry budget and degraded to a structured failure",
             self.jobs_failed,
-        );
-        r.counter(
-            "vpr_serve_lease_expiries_total",
-            "Worker leases reclaimed after their deadline passed",
-            self.lease_expiries,
         );
         r.counter(
             "vpr_serve_retries_total",
@@ -110,7 +102,6 @@ mod tests {
             jobs_completed: 7 + k,
             jobs_failed: k % 2,
             queue_depth: 3,
-            lease_expiries: k,
             retries: 2 * k,
             dedup_hits: 5,
             replay_hits: k / 2,
@@ -122,7 +113,6 @@ mod tests {
         let text = sample(2).to_prometheus();
         for name in [
             "vpr_serve_queue_depth",
-            "vpr_serve_lease_expiries_total",
             "vpr_serve_retries_total",
             "vpr_serve_dedup_hits_total",
         ] {
@@ -131,7 +121,6 @@ mod tests {
                 "missing {name} in:\n{text}"
             );
         }
-        assert!(text.contains("vpr_serve_lease_expiries_total 2\n"));
         assert!(text.contains("vpr_serve_retries_total 4\n"));
         assert!(text.contains("vpr_serve_dedup_hits_total 5\n"));
         assert!(text.contains("vpr_serve_queue_depth 3\n"));

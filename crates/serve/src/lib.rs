@@ -5,8 +5,8 @@
 //! job execution ([`vpr_bench::jobs`]) into a **long-running daemon**: N
 //! clients submit sweep grids over a Unix-domain socket (line-delimited
 //! JSON, parsed by the workspace's own [`vpr_snap::json`] module),
-//! workers execute them under leases, and each distinct job spec runs
-//! once no matter how many tenants submit it.
+//! workers execute them, and each distinct job spec runs once no matter
+//! how many tenants submit it.
 //!
 //! The robustness contract, built from four pieces:
 //!
@@ -15,11 +15,12 @@
 //!    visible on the wire. A crash (SIGTERM, SIGKILL, power) loses no
 //!    accepted work; a restart replays the journal, re-queues unfinished
 //!    jobs, and serves finished results without recomputation.
-//! 2. **Worker leases** ([`server`]): each job attempt runs under a
-//!    deadline; expired leases are reclaimed and retried with capped
-//!    exponential backoff ([`vpr_core::par::RetryPolicy`]). An exhausted
-//!    budget degrades into the structured NaN failure the batch sweep
-//!    reports — a poisoned job can never wedge the queue.
+//! 2. **Retries** ([`server`]): a worker runs each job through the
+//!    batch sweep's retry loop ([`vpr_core::par::run_one`]), so a worker
+//!    death is retried with capped exponential backoff
+//!    ([`vpr_core::par::RetryPolicy`]). An exhausted budget degrades
+//!    into the structured NaN failure the batch sweep reports — a
+//!    poisoned job can never wedge the queue.
 //! 3. **Dedup by spec**: submit is idempotent on the
 //!    [`vpr_bench::jobs::JobSpec`]. An equal spec whose job has not
 //!    failed gets that job's id back and is never journalled or queued
@@ -29,8 +30,8 @@
 //!    deposited only on success (atomic writes), so a crashed run leaves
 //!    nothing torn behind.
 //! 4. **Fault hooks**: the daemon consults
-//!    [`vpr_snap::faults`] at its four service-specific points —
-//!    journal append, lease expiry, client disconnect, worker kill —
+//!    [`vpr_snap::faults`] at its three service-specific points —
+//!    journal append, client disconnect, worker kill —
 //!    and the service fault tests pin that any single injected fault
 //!    leaves every client's results byte-identical to a fault-free
 //!    serial run.

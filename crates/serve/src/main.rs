@@ -1,7 +1,7 @@
 //! The `vpr-serve` binary: daemon, client, and drill tooling in one.
 //!
 //! ```text
-//! vpr-serve serve   --socket S --dir D [--workers N] [--lease-ms M]
+//! vpr-serve serve   --socket S --dir D [--workers N]
 //!                   [--retries N] [--backoff-base-ms B] [--backoff-cap-ms C]
 //!                   [--abort-after-appends N]
 //! vpr-serve submit  --socket S [--json OUT] [--workloads a,b] [--schemes x,y]
@@ -83,7 +83,6 @@ fn cmd_serve(mut args: Vec<String>) {
     let dir = PathBuf::from(required(&mut args, "--dir"));
     let mut cfg = ServeConfig::new(socket, dir);
     cfg.workers = numeric(&mut args, "--workers").unwrap_or(cfg.workers);
-    cfg.lease_ms = numeric(&mut args, "--lease-ms").unwrap_or(cfg.lease_ms);
     cfg.retry = RetryPolicy::backoff(
         numeric(&mut args, "--retries").unwrap_or(cfg.retry.budget),
         numeric(&mut args, "--backoff-base-ms").unwrap_or(cfg.retry.base_ms),

@@ -31,7 +31,7 @@ pub enum Request {
     Submit(Vec<JobSpec>),
     /// Fetch the state (and results, when terminal) of the given ids.
     Poll(Vec<u64>),
-    /// Queue/lease/terminal counts.
+    /// Queued/on-a-worker/terminal counts.
     Status,
     /// Service metrics (JSON + Prometheus text).
     Metrics,
@@ -105,7 +105,8 @@ pub fn error_line(message: &str) -> String {
 pub struct PollResult {
     /// The job id.
     pub id: u64,
-    /// `"queued"`, `"leased"`, `"done"`, `"failed"`, or `"unknown"`.
+    /// `"queued"`, `"leased"` (on a worker: running an attempt or
+    /// waiting out a retry delay), `"done"`, `"failed"`, or `"unknown"`.
     pub state: String,
     /// The output, present when `state` is `"done"` (and, as the NaN
     /// placeholder, `"failed"`).

@@ -1,23 +1,23 @@
-//! The daemon: listener, worker pool, lease supervisor, and the shared
-//! job table everything coordinates through.
+//! The daemon: listener, worker pool, and the shared job table
+//! everything coordinates through.
 //!
 //! ### Ownership of a job
 //!
-//! A job moves `Queued → Leased → {Done, Failed}` with two loops back:
-//! a worker death or expired lease sends it to `Backoff` (capped
-//! exponential delay per the [`RetryPolicy`]) and the supervisor returns
-//! it to `Queued` when the delay elapses. Terminal states are sticky:
-//! the first completion wins, and a straggling duplicate execution (its
-//! lease was reclaimed while it was still running) is discarded — which
-//! is harmless, because jobs are deterministic and both executions
-//! produced the same bits.
+//! A job moves `Queued → Running → {Done, Failed}`. The worker that pops
+//! it owns it until it files the terminal outcome: it runs the job
+//! through [`vpr_core::par::run_one`], the retry loop batch sweeps use,
+//! so a worker death (a panic) is retried on the same worker after the
+//! [`RetryPolicy`]'s capped exponential delay. Exactly one execution of a
+//! job exists at a time. A job that hangs holds its worker; a simulated
+//! deadlock cannot hang, because the kernel's no-commit assert panics
+//! and the retry loop takes it from there.
 //!
 //! ### Crash safety
 //!
 //! Accepted work and terminal outcomes go through the
 //! [`crate::journal`] before they are visible on the wire; everything
-//! else (leases, backoff timers, the ready queue) is reconstructible
-//! state that a restart simply resets: replayed non-terminal jobs start
+//! else (running attempts, the ready queue) is reconstructible state
+//! that a restart simply resets: replayed non-terminal jobs start
 //! `Queued` with a fresh retry budget.
 //!
 //! ### One run per spec
@@ -30,7 +30,6 @@
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -38,7 +37,7 @@ use std::time::{Duration, Instant};
 
 use vpr_bench::checkpoints::{CheckpointOutcome, CheckpointStore};
 use vpr_bench::jobs::{execute_job, JobOutput, JobSpec};
-use vpr_core::par::{panic_message, RetryPolicy};
+use vpr_core::par::{run_one, JobFailure, RetryPolicy};
 use vpr_obs::telemetry::{JobOutcome, JobTelemetry, RunTelemetry};
 use vpr_obs::ServeMetrics;
 use vpr_snap::faults;
@@ -60,9 +59,7 @@ pub struct ServeConfig {
     pub dir: PathBuf,
     /// Worker count (0 = [`vpr_core::par::default_jobs`]).
     pub workers: usize,
-    /// Lease deadline per job attempt, in milliseconds.
-    pub lease_ms: u64,
-    /// Retry discipline for worker deaths and expired leases.
+    /// Retry discipline for worker deaths.
     pub retry: RetryPolicy,
     /// Test hook: abort the process (as SIGKILL would) after this many
     /// journalled job records — the deterministic "crash at the worst
@@ -71,14 +68,13 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// A config with the production defaults: auto worker count, 30 s
-    /// leases, 3 retries backing off 100 ms → 2 s.
+    /// A config with the production defaults: auto worker count, 3
+    /// retries backing off 100 ms → 2 s.
     pub fn new(socket: impl Into<PathBuf>, dir: impl Into<PathBuf>) -> Self {
         Self {
             socket: socket.into(),
             dir: dir.into(),
             workers: 0,
-            lease_ms: 30_000,
             retry: RetryPolicy::backoff(3, 100, 2_000),
             abort_after_appends: None,
         }
@@ -89,10 +85,9 @@ impl ServeConfig {
 enum JobState {
     /// In the ready queue (or about to be popped from it).
     Queued,
-    /// Waiting out a retry delay; the supervisor re-queues it.
-    Backoff { until: Instant },
-    /// On a worker, with a reclaim deadline.
-    Leased { deadline: Instant },
+    /// On a worker: running an attempt or sleeping its retry delay.
+    /// Polls report it as `"leased"`.
+    Running,
     /// Terminal success.
     Done { output: JobOutput },
     /// Terminal degradation: retry budget exhausted.
@@ -103,7 +98,7 @@ enum JobState {
 struct JobEntry {
     spec: JobSpec,
     state: JobState,
-    /// Attempts started so far.
+    /// Attempts started so far (set by the worker as each one begins).
     attempts: u32,
     submitted: Instant,
 }
@@ -113,7 +108,6 @@ struct Counters {
     accepted: AtomicU64,
     completed: AtomicU64,
     failed: AtomicU64,
-    lease_expiries: AtomicU64,
     retries: AtomicU64,
     dedup_hits: AtomicU64,
     replay_hits: AtomicU64,
@@ -152,7 +146,7 @@ pub struct Server {
 
 impl Server {
     /// Opens the journal, replays it, binds the socket, and spawns the
-    /// listener, workers, and lease supervisor.
+    /// listener and the workers.
     ///
     /// # Errors
     ///
@@ -259,13 +253,9 @@ impl Server {
                 listen_loop(&inner, listener, &handlers)
             }));
         }
-        for w in 0..workers {
+        for _ in 0..workers {
             let inner = Arc::clone(&inner);
-            threads.push(std::thread::spawn(move || worker_loop(&inner, w)));
-        }
-        {
-            let inner = Arc::clone(&inner);
-            threads.push(std::thread::spawn(move || supervisor_loop(&inner)));
+            threads.push(std::thread::spawn(move || worker_loop(&inner)));
         }
         Ok(Server {
             inner,
@@ -286,8 +276,9 @@ impl Server {
     }
 
     /// Graceful stop: drains the threads and removes the socket file.
-    /// In-flight jobs finish their current attempt; nothing is lost —
-    /// unfinished jobs replay from the journal on the next start.
+    /// In-flight jobs run to their terminal outcome, retries and backoff
+    /// delays included; nothing is lost — unfinished jobs replay from the
+    /// journal on the next start.
     pub fn stop(self) {
         self.inner.shutdown.store(true, Ordering::SeqCst);
         self.inner.ready_cv.notify_all();
@@ -305,12 +296,7 @@ impl Server {
 fn snapshot_metrics(inner: &Inner) -> ServeMetrics {
     let queue_depth = lock(&inner.jobs)
         .values()
-        .filter(|e| {
-            matches!(
-                e.state,
-                JobState::Queued | JobState::Backoff { .. } | JobState::Leased { .. }
-            )
-        })
+        .filter(|e| matches!(e.state, JobState::Queued | JobState::Running))
         .count() as u64;
     let c = &inner.counters;
     ServeMetrics {
@@ -318,7 +304,6 @@ fn snapshot_metrics(inner: &Inner) -> ServeMetrics {
         jobs_completed: c.completed.load(Ordering::Relaxed),
         jobs_failed: c.failed.load(Ordering::Relaxed),
         queue_depth,
-        lease_expiries: c.lease_expiries.load(Ordering::Relaxed),
         retries: c.retries.load(Ordering::Relaxed),
         dedup_hits: c.dedup_hits.load(Ordering::Relaxed),
         replay_hits: c.replay_hits.load(Ordering::Relaxed),
@@ -467,10 +452,8 @@ fn handle_request(inner: &Arc<Inner>, req: Request) -> String {
                         },
                         Some(entry) => {
                             let (state, output, error, attempts) = match &entry.state {
-                                JobState::Queued | JobState::Backoff { .. } => {
-                                    ("queued", None, None, entry.attempts)
-                                }
-                                JobState::Leased { .. } => ("leased", None, None, entry.attempts),
+                                JobState::Queued => ("queued", None, None, entry.attempts),
+                                JobState::Running => ("leased", None, None, entry.attempts),
                                 JobState::Done { output } => {
                                     ("done", Some(output.clone()), None, entry.attempts)
                                 }
@@ -507,8 +490,8 @@ fn handle_request(inner: &Arc<Inner>, req: Request) -> String {
             let mut failed = 0u64;
             for e in jobs.values() {
                 match e.state {
-                    JobState::Queued | JobState::Backoff { .. } => queued += 1,
-                    JobState::Leased { .. } => leased += 1,
+                    JobState::Queued => queued += 1,
+                    JobState::Running => leased += 1,
                     JobState::Done { .. } => done += 1,
                     JobState::Failed { .. } => failed += 1,
                 }
@@ -534,7 +517,7 @@ fn handle_request(inner: &Arc<Inner>, req: Request) -> String {
     }
 }
 
-fn worker_loop(inner: &Arc<Inner>, _worker: usize) {
+fn worker_loop(inner: &Arc<Inner>) {
     loop {
         // Pop a ready id, or park until one appears / shutdown.
         let id = {
@@ -553,8 +536,8 @@ fn worker_loop(inner: &Arc<Inner>, _worker: usize) {
                 ready = guard;
             }
         };
-        // Lease it (skip stale queue references).
-        let (spec, attempt, queue_wait) = {
+        // Claim it (skip stale queue references).
+        let (spec, queue_wait) = {
             let mut jobs = lock(&inner.jobs);
             let Some(entry) = jobs.get_mut(&id) else {
                 continue;
@@ -562,29 +545,31 @@ fn worker_loop(inner: &Arc<Inner>, _worker: usize) {
             if !matches!(entry.state, JobState::Queued) {
                 continue;
             }
-            entry.attempts += 1;
-            entry.state = JobState::Leased {
-                deadline: Instant::now() + Duration::from_millis(inner.cfg.lease_ms),
-            };
-            (
-                entry.spec.clone(),
-                entry.attempts,
-                entry.submitted.elapsed().as_secs_f64(),
-            )
+            entry.state = JobState::Running;
+            (entry.spec.clone(), entry.submitted.elapsed().as_secs_f64())
         };
         let label = spec.label();
-        let begun = Instant::now();
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            // The injected worker-kill fires here — after the lease,
+        let run = run_one(inner.cfg.retry, id as usize, |attempt| {
+            if let Some(entry) = lock(&inner.jobs).get_mut(&id) {
+                entry.attempts = attempt;
+            }
+            if attempt > 1 {
+                inner.counters.retries.fetch_add(1, Ordering::Relaxed);
+            }
+            let begun = Instant::now();
+            // The injected worker-kill fires here — after the claim,
             // before any work — modelling a worker that dies the moment
             // it picks the job up.
             faults::maybe_kill_worker(&label);
-            execute_job(&spec, Some(&inner.store))
-        }))
-        .map_err(|payload| panic_message(payload.as_ref()));
-        match outcome {
-            Ok(output) => complete_job(inner, id, &spec, output, attempt, queue_wait, begun),
-            Err(message) => retry_or_fail(inner, id, &label, &message, attempt),
+            let output = execute_job(&spec, Some(&inner.store));
+            (output, begun.elapsed().as_secs_f64())
+        });
+        match run.result {
+            Ok((output, wall_s)) => {
+                let recovered = run.recovered.len() as u64;
+                complete_job(inner, id, &spec, output, recovered, queue_wait, wall_s);
+            }
+            Err(failure) => fail_job(inner, id, &label, &failure),
         }
     }
 }
@@ -594,20 +579,11 @@ fn complete_job(
     id: u64,
     spec: &JobSpec,
     output: JobOutput,
-    attempt: u32,
+    recovered: u64,
     queue_wait: f64,
-    begun: Instant,
+    wall_s: f64,
 ) {
-    {
-        let mut jobs = lock(&inner.jobs);
-        let Some(entry) = jobs.get_mut(&id) else {
-            return;
-        };
-        // First completion wins; a reclaimed-then-finished duplicate
-        // computed the same bits and is simply dropped.
-        if matches!(entry.state, JobState::Done { .. } | JobState::Failed { .. }) {
-            return;
-        }
+    if let Some(entry) = lock(&inner.jobs).get_mut(&id) {
         entry.state = JobState::Done {
             output: output.clone(),
         };
@@ -637,9 +613,9 @@ fn complete_job(
         config: spec.exp.job_config(),
         stage: "serve",
         queue_wait_s: queue_wait,
-        wall_s: begun.elapsed().as_secs_f64(),
+        wall_s,
         outcome: telemetry_outcome,
-        recovered: u64::from(attempt.saturating_sub(1)),
+        recovered,
     });
     telemetry.wall_s = inner.started.elapsed().as_secs_f64();
     let rendered = telemetry.to_json();
@@ -647,92 +623,27 @@ fn complete_job(
     let _ = vpr_snap::atomic_write(&inner.cfg.dir.join(TELEMETRY_FILE), rendered.as_bytes());
 }
 
-fn retry_or_fail(inner: &Arc<Inner>, id: u64, label: &str, message: &str, attempt: u32) {
-    let mut jobs = lock(&inner.jobs);
-    let Some(entry) = jobs.get_mut(&id) else {
-        return;
-    };
-    if matches!(entry.state, JobState::Done { .. } | JobState::Failed { .. }) {
-        return;
+/// Files the terminal failure of a job whose retry budget ran out: the
+/// structured failure the batch sweep would report (NaN metrics,
+/// recovered: false) — the queue moves on.
+fn fail_job(inner: &Arc<Inner>, id: u64, label: &str, failure: &JobFailure) {
+    let attempts = failure.attempts;
+    let error = format!(
+        "job {label} failed after {attempts} attempts: {}",
+        failure.message
+    );
+    if let Some(entry) = lock(&inner.jobs).get_mut(&id) {
+        entry.state = JobState::Failed {
+            error: error.clone(),
+            attempts,
+        };
     }
-    if attempt < inner.cfg.retry.attempts() {
-        inner.counters.retries.fetch_add(1, Ordering::Relaxed);
-        let delay = inner.cfg.retry.delay_ms(attempt);
-        if delay == 0 {
-            entry.state = JobState::Queued;
-            drop(jobs);
-            lock(&inner.ready).push_back(id);
-            inner.ready_cv.notify_one();
-        } else {
-            entry.state = JobState::Backoff {
-                until: Instant::now() + Duration::from_millis(delay),
-            };
-        }
-        return;
-    }
-    // Budget exhausted: degrade into the structured failure the batch
-    // sweep would report (NaN metrics, recovered: false) — the queue
-    // moves on.
-    let error = format!("job {label} failed after {attempt} attempts: {message}");
-    entry.state = JobState::Failed {
-        error: error.clone(),
-        attempts: attempt,
-    };
-    drop(jobs);
     if let Err(e) = lock(&inner.journal).append(&Record::Failed {
         id,
         error,
-        attempts: attempt,
+        attempts,
     }) {
         eprintln!("vpr-serve: failed-record append failed for job {id}: {e}");
     }
     inner.counters.failed.fetch_add(1, Ordering::Relaxed);
-}
-
-fn supervisor_loop(inner: &Arc<Inner>) {
-    while !inner.shutdown.load(Ordering::SeqCst) {
-        std::thread::sleep(Duration::from_millis(10));
-        let now = Instant::now();
-        let mut to_ready: Vec<u64> = Vec::new();
-        let mut expired: Vec<(u64, String, u32)> = Vec::new();
-        {
-            let mut jobs = lock(&inner.jobs);
-            for (&id, entry) in jobs.iter_mut() {
-                match entry.state {
-                    JobState::Backoff { until } if now >= until => {
-                        entry.state = JobState::Queued;
-                        to_ready.push(id);
-                    }
-                    JobState::Leased { deadline } => {
-                        let label = entry.spec.label();
-                        if now >= deadline || faults::lease_expires_early(&label) {
-                            expired.push((id, label, entry.attempts));
-                            // Reclaim immediately; retry_or_fail decides
-                            // requeue vs degrade below, outside this lock.
-                            entry.state = JobState::Queued;
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            // retry_or_fail expects a non-terminal entry; mark reclaimed
-            // leases as Backoff-pending via the shared path after the
-            // scan (it re-locks).
-        }
-        if !to_ready.is_empty() {
-            let mut ready = lock(&inner.ready);
-            for id in to_ready {
-                ready.push_back(id);
-            }
-            drop(ready);
-            inner.ready_cv.notify_all();
-        }
-        for (id, label, attempts) in expired {
-            inner
-                .counters
-                .lease_expiries
-                .fetch_add(1, Ordering::Relaxed);
-            retry_or_fail(inner, id, &label, "lease expired", attempts);
-        }
-    }
 }

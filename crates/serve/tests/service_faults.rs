@@ -1,6 +1,6 @@
 //! Single-fault byte-identity at the **service** layer: any one injected
-//! fault at the daemon's four hook points — a journal append that errors,
-//! tears, or bit-flips; a lease that expires early; a client connection
+//! fault at the daemon's three hook points — a journal append that errors,
+//! tears, or bit-flips; a client connection
 //! dropped before the response; a worker killed the moment it picks a job
 //! up — may cost a retry or a reconnect, but every client's results must
 //! stay byte-identical to a fault-free serial run.
@@ -13,14 +13,14 @@
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use vpr_bench::jobs::{execute_job, JobOutput, JobSpec};
 use vpr_bench::ExperimentConfig;
 use vpr_core::par::RetryPolicy;
 use vpr_core::RenameScheme;
 use vpr_serve::{Client, ServeConfig, Server};
-use vpr_snap::faults::{self, FaultPlan};
+use vpr_snap::faults::{self, FaultKind, FaultOp, FaultPlan};
 use vpr_trace::Benchmark;
 
 fn tmp(name: &str) -> PathBuf {
@@ -80,7 +80,7 @@ fn any_single_service_fault_leaves_every_client_byte_identical() {
     let reference: Vec<JobOutput> = specs.iter().map(|s| execute_job(s, None)).collect();
 
     // Pick the smallest seed set that covers the full service matrix:
-    // 6 (kind, hook) combos × 2 positions.
+    // 5 (kind, hook) combos × 2 positions.
     let mut seeds = Vec::new();
     let mut distinct = BTreeSet::new();
     for seed in 0..256u64 {
@@ -88,7 +88,7 @@ fn any_single_service_fault_leaves_every_client_byte_identical() {
         if distinct.insert((plan.kind.label(), plan.nth)) {
             seeds.push(seed);
         }
-        if distinct.len() == 12 {
+        if distinct.len() == 10 {
             break;
         }
     }
@@ -108,7 +108,6 @@ fn any_single_service_fault_leaves_every_client_byte_identical() {
         let socket = root.join("serve.sock");
         let mut cfg = ServeConfig::new(&socket, root.join("state"));
         cfg.workers = 2;
-        cfg.lease_ms = 30_000;
         cfg.retry = RetryPolicy::immediate(3);
         let server = Server::start(cfg).expect("daemon starts");
         faults::arm(plan);
@@ -150,7 +149,6 @@ fn any_single_service_fault_leaves_every_client_byte_identical() {
         "io-error",
         "truncate",
         "bit-flip",
-        "lease-expire",
         "client-disconnect",
         "worker-kill",
     ]
@@ -174,11 +172,7 @@ fn exhausted_retry_budget_degrades_into_a_structured_failure() {
     cfg.workers = 1;
     cfg.retry = RetryPolicy::none();
     let server = Server::start(cfg).expect("daemon starts");
-    faults::arm(FaultPlan::new(
-        vpr_snap::faults::FaultKind::WorkerKill,
-        vpr_snap::faults::FaultOp::Worker,
-        "",
-    ));
+    faults::arm(FaultPlan::new(FaultKind::WorkerKill, FaultOp::Worker, ""));
 
     let client = Client::new(&socket);
     let ids = client.submit(std::slice::from_ref(&spec)).unwrap();
@@ -205,6 +199,54 @@ fn exhausted_retry_budget_degrades_into_a_structured_failure() {
         .expect("failed carries the NaN placeholder")
         .metrics
         .is_failed());
+
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn a_worker_death_is_retried_after_the_backoff_delay() {
+    let _x = faults::exclusive();
+
+    // One injected death under a one-retry, 200 ms backoff policy: the
+    // worker sleeps the delay, the second attempt runs clean, and the
+    // result is the fault-free bits.
+    let spec = grid().remove(0);
+    let want = execute_job(&spec, None);
+    let root = tmp("backoff");
+    let socket = root.join("serve.sock");
+    let mut cfg = ServeConfig::new(&socket, root.join("state"));
+    cfg.workers = 1;
+    cfg.retry = RetryPolicy::backoff(1, 200, 200);
+    let server = Server::start(cfg).expect("daemon starts");
+    faults::arm(FaultPlan::new(FaultKind::WorkerKill, FaultOp::Worker, ""));
+
+    let client = Client::new(&socket);
+    let submitted = Instant::now();
+    let ids = client.submit(std::slice::from_ref(&spec)).unwrap();
+    let results = client.wait(&ids, Duration::from_secs(60)).unwrap();
+    let elapsed = submitted.elapsed();
+    let (_, prometheus) = client.metrics().unwrap();
+
+    let fired = faults::disarm();
+    server.stop();
+
+    assert!(fired.is_some(), "the worker-kill fault must have fired");
+    let r = &results[0];
+    assert_eq!(r.state, "done", "{:?}", r.error);
+    assert_eq!(r.attempts, 2);
+    assert!(
+        prometheus.contains("vpr_serve_retries_total 1\n"),
+        "{prometheus}"
+    );
+    assert_bits(
+        r.output.as_ref().expect("done carries output"),
+        &want,
+        "backoff",
+    );
+    assert!(
+        elapsed >= Duration::from_millis(200),
+        "the retry ran before its 200 ms delay: {elapsed:?}"
+    );
 
     let _ = std::fs::remove_dir_all(&root);
 }

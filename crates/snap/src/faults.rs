@@ -49,16 +49,12 @@ pub enum FaultKind {
     /// The job with a matching label panics at its start
     /// ([`maybe_panic_job`]).
     JobPanic,
-    /// A worker lease is treated as expired the next time the service's
-    /// lease scanner inspects it ([`lease_expires_early`]), forcing a
-    /// reclaim-and-retry even though the worker is still healthy.
-    LeaseExpire,
     /// The service drops a client connection mid-exchange
     /// ([`client_disconnects`]); the client must reconnect and re-poll.
     ClientDisconnect,
-    /// A service worker dies (panics) at the start of a leased job
-    /// ([`maybe_kill_worker`]); the lease machinery must reclaim and
-    /// retry the job.
+    /// A service worker dies (panics) at the start of a job attempt
+    /// ([`maybe_kill_worker`]); the worker's retry loop must run the job
+    /// again.
     WorkerKill,
 }
 
@@ -71,7 +67,6 @@ impl FaultKind {
             FaultKind::BitFlip => "bit-flip",
             FaultKind::PartialRename => "partial-rename",
             FaultKind::JobPanic => "job-panic",
-            FaultKind::LeaseExpire => "lease-expire",
             FaultKind::ClientDisconnect => "client-disconnect",
             FaultKind::WorkerKill => "worker-kill",
         }
@@ -89,8 +84,6 @@ pub enum FaultOp {
     Job,
     /// Service journal appends ([`on_journal_append`]).
     JournalAppend,
-    /// Service lease-scanner inspections ([`lease_expires_early`]).
-    Lease,
     /// Service client-connection exchanges ([`client_disconnects`]).
     Client,
     /// Service worker job starts ([`maybe_kill_worker`]).
@@ -105,7 +98,6 @@ impl FaultOp {
             FaultOp::Write => "write",
             FaultOp::Job => "job",
             FaultOp::JournalAppend => "journal-append",
-            FaultOp::Lease => "lease",
             FaultOp::Client => "client",
             FaultOp::Worker => "worker",
         }
@@ -171,9 +163,9 @@ impl FaultPlan {
         }
     }
 
-    /// Derives one fault of the **service** matrix from a seed — the four
-    /// daemon hook points ([`on_journal_append`], [`lease_expires_early`],
-    /// [`client_disconnects`], [`maybe_kill_worker`]) with every effect
+    /// Derives one fault of the **service** matrix from a seed — the three
+    /// daemon hook points ([`on_journal_append`], [`client_disconnects`],
+    /// [`maybe_kill_worker`]) with every effect
     /// each supports. Kept separate from [`FaultPlan::from_seed`] so the
     /// storage-layer matrix (and the tests pinning it) stay unchanged.
     pub fn from_seed_service(seed: u64, target: impl Into<String>) -> Self {
@@ -181,12 +173,11 @@ impl FaultPlan {
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
         z ^= z >> 31;
-        let (kind, op) = match z % 6 {
+        let (kind, op) = match z % 5 {
             0 => (FaultKind::IoError, FaultOp::JournalAppend),
             1 => (FaultKind::Truncate, FaultOp::JournalAppend),
             2 => (FaultKind::BitFlip, FaultOp::JournalAppend),
-            3 => (FaultKind::LeaseExpire, FaultOp::Lease),
-            4 => (FaultKind::ClientDisconnect, FaultOp::Client),
+            3 => (FaultKind::ClientDisconnect, FaultOp::Client),
             _ => (FaultKind::WorkerKill, FaultOp::Worker),
         };
         Self {
@@ -401,19 +392,6 @@ pub fn on_journal_append(path: &Path, bytes: &mut Vec<u8>) -> io::Result<()> {
     }
 }
 
-/// Lease hook: returns `true` when the armed plan demands that the lease
-/// with a matching label be treated as already expired — the service must
-/// reclaim and retry the job as if the real deadline had passed.
-pub fn lease_expires_early(label: &str) -> bool {
-    matches!(
-        fire(FaultOp::Lease, label),
-        Some(FaultPlan {
-            kind: FaultKind::LeaseExpire,
-            ..
-        })
-    )
-}
-
 /// Client-connection hook: returns `true` when the service should drop
 /// the connection with a matching label before responding — the client
 /// must survive by reconnecting and re-polling (results are keyed by job
@@ -429,8 +407,8 @@ pub fn client_disconnects(label: &str) -> bool {
 }
 
 /// Worker hook: panics when the armed plan kills the worker starting the
-/// job with a matching label. The service catches the unwind, treats the
-/// worker as dead, and lets the lease machinery retry the job.
+/// job with a matching label. The worker's retry loop catches the unwind,
+/// treats the attempt as dead, and runs the job again.
 pub fn maybe_kill_worker(label: &str) {
     if let Some(plan) = fire(FaultOp::Worker, label) {
         if plan.kind == FaultKind::WorkerKill {
@@ -538,13 +516,12 @@ mod tests {
             ("io-error", "journal-append"),
             ("truncate", "journal-append"),
             ("bit-flip", "journal-append"),
-            ("lease-expire", "lease"),
             ("client-disconnect", "client"),
             ("worker-kill", "worker"),
         ]
         .into_iter()
         .collect();
-        assert_eq!(combos, expected, "all six service combos reachable");
+        assert_eq!(combos, expected, "all five service combos reachable");
     }
 
     #[test]
@@ -579,18 +556,8 @@ mod tests {
     }
 
     #[test]
-    fn lease_client_and_worker_hooks_fire_once() {
+    fn client_and_worker_hooks_fire_once() {
         let _x = exclusive();
-        arm(FaultPlan::new(
-            FaultKind::LeaseExpire,
-            FaultOp::Lease,
-            "job-3",
-        ));
-        assert!(!lease_expires_early("job-1"));
-        assert!(lease_expires_early("job-3"));
-        assert!(!lease_expires_early("job-3"), "single-shot");
-        assert_eq!(disarm().expect("fired").kind, FaultKind::LeaseExpire);
-
         arm(FaultPlan::new(
             FaultKind::ClientDisconnect,
             FaultOp::Client,
